@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import protocol as proto
-from .fidelity import fidelity_trace
 from .protocol import Protocol, ProtocolError
-from .qcore import InvariantViolation, apply_unitary, partial_trace
+from .qcore import InvariantViolation, apply_unitary
 from .schmidt import uhlmann_unitary
 
 PROBABILITY_DUST = 1e-9
@@ -23,7 +22,7 @@ PROBABILITY_CEILING = 1.0 + 1e-9
 OVERLAP_IDENTITY_TOL = 1e-6
 
 
-def _clamp_probability(value: float, what: str) -> float:
+def _clamp_probability(value: float) -> float:
     """Zero out negative numerical dust; anything worse is a real violation."""
     if -PROBABILITY_DUST <= value < 0.0:
         return 0.0
@@ -74,24 +73,17 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
         raise ValueError(
             "epr_attack needs a measurement-free protocol; run purify_protocol first")
     custody = proto.commit_custody(p, custody)
-    state0 = proto.run_commit(p, 0)
-    state1 = proto.run_commit(p, 1)
+    states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
 
     a_side = proto.alice_side(p, custody)
-    unitary, overlap = uhlmann_unitary(state0, state1, a_side)
+    unitary, overlap = uhlmann_unitary(*states, a_side)
+    # delta takes the trace route, so the report's overlap = 1 - delta check
+    # compares two independent computations
+    delta, fidelity, _, _ = proto.commit_reductions(p, custody, states)
 
-    keep = proto.bob_holding(p, custody)
-    rho0 = partial_trace(state0, keep)
-    rho1 = partial_trace(state1, keep)
-    fidelity = fidelity_trace(rho0, rho1)
-    delta = min(max(1.0 - fidelity, 0.0), 1.0)
-
-    honest = tuple(
-        _clamp_probability(proto.run_open(p, proto.run_commit(p, b), b),
-                           f"honest_accept[{b}]")
-        for b in (0, 1))
-    cheat_state = apply_unitary(state0, unitary, a_side)
-    cheat = _clamp_probability(proto.run_open(p, cheat_state, 1), "cheat_accept")
+    honest = tuple(_clamp_probability(proto.run_open(p, states[b], b)) for b in (0, 1))
+    cheat_state = apply_unitary(states[0], unitary, a_side)
+    cheat = _clamp_probability(proto.run_open(p, cheat_state, 1))
 
     return AttackReport(
         protocol_name=p.name, channel_custody=custody, delta=delta,

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,6 +47,8 @@ class Report:
 
 
 def _format_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise InvariantViolation(f"non-finite value {value!r} in a report")
     return format(float(value), ".17g")
 
 
@@ -128,23 +131,35 @@ def emit_report(report: Report, fmt: str = "json", path=None) -> int:
 # document loading
 
 
-def _load_commitment(source: str) -> proto.Protocol:
-    data, overrides = proto.resolve_document(source)
-    if data.get("kind", proto.KIND_COMMITMENT) == proto.KIND_COIN:
-        raise proto.ProtocolError(
-            f"{data.get('name', source)!r} is a coin-toss document; "
-            "use the cointoss command")
-    p = proto.parse_protocol(data, param_overrides=overrides)
-    return proto.purify_protocol(p)
+# kind -> (parse, emit as a document, the commands that take the kind)
+_KINDS = {
+    proto.KIND_COMMITMENT: (
+        lambda data, ov: proto.purify_protocol(proto.parse_protocol(data, param_overrides=ov)),
+        proto.protocol_to_document, "simulate, attack, sweep, or fidelity"),
+    proto.KIND_COIN: (
+        lambda data, ov: coins.parse_coin_protocol(data, param_overrides=ov),
+        coins.coin_to_document, "the cointoss command"),
+}
 
 
-def _load_coin(source: str) -> coins.CoinProtocol:
+def _resolve(source: str, want=None):
+    """Resolve a document and dispatch on its kind; no other CLI code reads it.
+
+    Returns (document, positional overrides, the kind's ``_KINDS`` entry).
+    A document of a kind other than ``want`` is refused, naming the
+    commands that take it.
+    """
     data, overrides = proto.resolve_document(source)
-    if data.get("kind", proto.KIND_COMMITMENT) != proto.KIND_COIN:
+    kind = proto.document_kind(data)
+    if want not in (None, kind):
         raise proto.ProtocolError(
-            f"{data.get('name', source)!r} is a bit-commitment document; "
-            "use simulate, attack, sweep, or fidelity")
-    return coins.parse_coin_protocol(data, param_overrides=overrides)
+            f"{data.get('name', source)!r} is a {kind} document; use {_KINDS[kind][2]}")
+    return data, overrides, _KINDS[kind]
+
+
+def _load(source: str, want: str):
+    data, overrides, (parse, _, _) = _resolve(source, want)
+    return parse(data, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +167,13 @@ def _load_coin(source: str) -> coins.CoinProtocol:
 
 
 def _cmd_simulate(ns) -> Report:
-    p = _load_commitment(ns.protocol)
+    p = _load(ns.protocol, proto.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
-    delta, _, _ = proto.commit_delta(p, custody)
-    honest = [proto.run_open(p, proto.run_commit(p, b), b) for b in (0, 1)]
-    cross01 = proto.run_open(p, proto.run_commit(p, 0), 1)
-    cross10 = proto.run_open(p, proto.run_commit(p, 1), 0)
+    states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
+    delta = proto.commit_reductions(p, custody, states)[0]
+    honest = [proto.run_open(p, states[b], b) for b in (0, 1)]
+    cross01 = proto.run_open(p, states[0], 1)
+    cross10 = proto.run_open(p, states[1], 0)
     value = {
         "command": "simulate",
         "protocol": p.name,
@@ -186,19 +202,21 @@ def _attack_row(rep: attacks.AttackReport) -> list:
             rep.cheat_accept]
 
 
-def _cmd_attack(ns) -> Report:
-    p = _load_commitment(ns.protocol)
-    rep = attacks.epr_attack(p, custody=ns.channel_custody)
-    value = {
-        "command": "attack",
-        "protocol": rep.protocol_name,
-        "channel_custody": rep.channel_custody,
+def _attack_fields(rep: attacks.AttackReport) -> dict:
+    return {
         "delta": rep.delta,
         "fidelity": rep.fidelity,
         "achieved_overlap": rep.achieved_overlap,
         "honest_accept": {"0": rep.honest_accept[0], "1": rep.honest_accept[1]},
         "cheat_accept": rep.cheat_accept,
     }
+
+
+def _cmd_attack(ns) -> Report:
+    p = _load(ns.protocol, proto.KIND_COMMITMENT)
+    rep = attacks.epr_attack(p, custody=ns.channel_custody)
+    value = {"command": "attack", "protocol": rep.protocol_name,
+             "channel_custody": rep.channel_custody, **_attack_fields(rep)}
     return Report(value, _ATTACK_HEADER, [_attack_row(rep)])
 
 
@@ -212,16 +230,14 @@ def _parse_grid(text: str):
         raise ValueError(f"grid must be start:stop:count, got {text!r}") from None
     if count < 1:
         raise ValueError("grid count must be at least 1")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid bounds and their span must be finite, got {text!r}")
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
 def _cmd_sweep(ns) -> Report:
     grid = _parse_grid(ns.grid)
-    data, _ = proto.resolve_document(ns.protocol)
-    if data.get("kind", proto.KIND_COMMITMENT) == proto.KIND_COIN:
-        raise proto.ProtocolError(
-            f"{data.get('name', ns.protocol)!r} is a coin-toss document; "
-            "use the cointoss command")
+    data, _, _ = _resolve(ns.protocol, proto.KIND_COMMITMENT)
     param = attacks.sweep_parameter(data, ns.param)
     points = attacks.attack_sweep(data, grid, param=param,
                                   custody=ns.channel_custody)
@@ -232,20 +248,8 @@ def _cmd_sweep(ns) -> Report:
             items.append({"value": pt.value, "error": pt.error})
             rows.append([param, pt.value] + [None] * 6 + [pt.error])
         else:
-            rep = pt.report
-            items.append({
-                "value": pt.value,
-                "delta": rep.delta,
-                "fidelity": rep.fidelity,
-                "achieved_overlap": rep.achieved_overlap,
-                "honest_accept": {"0": rep.honest_accept[0],
-                                  "1": rep.honest_accept[1]},
-                "cheat_accept": rep.cheat_accept,
-                "error": None,
-            })
-            rows.append([param, pt.value, rep.delta, rep.fidelity,
-                         rep.achieved_overlap, rep.honest_accept[0],
-                         rep.honest_accept[1], rep.cheat_accept, None])
+            items.append({"value": pt.value, **_attack_fields(pt.report), "error": None})
+            rows.append([param, pt.value, *_attack_row(pt.report)[2:], None])
     value = {
         "command": "sweep",
         "protocol": data.get("name"),
@@ -258,7 +262,7 @@ def _cmd_sweep(ns) -> Report:
 
 
 def _cmd_fidelity(ns) -> Report:
-    p = _load_commitment(ns.protocol)
+    p = _load(ns.protocol, proto.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
     delta, rho0, rho1 = proto.commit_delta(p, custody)
     f_trace = fidelity_trace(rho0, rho1)
@@ -305,7 +309,9 @@ def _cmd_fidelity(ns) -> Report:
 
 
 def _cmd_cointoss(ns) -> Report:
-    cp = _load_coin(ns.protocol)
+    if not 0.0 <= ns.ideal_tol < 1.0:
+        raise ValueError(f"--ideal-tol must be a number in [0, 1), got {ns.ideal_tol!r}")
+    cp = _load(ns.protocol, proto.KIND_COIN)
     verdict = coins.induction_report(
         cp, tol=ns.ideal_tol, allow_mixed_invalid=ns.allow_mixed_invalid)
     dist = coins.outcome_distribution(cp)
@@ -346,15 +352,8 @@ def _cmd_cointoss(ns) -> Report:
 
 
 def _cmd_purify(ns) -> str:
-    data, overrides = proto.resolve_document(ns.protocol)
-    if data.get("kind", proto.KIND_COMMITMENT) == proto.KIND_COIN:
-        cp = coins.parse_coin_protocol(data, param_overrides=overrides)
-        document = coins.coin_to_document(cp)
-    else:
-        p = proto.purify_protocol(
-            proto.parse_protocol(data, param_overrides=overrides))
-        document = proto.protocol_to_document(p)
-    return proto.document_to_yaml(document)
+    data, overrides, (parse, to_document, _) = _resolve(ns.protocol)
+    return proto.document_to_yaml(to_document(parse(data, overrides)))
 
 
 # ---------------------------------------------------------------------------

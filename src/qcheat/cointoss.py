@@ -33,7 +33,6 @@ from .protocol import (
     KIND_COIN,
     ProtocolError,
     Projector,
-    Round,
     other_actor,
 )
 from .qcore import InvariantViolation, Partition, PureState, zero_state
@@ -48,7 +47,7 @@ FLOAT_DENOMINATOR_CAP = 10 ** 12
 
 
 @dataclass(frozen=True)
-class CoinProtocol:
+class CoinProtocol(proto._Document):
     """Alternating-round coin protocol with three-way outcome rules.
 
     ``outcome_rules`` maps each actor to projectors labeled "0", "1" and
@@ -102,14 +101,6 @@ class CoinProtocol:
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
-
-    def declared_counts(self) -> dict:
-        base = self.partition.num_qubits - len(self.ancilla_owners)
-        return {
-            "alice": sum(1 for q in self.partition.alice_qubits if q < base),
-            "bob": sum(1 for q in self.partition.bob_qubits if q < base),
-            "channel": len(self.partition.channel_qubits),
-        }
 
 
 @dataclass(frozen=True)
@@ -194,17 +185,8 @@ _COIN_TOP_KEYS = ("name", "kind", "qubits", "params", "initial", "rounds",
 
 def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
     """Parse a coin-toss document; measurements are compiled away on entry."""
-    data = proto._load_yaml(document) if isinstance(document, str) else document
-    data = proto._as_dict(data, "")
-    proto._check_keys(data, _COIN_TOP_KEYS, "")
-    kind = data.get("kind")
-    if kind != KIND_COIN:
-        raise ProtocolError(
-            f"document kind {kind!r} is not coin-toss; bit-commitment documents "
-            "go through parse_protocol", "kind")
-
-    name, partition, owners, decl_a, decl_b, _ = proto._parse_header(data)
-    params, env = proto._parse_params(data, param_overrides)
+    data, name, partition, owners, (decl_a, decl_b, _), params, env = proto._front_matter(
+        document, KIND_COIN, _COIN_TOP_KEYS, param_overrides)
 
     initial = proto._as_dict(data.get("initial", {}) or {}, "initial")
     proto._check_keys(initial, ("alice", "bob"), "initial")
@@ -220,10 +202,8 @@ def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
         proto._req(data, "rounds", ""), env=env, partition=partition,
         loc="rounds", results=results, allow_measure=True,
         strict_alternation=True)
-    owners_list = list(owners)
-    partition, rounds = proto._purify_round_list(partition, owners_list, {}, rounds) \
-        if any(isinstance(op, proto.MeasureOp) for rnd in rounds for op in rnd.ops) \
-        else (partition, rounds)
+    owners = list(owners)
+    partition, rounds = proto._purify_round_list(partition, owners, {}, rounds)
 
     outcomes = proto._as_dict(proto._req(data, "outcomes", ""), "outcomes")
     proto._check_keys(outcomes, proto.ACTORS, "outcomes")
@@ -257,16 +237,13 @@ def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
         return CoinProtocol(
             name=name, partition=partition, initial_alice=prep_a,
             initial_bob=prep_b, rounds=rounds, outcome_rules=rules,
-            ancilla_owners=tuple(owners_list), params=params)
+            ancilla_owners=tuple(owners), params=params)
     except InvariantViolation as exc:
         raise ProtocolError(str(exc)) from None
 
 
 def load_coin_protocol(source: str, *, param_overrides=None) -> CoinProtocol:
-    data, positional = proto.resolve_document(source)
-    merged = dict(positional)
-    merged.update(param_overrides or {})
-    return parse_coin_protocol(data, param_overrides=merged)
+    return proto._load_with(parse_coin_protocol, source, param_overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +251,8 @@ def load_coin_protocol(source: str, *, param_overrides=None) -> CoinProtocol:
 
 
 def run_rounds(p: CoinProtocol) -> PureState:
-    state = zero_state(p.partition.num_qubits)
-    for op in p.initial_alice:
-        state = qcore.apply_gate(state, op)
-    for op in p.initial_bob:
-        state = qcore.apply_gate(state, op)
-    for rnd in p.rounds:
-        for op in rnd.ops:
-            state = qcore.apply_gate(state, op)
-    return state
+    return proto._apply_ops(zero_state(p.partition.num_qubits), p.initial_alice,
+                            p.initial_bob, *(rnd.ops for rnd in p.rounds))
 
 
 def outcome_distribution(p: CoinProtocol) -> dict:
@@ -360,6 +330,11 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
     back through the deleted round's unitary.  Raises NotIdealError when
     any conditional pair has fidelity above ``tol``.
     """
+    return _truncate(p, tol, allow_mixed_invalid)[1]
+
+
+def _truncate(p: CoinProtocol, tol, allow_mixed_invalid):
+    """(fidelity triple, truncated protocol) from one conditioning on the sender."""
     sender, receiver, keep, conditional = _condition_on_sender(p, allow_mixed_invalid)
     triple = _triple_of(conditional)
     if triple.max_fidelity() > tol:
@@ -389,7 +364,7 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
         sender_rules[label] = Projector(
             sender_space, unitary.conj().T @ lifted @ unitary)
 
-    return CoinProtocol(
+    return triple, CoinProtocol(
         name=p.name, partition=p.partition, initial_alice=p.initial_alice,
         initial_bob=p.initial_bob, rounds=p.rounds[:-1],
         outcome_rules={sender: sender_rules, receiver: receiver_rules},
@@ -419,10 +394,7 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     current = p
     while current.rounds:
         try:
-            triple = last_round_fidelities(
-                current, allow_mixed_invalid=allow_mixed_invalid)
-            truncated = truncate_last_round(
-                current, tol=tol, allow_mixed_invalid=allow_mixed_invalid)
+            triple, truncated = _truncate(current, tol, allow_mixed_invalid)
         except NotIdealError as exc:
             return InductionVerdict(
                 verdict="not_ideal", rounds=p.num_rounds, steps=tuple(steps),
@@ -537,21 +509,15 @@ def _rule_node(rule: Projector):
 
 
 def coin_to_document(p: CoinProtocol) -> dict:
-    doc = {
-        "name": p.name,
-        "kind": KIND_COIN,
-        "qubits": p.declared_counts(),
-        "initial": {
+    return p._document(
+        KIND_COIN,
+        initial={
             "alice": [proto._op_node(op) for op in p.initial_alice],
             "bob": [proto._op_node(op) for op in p.initial_bob],
         },
-        "rounds": [proto._round_node(r) for r in p.rounds],
-        "outcomes": {
+        rounds=[proto._round_node(r) for r in p.rounds],
+        outcomes={
             actor: {label: _rule_node(p.outcome_rules[actor][label])
                     for label in OUTCOME_LABELS}
             for actor in proto.ACTORS
-        },
-    }
-    if p.ancilla_owners:
-        doc["ancillas"] = list(p.ancilla_owners)
-    return doc
+        })

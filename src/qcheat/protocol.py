@@ -32,6 +32,7 @@ BUILTIN_NAMES = ("bell-bc", "bb84-bc", "leaky-bc", "ideal-ct", "guess-ct")
 
 KIND_COMMITMENT = "bit-commitment"
 KIND_COIN = "coin-toss"
+_PARSER_OF = {KIND_COMMITMENT: "parse_protocol", KIND_COIN: "parse_coin_protocol"}
 
 
 class ProtocolError(ValueError):
@@ -113,8 +114,28 @@ class Projector:
         return _embed(self.matrix, positions, len(space))
 
 
+class _Document:
+    """The register and document frame shared by both protocol kinds."""
+
+    def declared_counts(self) -> dict:
+        """Qubit counts of the document header, ancillas excluded."""
+        base = self.partition.num_qubits - len(self.ancilla_owners)
+        return {
+            "alice": sum(1 for q in self.partition.alice_qubits if q < base),
+            "bob": sum(1 for q in self.partition.bob_qubits if q < base),
+            "channel": len(self.partition.channel_qubits),
+        }
+
+    def _document(self, kind: str, **body) -> dict:
+        """Document form: name, kind and qubits, then ``body``, then ancillas."""
+        doc = {"name": self.name, "kind": kind, "qubits": self.declared_counts(), **body}
+        if self.ancilla_owners:
+            doc["ancillas"] = list(self.ancilla_owners)
+        return doc
+
+
 @dataclass(frozen=True)
-class Protocol:
+class Protocol(_Document):
     """A parsed bit-commitment protocol over an explicit register partition."""
 
     name: str
@@ -139,15 +160,6 @@ class Protocol:
     def has_measurements(self) -> bool:
         return any(
             isinstance(op, MeasureOp) for rnd in self.all_rounds for op in rnd.ops)
-
-    def declared_counts(self) -> dict:
-        """Qubit counts of the document header, ancillas excluded."""
-        base = self.partition.num_qubits - len(self.ancilla_owners)
-        return {
-            "alice": sum(1 for q in self.partition.alice_qubits if q < base),
-            "bob": sum(1 for q in self.partition.bob_qubits if q < base),
-            "channel": len(self.partition.channel_qubits),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +244,21 @@ def resolve_document(source: str):
     return _load_yaml(text), overrides
 
 
+def document_kind(data: dict) -> str:
+    """The kind a document declares; bit-commitment when it declares none."""
+    kind = data.get("kind", KIND_COMMITMENT)
+    if not isinstance(kind, str) or kind not in _PARSER_OF:
+        raise ProtocolError(f"unknown document kind {kind!r}; expected "
+                            f"{KIND_COMMITMENT} or {KIND_COIN}", "kind")
+    return kind
+
+
+def _load_with(parse, source: str, param_overrides):
+    """``parse`` a resolved document; explicit overrides win over positional ones."""
+    data, positional = resolve_document(source)
+    return parse(data, param_overrides={**positional, **(param_overrides or {})})
+
+
 # ---------------------------------------------------------------------------
 # field accessors with location-bearing diagnostics
 
@@ -279,7 +306,13 @@ def _check_keys(data, allowed, loc):
 def _as_number(value, loc):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError("expected a number", loc)
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ProtocolError("expected a finite number", loc)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +354,17 @@ def _parse_angle(value, env, loc):
     if isinstance(value, bool):
         raise ProtocolError("angle must be a number or expression string", loc)
     if isinstance(value, (int, float)):
-        return float(value)
+        return _as_number(value, loc)
     if isinstance(value, str):
         try:
             tree = ast.parse(value, mode="eval")
         except SyntaxError:
             raise ProtocolError(f"malformed angle expression {value!r}", loc) from None
-        return _eval_expr(tree.body, env, loc, value)
+        try:
+            angle = _eval_expr(tree.body, env, loc, value)
+        except OverflowError:
+            angle = math.inf
+        return _as_number(angle, loc)
     raise ProtocolError("angle must be a number or expression string", loc)
 
 
@@ -562,8 +599,20 @@ _TOP_KEYS = ("name", "kind", "qubits", "params", "initial",
              "commit_rounds", "open_rounds", "verify", "ancillas")
 
 
-def _parse_header(data):
-    """Shared front matter: name, params env, partition, declared ranges."""
+def _front_matter(document, kind, top_keys, overrides):
+    """Keys, kind, header and params of a document of either kind.
+
+    Returns (data, name, partition, ancilla owners, declared (alice, bob,
+    channel) ranges, params, angle environment).
+    """
+    data = _load_yaml(document) if isinstance(document, str) else document
+    data = _as_dict(data, "")
+    _check_keys(data, top_keys, "")
+    found = document_kind(data)
+    if found != kind:
+        raise ProtocolError(f"document kind {found!r} is not {kind}; {found} "
+                            f"documents go through {_PARSER_OF[found]}", "kind")
+
     name = _as_str(_req(data, "name", ""), "name")
     counts = _as_dict(_req(data, "qubits", ""), "qubits")
     _check_keys(counts, ("alice", "bob", "channel"), "qubits")
@@ -571,10 +620,9 @@ def _parse_header(data):
     nb = _as_count(_req(counts, "bob", "qubits"), "qubits.bob")
     nc = _as_count(_req(counts, "channel", "qubits"), "qubits.channel")
 
-    declared_alice = frozenset(range(na))
-    declared_bob = frozenset(range(na, na + nb))
-    declared_channel = frozenset(range(na + nb, na + nb + nc))
-    partition = Partition(declared_alice, declared_bob, declared_channel)
+    declared = (frozenset(range(na)), frozenset(range(na, na + nb)),
+                frozenset(range(na + nb, na + nb + nc)))
+    partition = Partition(*declared)
 
     owners = []
     for i, owner in enumerate(_as_list(data.get("ancillas", []), "ancillas")):
@@ -589,10 +637,6 @@ def _parse_header(data):
             f"{partition.num_qubits} qubits declared; the register is capped at "
             f"{qcore.MAX_QUBITS}", "qubits")
 
-    return name, partition, tuple(owners), declared_alice, declared_bob, declared_channel
-
-
-def _parse_params(data, overrides):
     params = {}
     for key, value in _as_dict(data.get("params", {}) or {}, "params").items():
         params[str(key)] = _as_number(value, f"params.{key}")
@@ -601,25 +645,17 @@ def _parse_params(data, overrides):
         if unknown:
             raise ProtocolError(f"override for undeclared parameter {unknown[0]!r}",
                                 "params")
-        params.update({k: float(v) for k, v in overrides.items()})
+        params.update({k: _as_number(float(v), f"params.{k}")
+                       for k, v in overrides.items()})
     env = dict(params)
     env["pi"] = math.pi
-    return params, env
+    return data, name, partition, tuple(owners), declared, params, env
 
 
 def parse_protocol(document, *, param_overrides=None) -> Protocol:
     """Parse and validate a bit-commitment document (YAML text or mapping)."""
-    data = _load_yaml(document) if isinstance(document, str) else document
-    data = _as_dict(data, "")
-    _check_keys(data, _TOP_KEYS, "")
-    kind = data.get("kind", KIND_COMMITMENT)
-    if kind != KIND_COMMITMENT:
-        raise ProtocolError(
-            f"document kind {kind!r} is not a bit commitment; coin-toss documents "
-            "go through parse_coin_protocol", "kind")
-
-    name, partition, owners, decl_a, decl_b, decl_c = _parse_header(data)
-    params, env = _parse_params(data, param_overrides)
+    data, name, partition, owners, (decl_a, decl_b, decl_c), params, env = _front_matter(
+        document, KIND_COMMITMENT, _TOP_KEYS, param_overrides)
 
     initial = _as_dict(data.get("initial", {}) or {}, "initial")
     _check_keys(initial, ("alice0", "alice1", "bob_channel"), "initial")
@@ -668,10 +704,7 @@ def parse_protocol(document, *, param_overrides=None) -> Protocol:
 
 def load_protocol(source: str, *, param_overrides=None) -> Protocol:
     """Resolve a builtin name or file path and parse it as bit commitment."""
-    data, positional = resolve_document(source)
-    merged = dict(positional)
-    merged.update(param_overrides or {})
-    return parse_protocol(data, param_overrides=merged)
+    return _load_with(parse_protocol, source, param_overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +785,11 @@ def _require_unitary(p: Protocol, operation: str):
             f"{operation} needs a measurement-free protocol; run purify_protocol first")
 
 
-def _apply_prep(state: PureState, ops) -> PureState:
-    for op in ops:
-        state = qcore.apply_gate(state, op)
+def _apply_ops(state: PureState, *op_lists) -> PureState:
+    """``state`` with each gate list applied in turn."""
+    for ops in op_lists:
+        for op in ops:
+            state = qcore.apply_gate(state, op)
     return state
 
 
@@ -763,12 +798,8 @@ def run_commit(p: Protocol, b: int) -> PureState:
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
     _require_unitary(p, "run_commit")
-    state = zero_state(p.partition.num_qubits)
-    state = _apply_prep(state, p.initial_alice[b])
-    state = _apply_prep(state, p.initial_bob_channel)
-    for rnd in p.commit_rounds:
-        state = _apply_prep(state, rnd.ops)
-    return state
+    return _apply_ops(zero_state(p.partition.num_qubits), p.initial_alice[b],
+                      p.initial_bob_channel, *(rnd.ops for rnd in p.commit_rounds))
 
 
 def run_open(p: Protocol, state: PureState, claimed_b: int) -> float:
@@ -780,8 +811,7 @@ def run_open(p: Protocol, state: PureState, claimed_b: int) -> float:
         raise ValueError(
             f"state has {state.num_qubits} qubits, protocol register has "
             f"{p.partition.num_qubits}")
-    for rnd in p.open_rounds:
-        state = _apply_prep(state, rnd.ops)
+    state = _apply_ops(state, *(rnd.ops for rnd in p.open_rounds))
     return p.verification[claimed_b].expectation(state)
 
 
@@ -819,6 +849,19 @@ def bob_holding(p: Protocol, custody: str) -> tuple:
     return tuple(sorted(side))
 
 
+def commit_reductions(p: Protocol, custody: str, states):
+    """Bob's holding reduced from the two honest commit states, and their fidelity.
+
+    ``states`` yields run_commit(p, 0) and run_commit(p, 1); a generator
+    frees them before the fidelity is taken.  Returns (delta, F, rho0, rho1)
+    with F = fidelity_trace(rho0, rho1) and delta = 1 - F clamped to [0, 1].
+    """
+    keep = bob_holding(p, custody)
+    rho0, rho1 = (qcore.partial_trace(state, keep) for state in states)
+    fidelity = fidelity_trace(rho0, rho1)
+    return min(max(1.0 - fidelity, 0.0), 1.0), fidelity, rho0, rho1
+
+
 def commit_delta(p: Protocol, custody=None):
     """Concealment defect after the commit phase.
 
@@ -826,10 +869,8 @@ def commit_delta(p: Protocol, custody=None):
     the honest commit state for bit b and delta = 1 - F(rho0, rho1).
     """
     custody = commit_custody(p, custody)
-    keep = bob_holding(p, custody)
-    rho0 = qcore.partial_trace(run_commit(p, 0), keep)
-    rho1 = qcore.partial_trace(run_commit(p, 1), keep)
-    delta = min(max(1.0 - fidelity_trace(rho0, rho1), 0.0), 1.0)
+    delta, _, rho0, rho1 = commit_reductions(
+        p, custody, (run_commit(p, b) for b in (0, 1)))
     return delta, rho0, rho1
 
 
@@ -845,9 +886,8 @@ def enumerate_branches(p: Protocol, b: int):
     """
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
-    state = zero_state(p.partition.num_qubits)
-    state = _apply_prep(state, p.initial_alice[b])
-    state = _apply_prep(state, p.initial_bob_channel)
+    state = _apply_ops(zero_state(p.partition.num_qubits), p.initial_alice[b],
+                       p.initial_bob_channel)
     branches = [(1.0, {}, state)]
     for rnd in p.all_rounds:
         for op in rnd.ops:
@@ -933,25 +973,19 @@ def _projector_node(proj: Projector):
 
 def protocol_to_document(p: Protocol) -> dict:
     """Serialize back to document form; angles appear fully evaluated."""
-    doc = {
-        "name": p.name,
-        "kind": KIND_COMMITMENT,
-        "qubits": p.declared_counts(),
-        "initial": {
+    return p._document(
+        KIND_COMMITMENT,
+        initial={
             "alice0": [_op_node(op) for op in p.initial_alice[0]],
             "alice1": [_op_node(op) for op in p.initial_alice[1]],
             "bob_channel": [_op_node(op) for op in p.initial_bob_channel],
         },
-        "commit_rounds": [_round_node(r) for r in p.commit_rounds],
-        "open_rounds": [_round_node(r) for r in p.open_rounds],
-        "verify": {
+        commit_rounds=[_round_node(r) for r in p.commit_rounds],
+        open_rounds=[_round_node(r) for r in p.open_rounds],
+        verify={
             "accept_b0": _projector_node(p.verification[0]),
             "accept_b1": _projector_node(p.verification[1]),
-        },
-    }
-    if p.ancilla_owners:
-        doc["ancillas"] = list(p.ancilla_owners)
-    return doc
+        })
 
 
 def document_to_yaml(doc: dict) -> str:

@@ -114,11 +114,12 @@ def schmidt_decompose(state: PureState, a_side) -> SchmidtDecomposition:
     )
 
 
-def _polar_rotation(state0: PureState, state1: PureState, a_side) -> np.ndarray:
+def _polar_rotation(state0: PureState, state1: PureState, a_side) -> tuple:
     """Polar unitary of the A-side cross-Gram matrix M1 M0^dagger.
 
-    The full SVD supplies a deterministic orthonormal completion on the
-    kernel, so the result is always a genuine unitary.
+    Returns (unitary, M0, M1).  The full SVD supplies a deterministic
+    orthonormal completion on the kernel, so the result is always a
+    genuine unitary.
     """
     a0, _, m0 = _split_matrix(state0, a_side)
     a1, _, m1 = _split_matrix(state1, a_side)
@@ -126,7 +127,7 @@ def _polar_rotation(state0: PureState, state1: PureState, a_side) -> np.ndarray:
         raise ValueError("states must live on the same register and bipartition")
     gram = m1 @ m0.conj().T
     left, _, right = np.linalg.svd(gram)
-    return left @ right
+    return left @ right, m0, m1
 
 
 def uhlmann_unitary(state0: PureState, state1: PureState, a_side):
@@ -139,11 +140,8 @@ def uhlmann_unitary(state0: PureState, state1: PureState, a_side):
         B-side reductions.  Applying U never changes the B-side reduction
     of any state.
     """
-    a = tuple(sorted(_check_targets(a_side, state0.num_qubits, "a_side")))
-    unitary = _polar_rotation(state0, state1, a)
-    rotated = _split_matrix(state0, a)[2]
-    achieved = float(abs(np.trace(
-        _split_matrix(state1, a)[2].conj().T @ (unitary @ rotated))))
+    unitary, m0, m1 = _polar_rotation(state0, state1, a_side)
+    achieved = float(abs(np.trace(m1.conj().T @ (unitary @ m0))))
     return unitary, achieved
 
 
@@ -167,7 +165,7 @@ def cheating_unitary_ideal(state0: PureState, state1: PureState, a_side) -> np.n
             f"B-side reductions differ by {gap:.3e} entrywise (tolerance "
             f"{IDEAL_REDUCTION_TOL}); the states are not locally equivalent -- "
             "use uhlmann_unitary for the optimal approximate rotation")
-    return _polar_rotation(state0, state1, a)
+    return _polar_rotation(state0, state1, a)[0]
 
 
 def reduction_fidelity(state0: PureState, state1: PureState, a_side) -> float:

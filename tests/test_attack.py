@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qcheat import protocol
 from qcheat.attack import AttackReport, attack_sweep, epr_attack, sweep_parameter
 from qcheat.protocol import (
     ProtocolError,
@@ -32,6 +33,14 @@ def test_bell_bc_attack_is_perfect():
     assert rep.honest_accept == (pytest.approx(1.0), pytest.approx(1.0))
     assert rep.achieved_overlap == pytest.approx(1.0, abs=1e-9)
     assert rep.channel_custody == "bob"
+
+
+def test_attack_computes_each_honest_commit_state_once(monkeypatch):
+    calls = []
+    real = protocol.run_commit
+    monkeypatch.setattr(protocol, "run_commit", lambda p, b: calls.append(b) or real(p, b))
+    epr_attack(load_protocol("leaky-bc(0.5)"))
+    assert calls == [0, 1]
 
 
 def test_bb84_bc_attack_after_purification():

@@ -4,10 +4,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qcheat import attack as attacks
 from qcheat import cli
+from qcheat import protocol as proto
 from qcheat.cointoss import parse_coin_protocol
 from qcheat.protocol import parse_protocol
 from qcheat.qcore import InvariantViolation
@@ -44,6 +46,15 @@ def test_simulate_json_fields(tmp_path, capsys):
     assert doc["delta"] <= 1e-12
     assert doc["honest_accept"]["0"] == pytest.approx(1.0)
     assert doc["cross_accept"]["commit0_open1"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_simulate_computes_each_honest_commit_state_once(monkeypatch, capsys):
+    calls = []
+    real = proto.run_commit
+    monkeypatch.setattr(proto, "run_commit", lambda p, b: calls.append(b) or real(p, b))
+    assert cli.main(["simulate", "--protocol", "bb84-bc"]) == 0
+    assert calls == [0, 1]
+    capsys.readouterr()
 
 
 def test_attack_json_fields(capsys):
@@ -108,8 +119,9 @@ def test_sweep_json_points(capsys):
 
 
 def test_sweep_csv_error_rows(tmp_path):
+    # theta is finite, but leaky-bc's angle -2*theta overflows to -inf
     code, raw = run_to_file(tmp_path, [
-        "sweep", "--protocol", "leaky-bc", "--grid", "nan:nan:1",
+        "sweep", "--protocol", "leaky-bc", "--grid", "1e308:1e308:1",
         "--output", "csv"], "s.csv")
     assert code == 0
     rows = list(csv.reader(raw.decode("utf-8").splitlines()))
@@ -166,6 +178,85 @@ def test_coin_document_to_attack_is_input_error(capsys):
 
 def test_commitment_document_to_cointoss_is_input_error():
     assert cli.main(["cointoss", "--protocol", "bell-bc"]) == 2
+
+
+QUBITS = {"alice": 1, "bob": 1, "channel": 1}
+COMMANDS = [
+    ["simulate"], ["attack"], ["fidelity"], ["sweep", "--grid", "0:1:2"],
+    ["cointoss"], ["purify"],
+]
+
+
+@pytest.mark.parametrize("kind", ["foo", ["coin-toss"]], ids=["string", "list"])
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_unknown_kind_is_input_error_at_kind(tmp_path, capsys, command, kind):
+    doc = {"name": "odd", "kind": kind, "qubits": QUBITS, "params": {"theta": 0.5}}
+    path = tmp_path / "odd.yaml"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(command + ["--protocol", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kind: unknown document kind ")
+    assert "parse_" not in err
+
+
+OVERFLOW = {"actor": "alice", "ops": [{"gate": "RY", "targets": [2], "angle": "10**400"}]}
+COMMITMENT = {"name": "big", "qubits": QUBITS, "commit_rounds": [OVERFLOW]}
+COIN = {"name": "big", "kind": "coin-toss", "qubits": QUBITS, "rounds": [OVERFLOW],
+        "outcomes": {}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("attack", COMMITMENT), ("purify", COMMITMENT), ("cointoss", COIN)])
+def test_angle_overflow_is_input_error_at_angle(tmp_path, capsys, command, doc):
+    path = tmp_path / "big.yaml"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main([command, "--protocol", str(path)]) == 2
+    assert "ops[0].angle: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["leaky-bc(nan)", "leaky-bc(inf)"])
+def test_non_finite_positional_parameter_is_input_error(capsys, source):
+    assert cli.main(["attack", "--protocol", source]) == 2
+    assert "error: params.theta: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan:nan:1", "-inf:0:2", "-1e308:1e308:3"])
+def test_non_finite_grid_is_input_error(tmp_path, capsys, grid):
+    target = tmp_path / "s.json"
+    assert cli.main(["sweep", "--protocol", "leaky-bc", f"--grid={grid}",
+                     "--out", str(target)]) == 2
+    assert not target.exists()
+    assert "grid bounds and their span must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1.0", "1"])
+def test_ideal_tol_outside_unit_interval_is_input_error(capsys, tol):
+    assert cli.main(["cointoss", "--protocol", "guess-ct", "--ideal-tol", tol]) == 2
+    assert "--ideal-tol must be a number in [0, 1)" in capsys.readouterr().err
+
+
+def test_ideal_tol_inside_unit_interval_runs(capsys):
+    assert cli.main(["cointoss", "--protocol", "ideal-ct", "--ideal-tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "contradiction"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_emitter_refuses_non_finite_floats(value):
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        cli._json_scalar(value)
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        cli._csv_cell(value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_report_is_internal_error(monkeypatch, tmp_path, capsys, fmt):
+    monkeypatch.setattr(cli, "_cmd_attack", lambda ns: cli.Report(
+        {"delta": math.nan}, ["delta"], [[math.nan]]))
+    target = tmp_path / "out"
+    assert cli.main(["attack", "--protocol", "bell-bc", "--output", fmt,
+                     "--out", str(target)]) == 3
+    assert not target.exists()
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_malformed_grid_is_input_error(capsys):

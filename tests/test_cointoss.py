@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcheat import cointoss
 from qcheat.cointoss import (
     CoinProtocol,
     FidelityTriple,
@@ -239,6 +240,16 @@ def test_ideal_ct_reaches_the_contradiction():
     assert rep.mutual_information <= 1e-9
     assert rep.message == "contradiction: mutual information 0 at N=0"
     assert rep.witness_round is None
+
+
+@pytest.mark.parametrize("name, runs", [("ideal-ct", 5), ("guess-ct", 2)])
+def test_induction_replays_the_rounds_once_per_step(monkeypatch, name, runs):
+    # one conditioning per truncation, plus the zero-round state at the end
+    calls = []
+    real = cointoss.run_rounds
+    monkeypatch.setattr(cointoss, "run_rounds", lambda p: calls.append(p) or real(p))
+    induction_report(load_coin_protocol(name))
+    assert len(calls) == runs
 
 
 def test_guess_ct_is_certified_not_ideal():

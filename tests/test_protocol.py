@@ -203,6 +203,37 @@ def test_angle_division_by_zero():
         parse_protocol(doc)
 
 
+@pytest.mark.parametrize("angle", [
+    "10**400", "2**2**2**2**2", "1e308*10", "1e308*10 - 1e308*10", "(-8)**0.5",
+    pytest.param("1" + "0" * 400, id="400-digit-literal"), float("nan"), float("inf"),
+    pytest.param(10 ** 400, id="400-digit-int")])
+def test_angle_must_be_a_finite_real(angle):
+    doc = minimal_doc()
+    doc["commit_rounds"][0]["ops"] = [{"gate": "RY", "targets": [2], "angle": angle}]
+    with pytest.raises(ProtocolError, match=r"^commit_rounds\[0\]\.ops\[0\]\.angle: "):
+        parse_protocol(doc)
+
+
+@pytest.mark.parametrize("value", [
+    ".nan", ".inf", "-.inf", pytest.param("1" + "0" * 400, id="400-digit-int")])
+def test_params_must_be_finite(value):
+    text = document_to_yaml(minimal_doc()) + f"params:\n  theta: {value}\n"
+    with pytest.raises(ProtocolError, match=r"^params\.theta: expected a finite number"):
+        parse_protocol(text)
+
+
+@pytest.mark.parametrize("source", ["leaky-bc(nan)", "leaky-bc(inf)", "leaky-bc(-inf)"])
+def test_positional_parameter_must_be_finite(source):
+    with pytest.raises(ProtocolError, match=r"^params\.theta: expected a finite number"):
+        load_protocol(source)
+
+
+def test_unknown_kind_is_refused_at_kind():
+    for kind in ("foo", ["bit-commitment"], None):
+        with pytest.raises(ProtocolError, match="^kind: unknown document kind"):
+            parse_protocol(minimal_doc(kind=kind))
+
+
 # --- matrix literals ---------------------------------------------------------
 
 def test_matrix_flat_and_nested_forms_agree():
@@ -232,6 +263,15 @@ def test_matrix_bad_pair_entry():
         {"gate": "RAW", "targets": [2],
          "matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]}]
     with pytest.raises(ProtocolError, match=r"\[re, im\]"):
+        parse_protocol(doc)
+
+
+def test_matrix_entries_must_be_finite():
+    doc = minimal_doc()
+    doc["commit_rounds"][0]["ops"] = [
+        {"gate": "RAW", "targets": [2],
+         "matrix": [[float("nan"), 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}]
+    with pytest.raises(ProtocolError, match=r"matrix: expected a finite number"):
         parse_protocol(doc)
 
 
