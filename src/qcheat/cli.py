@@ -309,8 +309,7 @@ def _cmd_fidelity(ns) -> Report:
 
 
 def _cmd_cointoss(ns) -> Report:
-    if not 0.0 <= ns.ideal_tol < 1.0:
-        raise ValueError(f"--ideal-tol must be a number in [0, 1), got {ns.ideal_tol!r}")
+    coins._check_tol(ns.ideal_tol, "--ideal-tol")
     cp = _load(ns.protocol, proto.KIND_COIN)
     verdict = coins.induction_report(
         cp, tol=ns.ideal_tol, allow_mixed_invalid=ns.allow_mixed_invalid)

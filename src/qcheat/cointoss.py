@@ -12,6 +12,12 @@ random outcome: contradiction.  A protocol where some conditional pair
 stays distinguishable only with error certifies itself as not ideal, with
 the offending fidelity as witness.
 
+Truncation rewrites outcome rules only, so the honest state after rounds
+1..k is the same in every truncation that keeps round k.  ``induction_report``
+therefore runs the rounds forward once, keeping each round's state
+((N+1) * 2^n * 16 bytes for N rounds on n qubits), and consumes them from
+the last round back: gate applications are linear in the round count.
+
 The round-count module ties off the quantitative side: any protocol whose
 per-round information advance is at most epsilon while the parties' known
 information never drifts apart by more than epsilon needs at least
@@ -255,6 +261,20 @@ def run_rounds(p: CoinProtocol) -> PureState:
                             p.initial_bob, *(rnd.ops for rnd in p.rounds))
 
 
+def _round_states(p: CoinProtocol) -> list:
+    """[psi_0, ..., psi_N]: the honest state after the preparations and k rounds.
+
+    The gates go through ``_apply_ops`` in ``run_rounds``'s order, so psi_k
+    is bit-identical to ``run_rounds`` of the k-round truncation.  The list
+    holds (N+1) * 2^n * 16 bytes.
+    """
+    states = [proto._apply_ops(zero_state(p.partition.num_qubits),
+                               p.initial_alice, p.initial_bob)]
+    for rnd in p.rounds:
+        states.append(proto._apply_ops(states[-1], rnd.ops))
+    return states
+
+
 def outcome_distribution(p: CoinProtocol) -> dict:
     """Honest Born probabilities of each label, per actor."""
     state = run_rounds(p)
@@ -268,16 +288,16 @@ def outcome_distribution(p: CoinProtocol) -> dict:
 # last-round conditioning
 
 
-def _condition_on_sender(p: CoinProtocol, allow_mixed_invalid: bool):
-    """Project the sender's outcome rule on the pre-transmission state.
+def _condition_on_sender(p: CoinProtocol, state: PureState, allow_mixed_invalid: bool):
+    """Project the sender's outcome rule on the pre-transmission ``state``.
 
-    Returns (sender, receiver, receiver machine, {label: (prob, rho)}) where
-    rho is the receiver-machine reduction conditioned on the sender reading
-    that label.  The channel still sits with the sender, so it is traced out.
+    ``state`` is the honest state after all of ``p``'s rounds.  Returns
+    (sender, receiver, receiver machine, {label: (prob, rho)}) where rho is
+    the receiver-machine reduction conditioned on the sender reading that
+    label.  The channel still sits with the sender, so it is traced out.
     """
     if not p.rounds:
         raise ValueError("protocol has no rounds; nothing to condition on")
-    state = run_rounds(p)
     sender = p.rounds[-1].actor
     receiver = other_actor(sender)
     keep = tuple(sorted(p.partition.machine(receiver)))
@@ -311,7 +331,7 @@ def _triple_of(conditional) -> FidelityTriple:
 
 def last_round_fidelities(p: CoinProtocol, *, allow_mixed_invalid=False) -> FidelityTriple:
     """Pairwise fidelities of the receiver's sender-conditioned states."""
-    _, _, _, conditional = _condition_on_sender(p, allow_mixed_invalid)
+    _, _, _, conditional = _condition_on_sender(p, run_rounds(p), allow_mixed_invalid)
     return _triple_of(conditional)
 
 
@@ -328,14 +348,29 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
     The receiver's new rule discriminates the supports of their conditional
     states (everything else counts as invalid); the sender's rule is pulled
     back through the deleted round's unitary.  Raises NotIdealError when
-    any conditional pair has fidelity above ``tol``.
+    any conditional pair has fidelity above ``tol``, and ValueError unless
+    ``tol`` is a finite number in [0, 1).
     """
-    return _truncate(p, tol, allow_mixed_invalid)[1]
+    _check_tol(tol, "tol")
+    return _truncate(p, run_rounds(p), tol, allow_mixed_invalid)[1]
 
 
-def _truncate(p: CoinProtocol, tol, allow_mixed_invalid):
-    """(fidelity triple, truncated protocol) from one conditioning on the sender."""
-    sender, receiver, keep, conditional = _condition_on_sender(p, allow_mixed_invalid)
+def _check_tol(tol, name: str):
+    """Refuse an orthogonality threshold outside [0, 1) (nan included).
+
+    At 1 or above a non-orthogonal round would truncate into supports that
+    overlap, which is no projector; below 0 no round could truncate.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1), got {tol!r}")
+
+
+def _truncate(p: CoinProtocol, state: PureState, tol, allow_mixed_invalid):
+    """(fidelity triple, truncated protocol) from one conditioning on the sender.
+
+    ``state`` is the honest state after all of ``p``'s rounds.
+    """
+    sender, receiver, keep, conditional = _condition_on_sender(p, state, allow_mixed_invalid)
     triple = _triple_of(conditional)
     if triple.max_fidelity() > tol:
         raise NotIdealError(p.num_rounds, triple, tol)
@@ -389,12 +424,23 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     information, so requirement 3's agreed random outcome is unreachable),
     or some round refuses to truncate and the protocol is certified not
     ideal with the witness fidelity.
+
+    One forward pass applies each gate once and keeps every honest round
+    state psi_0 ... psi_N; the step that truncates round k pops psi_k and
+    drops it when done, and psi_0 gives the zero-round mutual information.
+    Truncation rewrites only outcome rules, never the state before the
+    deleted round, so gate applications are linear in N.  The cost is
+    memory: up to (N+1) * 2^n * 16 bytes of states at once.  Raises
+    ValueError unless ``tol`` is a finite number in [0, 1).
     """
+    _check_tol(tol, "tol")
+    states = _round_states(p)
     steps = []
     current = p
     while current.rounds:
         try:
-            triple, truncated = _truncate(current, tol, allow_mixed_invalid)
+            triple, truncated = _truncate(current, states.pop(), tol,
+                                          allow_mixed_invalid)
         except NotIdealError as exc:
             return InductionVerdict(
                 verdict="not_ideal", rounds=p.num_rounds, steps=tuple(steps),
@@ -406,7 +452,7 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
             triple=triple))
         current = truncated
 
-    state = run_rounds(current)
+    state = states.pop()
     a_side = set(current.partition.machine("alice"))
     if _channel_holder(current) == "alice":
         a_side |= current.partition.channel_qubits

@@ -684,7 +684,7 @@ def parse_protocol(document, *, param_overrides=None) -> Protocol:
     verify = _as_dict(data.get("verify", {}) or {}, "verify")
     _check_keys(verify, ("accept_b0", "accept_b1"), "verify")
     default_qubits = tuple(sorted(decl_b | decl_c))
-    identity = Projector(default_qubits, np.eye(2 ** len(default_qubits)))
+    identity = None
     accept = []
     for key in ("accept_b0", "accept_b1"):
         if key in verify:
@@ -693,6 +693,8 @@ def parse_protocol(document, *, param_overrides=None) -> Protocol:
                 allowed=decl_b | decl_c, num_qubits=partition.num_qubits,
                 loc=f"verify.{key}"))
         else:
+            if identity is None:
+                identity = Projector(default_qubits, np.eye(2 ** len(default_qubits)))
             accept.append(identity)
 
     return Protocol(

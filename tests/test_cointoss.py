@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcheat import cointoss
+from qcheat import cointoss, qcore
 from qcheat.cointoss import (
     CoinProtocol,
     FidelityTriple,
@@ -242,14 +242,75 @@ def test_ideal_ct_reaches_the_contradiction():
     assert rep.witness_round is None
 
 
-@pytest.mark.parametrize("name, runs", [("ideal-ct", 5), ("guess-ct", 2)])
-def test_induction_replays_the_rounds_once_per_step(monkeypatch, name, runs):
-    # one conditioning per truncation, plus the zero-round state at the end
-    calls = []
-    real = cointoss.run_rounds
-    monkeypatch.setattr(cointoss, "run_rounds", lambda p: calls.append(p) or real(p))
-    induction_report(load_coin_protocol(name))
-    assert len(calls) == runs
+def _padded_coin(gen, rounds, variant):
+    """perfbench's padded coin: ``fixed`` truncates fully, ``hadamard`` stops at round 1."""
+    return parse_coin_protocol(gen.coin_documents(1, rounds)[f"coin-r{rounds}-{variant}"])
+
+
+def _induction_inputs(gen):
+    coins = {name: load_coin_protocol(name) for name in ("ideal-ct", "guess-ct")}
+    for rounds in (16, 64):
+        for variant in ("fixed", "hadamard"):
+            coins[f"r{rounds}-{variant}"] = _padded_coin(gen, rounds, variant)
+    return coins
+
+
+def test_induction_applies_each_gate_once(monkeypatch, perfbench_gen):
+    # one forward pass: no replay of the rounds, every gate exactly once
+    for name, p in _induction_inputs(perfbench_gen).items():
+        runs, gates = [], []
+        real_run, real_gate = cointoss.run_rounds, qcore.apply_gate
+        monkeypatch.setattr(cointoss, "run_rounds", lambda q: runs.append(q) or real_run(q))
+        monkeypatch.setattr(qcore, "apply_gate",
+                            lambda state, op: gates.append(op) or real_gate(state, op))
+        induction_report(p)
+        monkeypatch.undo()
+        ops = [*p.initial_alice, *p.initial_bob, *(op for r in p.rounds for op in r.ops)]
+        assert runs == [], name
+        assert len(gates) == len(ops), name
+        assert all(a is b for a, b in zip(gates, ops)), name
+
+
+def _replayed_induction(p):
+    """Each truncation's protocol, the step triples and the refusing round's
+    triple (or None), from the public calls that replay the rounds."""
+    protocols, triples = [p], []
+    while p.rounds:
+        triple = last_round_fidelities(p)
+        try:
+            p = truncate_last_round(p)
+        except NotIdealError:
+            return protocols, triples, triple
+        protocols.append(p)
+        triples.append(triple)
+    return protocols, triples, None
+
+
+@pytest.mark.parametrize("variant", ["fixed", "hadamard"])
+def test_induction_matches_the_replayed_truncations_bit_for_bit(perfbench_gen, variant):
+    p = _padded_coin(perfbench_gen, 16, variant)
+    rep = induction_report(p)
+    protocols, triples, refused = _replayed_induction(p)
+    assert [step.triple for step in rep.steps] == triples
+    # the triples of an ideal step are 0 or absent, so compare the states too
+    states = cointoss._round_states(p)
+    for q in protocols:
+        assert np.array_equal(states[q.num_rounds].amplitudes, run_rounds(q).amplitudes)
+    assert len(triples) == (16 if variant == "fixed" else 15)
+    if refused is None:
+        assert rep.verdict == "contradiction"
+    else:
+        assert rep.verdict == "not_ideal"
+        assert (rep.witness_pair, rep.witness_fidelity) == refused.worst_pair()
+
+
+@pytest.mark.parametrize("tol", [1.0, math.nan, 2.0, -1.0, math.inf])
+def test_tol_outside_unit_interval_is_refused(tol):
+    p = load_coin_protocol("guess-ct")
+    with pytest.raises(ValueError, match=r"tol must be a number in \[0, 1\)"):
+        induction_report(p, tol=tol)
+    with pytest.raises(ValueError, match=r"tol must be a number in \[0, 1\)"):
+        truncate_last_round(p, tol=tol)
 
 
 def test_guess_ct_is_certified_not_ideal():

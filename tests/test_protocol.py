@@ -542,3 +542,21 @@ def test_reduced_state_helper_consistency():
     state = run_commit(p, 0)
     rho = partial_trace(state, bob_holding(p, commit_custody(p)))
     assert rho.dim == 2 ** len(bob_holding(p, commit_custody(p)))
+
+
+@pytest.mark.parametrize("keys, built", [
+    (("accept_b0", "accept_b1"), 2),   # one per key, no identity
+    (("accept_b0",), 2),               # the key, then the identity for accept_b1
+    ((), 1),                           # one identity shared by both
+])
+def test_identity_accept_projector_is_built_only_for_a_missing_key(monkeypatch, keys, built):
+    constructed = []
+    real = Projector.__post_init__
+    monkeypatch.setattr(Projector, "__post_init__",
+                        lambda self: constructed.append(self) or real(self))
+    spec = {"qubits": [1, 2], "accept_states": ["00", "01", "10", "11"]}
+    p = parse_protocol(minimal_doc(verify={key: spec for key in keys}))
+    assert len(constructed) == built
+    assert len(p.verification) == 2
+    np.testing.assert_array_equal(p.verification[0].matrix, np.eye(4))
+    np.testing.assert_array_equal(p.verification[1].matrix, np.eye(4))
