@@ -242,6 +242,21 @@ def test_ideal_ct_reaches_the_contradiction():
     assert rep.witness_round is None
 
 
+@pytest.mark.parametrize("name, runs", [("ideal-ct", 5), ("guess-ct", 2)])
+def test_induction_replays_the_rounds_once_per_step(monkeypatch, name, runs):
+    # one honest state per truncation step, plus the zero-round state at the
+    # end, each a distinct state of the forward pass
+    used = []
+    real_truncate, real_mi = cointoss._truncate, qcore.mutual_information
+    monkeypatch.setattr(cointoss, "_truncate",
+                        lambda q, state, *rest: used.append(state) or real_truncate(q, state, *rest))
+    monkeypatch.setattr(qcore, "mutual_information",
+                        lambda state, side: used.append(state) or real_mi(state, side))
+    induction_report(load_coin_protocol(name))
+    assert len(used) == runs
+    assert len({id(state) for state in used}) == runs
+
+
 def _padded_coin(gen, rounds, variant):
     """perfbench's padded coin: ``fixed`` truncates fully, ``hadamard`` stops at round 1."""
     return parse_coin_protocol(gen.coin_documents(1, rounds)[f"coin-r{rounds}-{variant}"])
