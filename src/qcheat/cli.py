@@ -313,7 +313,7 @@ def _cmd_cointoss(ns) -> Report:
     cp = _load(ns.protocol, proto.KIND_COIN)
     verdict = coins.induction_report(
         cp, tol=ns.ideal_tol, allow_mixed_invalid=ns.allow_mixed_invalid)
-    dist = coins.outcome_distribution(cp)
+    dist = verdict.outcome_distribution
     distribution = {
         actor: {label: dist[actor][label] for label in coins.OUTCOME_LABELS}
         for actor in ("alice", "bob")

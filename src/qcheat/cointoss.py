@@ -172,6 +172,13 @@ class TruncationStep:
 
 @dataclass(frozen=True)
 class InductionVerdict:
+    """The induction's verdict on a protocol, with its honest statistics.
+
+    ``outcome_distribution`` is ``outcome_distribution(p)`` of the analysed
+    protocol, read off the forward pass's psi_N instead of a second run of
+    the rounds.
+    """
+
     verdict: str                  # "contradiction" | "not_ideal"
     rounds: int
     steps: tuple
@@ -180,6 +187,7 @@ class InductionVerdict:
     witness_fidelity: float | None
     witness_pair: str | None
     message: str
+    outcome_distribution: dict
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,11 @@ def _round_states(p: CoinProtocol) -> list:
 
 def outcome_distribution(p: CoinProtocol) -> dict:
     """Honest Born probabilities of each label, per actor."""
-    state = run_rounds(p)
+    return _distribution(p, run_rounds(p))
+
+
+def _distribution(p: CoinProtocol, state: PureState) -> dict:
+    """Born probabilities of ``p``'s outcome rules on its final honest ``state``."""
     return {
         actor: {label: rule.expectation(state) for label, rule in rules.items()}
         for actor, rules in p.outcome_rules.items()
@@ -426,8 +438,9 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     ideal with the witness fidelity.
 
     One forward pass applies each gate once and keeps every honest round
-    state psi_0 ... psi_N; the step that truncates round k pops psi_k and
-    drops it when done, and psi_0 gives the zero-round mutual information.
+    state psi_0 ... psi_N; the verdict's outcome distribution is read off
+    psi_N, the step that truncates round k pops psi_k and drops it when
+    done, and psi_0 gives the zero-round mutual information.
     Truncation rewrites only outcome rules, never the state before the
     deleted round, so gate applications are linear in N.  The cost is
     memory: up to (N+1) * 2^n * 16 bytes of states at once.  Raises
@@ -435,6 +448,7 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     """
     _check_tol(tol, "tol")
     states = _round_states(p)
+    distribution = _distribution(p, states[-1])
     steps = []
     current = p
     while current.rounds:
@@ -446,7 +460,7 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
                 verdict="not_ideal", rounds=p.num_rounds, steps=tuple(steps),
                 mutual_information=None, witness_round=exc.round_index,
                 witness_fidelity=exc.fidelity, witness_pair=exc.pair,
-                message=f"not ideal: {exc}")
+                message=f"not ideal: {exc}", outcome_distribution=distribution)
         steps.append(TruncationStep(
             round_index=current.num_rounds, sender=current.rounds[-1].actor,
             triple=triple))
@@ -462,7 +476,8 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
         verdict="contradiction", rounds=p.num_rounds, steps=tuple(steps),
         mutual_information=mi, witness_round=None, witness_fidelity=None,
         witness_pair=None,
-        message=f"contradiction: mutual information {shown} at N=0")
+        message=f"contradiction: mutual information {shown} at N=0",
+        outcome_distribution=distribution)
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,21 @@ def _circuit_matrix(ops, qubits) -> np.ndarray:
 # document loading
 
 
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(text: str) -> dict:
+    """The YAML mapping in ``text``; every document is loaded here.
+
+    ``_YAML_LOADER`` scans and parses with libyaml's C code when PyYAML was
+    built with it and with PyYAML's pure-Python scanner otherwise.  Both
+    build values with PyYAML's Python ``SafeConstructor``, so a document
+    loads to the same dict, and a syntax error reports the same line and
+    column, either way; only the wording after the location differs (no
+    source excerpt from libyaml).
+    """
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "document"
@@ -241,6 +253,10 @@ def resolve_document(source: str):
         raise ProtocolError(
             f"{source!r} is neither a built-in protocol nor a readable file "
             f"({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(
+            f"{source!r} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start} ({exc.reason})") from exc
     return _load_yaml(text), overrides
 
 

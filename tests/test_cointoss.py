@@ -1,12 +1,13 @@
 """Coin-toss induction: conditioning, truncation, and the round bound."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qcheat import cointoss, qcore
+from qcheat import cli, cointoss, qcore
 from qcheat.cointoss import (
     CoinProtocol,
     FidelityTriple,
@@ -270,17 +271,29 @@ def _induction_inputs(gen):
     return coins
 
 
+def _rounds_and_gates(monkeypatch, call):
+    """(``call()``, protocols ``run_rounds`` ran, gates ``apply_gate`` applied)."""
+    runs, gates = [], []
+    real_run, real_gate = cointoss.run_rounds, qcore.apply_gate
+    monkeypatch.setattr(cointoss, "run_rounds", lambda q: runs.append(q) or real_run(q))
+    monkeypatch.setattr(qcore, "apply_gate",
+                        lambda state, op: gates.append(op) or real_gate(state, op))
+    try:
+        result = call()
+    finally:
+        monkeypatch.undo()
+    return result, runs, gates
+
+
+def _gates_of(p):
+    return [*p.initial_alice, *p.initial_bob, *(op for r in p.rounds for op in r.ops)]
+
+
 def test_induction_applies_each_gate_once(monkeypatch, perfbench_gen):
     # one forward pass: no replay of the rounds, every gate exactly once
     for name, p in _induction_inputs(perfbench_gen).items():
-        runs, gates = [], []
-        real_run, real_gate = cointoss.run_rounds, qcore.apply_gate
-        monkeypatch.setattr(cointoss, "run_rounds", lambda q: runs.append(q) or real_run(q))
-        monkeypatch.setattr(qcore, "apply_gate",
-                            lambda state, op: gates.append(op) or real_gate(state, op))
-        induction_report(p)
-        monkeypatch.undo()
-        ops = [*p.initial_alice, *p.initial_bob, *(op for r in p.rounds for op in r.ops)]
+        _, runs, gates = _rounds_and_gates(monkeypatch, lambda: induction_report(p))
+        ops = _gates_of(p)
         assert runs == [], name
         assert len(gates) == len(ops), name
         assert all(a is b for a, b in zip(gates, ops)), name
@@ -317,6 +330,27 @@ def test_induction_matches_the_replayed_truncations_bit_for_bit(perfbench_gen, v
     else:
         assert rep.verdict == "not_ideal"
         assert (rep.witness_pair, rep.witness_fidelity) == refused.worst_pair()
+
+
+def test_cointoss_command_runs_the_rounds_once(monkeypatch, perfbench_gen, tmp_path):
+    # the report's outcome distribution comes from the induction's forward pass
+    sources = {name: name for name in ("ideal-ct", "guess-ct")}
+    for rounds in (16, 64):
+        for name, doc in perfbench_gen.coin_documents(1, rounds).items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(perfbench_gen.to_yaml(doc), encoding="utf-8")
+            sources[name] = str(path)
+    out = tmp_path / "report.json"
+    for name, source in sources.items():
+        p = load_coin_protocol(source)
+        argv = ["cointoss", "--protocol", source, "--out", str(out)]
+        code, runs, gates = _rounds_and_gates(monkeypatch, lambda: cli.main(argv))
+        assert code == 0, name
+        assert runs == [], name
+        assert gates == _gates_of(p), name
+        want = outcome_distribution(p)
+        assert induction_report(p).outcome_distribution == want, name
+        assert json.loads(out.read_text())["outcome_distribution"] == want, name
 
 
 @pytest.mark.parametrize("tol", [1.0, math.nan, 2.0, -1.0, math.inf])

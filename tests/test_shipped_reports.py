@@ -13,7 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qcheat import cli
+import yaml
+
+from qcheat import cli, protocol
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -38,6 +40,13 @@ def test_shipped_reports_match_recorded_digests(perfbench_gen, tmp_path):
     digests = report_digests(perfbench_gen.shipped_ops(), tmp_path / "report.out")
     assert sorted(digests) == sorted(expected)
     assert [key for key in expected if digests[key] != expected[key]] == []
+
+
+def test_shipped_reports_match_recorded_digests_with_the_python_loader(
+        perfbench_gen, tmp_path, monkeypatch):
+    monkeypatch.setattr(protocol, "_YAML_LOADER", yaml.SafeLoader)
+    digests = report_digests(perfbench_gen.shipped_ops(), tmp_path / "report.out")
+    assert digests == _expected()
 
 
 _PRINT_DIGESTS = (
