@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import protocol as proto
 from .protocol import Protocol, ProtocolError
 from .qcore import InvariantViolation, apply_unitary
@@ -76,13 +78,18 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
 
     a_side = proto.alice_side(p, custody)
-    unitary, overlap = uhlmann_unitary(*states, a_side)
-    # delta takes the trace route, so the report's overlap = 1 - delta check
-    # compares two independent computations
-    delta, fidelity, _, _ = proto.commit_reductions(p, custody, states)
-
+    delta, fidelity, unitary = proto.commit_fidelity(p, custody, states)
+    if unitary is None:
+        # F took the trace route through Bob's reductions, so the
+        # Alice-side overlap is an independent second number
+        unitary, overlap = uhlmann_unitary(*states, a_side)
+        cheat_state = apply_unitary(states[0], unitary, a_side)
+    else:
+        # F and the unitary came from one SVD, so the second number is
+        # measured on the state the unitary produces
+        cheat_state = apply_unitary(states[0], unitary, a_side)
+        overlap = float(abs(np.vdot(states[1].amplitudes, cheat_state.amplitudes)))
     honest = tuple(_clamp_probability(proto.run_open(p, states[b], b)) for b in (0, 1))
-    cheat_state = apply_unitary(states[0], unitary, a_side)
     cheat = _clamp_probability(proto.run_open(p, cheat_state, 1))
 
     return AttackReport(

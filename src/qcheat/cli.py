@@ -170,7 +170,7 @@ def _cmd_simulate(ns) -> Report:
     p = _load(ns.protocol, proto.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
-    delta = proto.commit_reductions(p, custody, states)[0]
+    delta = proto.commit_fidelity(p, custody, states)[0]
     honest = [proto.run_open(p, states[b], b) for b in (0, 1)]
     cross01 = proto.run_open(p, states[0], 1)
     cross10 = proto.run_open(p, states[1], 0)

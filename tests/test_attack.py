@@ -1,14 +1,19 @@
 """EPR cheating against the shipped and parameterized commitments."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
+import yaml
 
-from qcheat import protocol
+from qcheat import cli, fidelity, protocol, qcore, schmidt
 from qcheat.attack import AttackReport, attack_sweep, epr_attack, sweep_parameter
 from qcheat.protocol import (
+    TRACE_ROUTE_MAX_QUBITS,
     ProtocolError,
+    alice_side,
     bob_holding,
     commit_custody,
     load_protocol,
@@ -144,3 +149,102 @@ def test_attack_sweep_accepts_a_document_mapping():
     doc, _ = resolve_document("leaky-bc")
     points = attack_sweep(doc, [0.25])
     assert points[0].report.cheat_accept == pytest.approx(math.cos(0.25) ** 2, abs=1e-8)
+
+
+# --- the Gram route: F from the Alice-side cross-Gram -------------------------
+
+def route_documents(gen) -> dict:
+    """Ladder rungs n=13..15 and seeded random registers, Alice's side no larger."""
+    docs = dict(gen.ladder_documents(1, sizes=(13, 14, 15)))
+    rng = np.random.default_rng(2024)
+    for alice, bob in ((1, 4), (2, 5), (3, 4), (5, 4), (4, 6)):
+        name = f"random-a{alice}-b{bob}"
+        docs[name] = gen.ladder_document(rng, name, alice, bob, verify=alice % 2 == 1)
+    return docs
+
+
+def cli_report(tmp_path, command, doc) -> dict:
+    path, out = tmp_path / "doc.yaml", tmp_path / "report.json"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert cli.main([command, "--protocol", str(path), "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_gram_route_agrees_with_the_trace_route(perfbench_gen, tmp_path):
+    for name, doc in route_documents(perfbench_gen).items():
+        p = purify_protocol(parse_protocol(doc))
+        custody = commit_custody(p)
+        keep = bob_holding(p, custody)
+        assert len(keep) > TRACE_ROUTE_MAX_QUBITS, name
+        assert len(alice_side(p, custody)) <= len(keep), name
+        states = [run_commit(p, b) for b in (0, 1)]
+        want = fidelity.fidelity_trace(*(partial_trace(s, keep) for s in states))
+        rep = epr_attack(p)
+        assert abs(rep.fidelity - want) <= 1e-10, name
+        assert abs(rep.achieved_overlap - want) <= 1e-10, name
+        assert abs(rep.delta - (1.0 - want)) <= 1e-10, name
+        attacked = cli_report(tmp_path, "attack", doc)
+        simulated = cli_report(tmp_path, "simulate", doc)
+        assert attacked["delta"] == simulated["delta"] == rep.delta, name
+
+
+def test_gram_route_overlap_check_is_not_a_tautology(perfbench_gen, monkeypatch):
+    doc = perfbench_gen.ladder_documents(1, sizes=(13,))["ladder-n13-verify"]
+
+    def wrong_rotation(state0, state1, a_side):
+        _, _, m0 = schmidt._split_matrix(state0, a_side)
+        _, _, m1 = schmidt._split_matrix(state1, a_side)
+        left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
+        return right @ left, singular, m0, m1
+
+    monkeypatch.setattr(schmidt, "_polar_rotation", wrong_rotation)
+    with pytest.raises(InvariantViolation, match="overlap"):
+        epr_attack(purify_protocol(parse_protocol(doc)))
+
+
+def count_calls(monkeypatch, functions: dict) -> dict:
+    """Count calls of each function wherever numpy.linalg or qcheat binds it."""
+    counts = dict.fromkeys(functions, 0)
+    owners = [np.linalg] + [module for key, module in sorted(sys.modules.items())
+                            if key == "qcheat" or key.startswith("qcheat.")]
+    for label, original in functions.items():
+        def wrapper(*args, _label=label, _original=original, **kwargs):
+            counts[_label] += 1
+            return _original(*args, **kwargs)
+        for owner in owners:
+            for attr, value in list(vars(owner).items()):
+                if value is original:
+                    monkeypatch.setattr(owner, attr, wrapper)
+    return counts
+
+
+def kernel_counts(monkeypatch) -> dict:
+    return count_calls(monkeypatch, {
+        "partial_trace": qcore.partial_trace,
+        "fidelity_trace": fidelity.fidelity_trace,
+        "eigh": np.linalg.eigh,
+        "eigvalsh": np.linalg.eigvalsh,
+        "svd": np.linalg.svd,
+    })
+
+
+@pytest.mark.parametrize("command", ["attack", "simulate"])
+def test_gram_route_takes_one_svd_and_no_bob_side_kernel(
+        perfbench_gen, tmp_path, monkeypatch, command):
+    for name, doc in perfbench_gen.ladder_documents(1, sizes=(13, 14)).items():
+        counts = kernel_counts(monkeypatch)
+        cli_report(tmp_path, command, doc)
+        assert counts == {"partial_trace": 0, "fidelity_trace": 0, "eigh": 0,
+                          "eigvalsh": 0, "svd": 1}, name
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("command", ["attack", "simulate"])
+@pytest.mark.parametrize("name", ["bell-bc", "bb84-bc", "leaky-bc(0.5)"])
+def test_shipped_documents_keep_the_trace_route(monkeypatch, tmp_path, command, name):
+    counts = kernel_counts(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--protocol", name, "--out", str(out)]) == 0
+    assert counts["fidelity_trace"] == 1
+    assert counts["partial_trace"] == 2
+    assert counts["svd"] == (1 if command == "attack" else 0)

@@ -1,10 +1,16 @@
 """Protocol documents: parsing, honest execution, purification, emission."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from qcheat import cli
 from qcheat.protocol import (
     BUILTIN_NAMES,
     MeasureOp,
@@ -558,5 +564,56 @@ def test_identity_accept_projector_is_built_only_for_a_missing_key(monkeypatch, 
     p = parse_protocol(minimal_doc(verify={key: spec for key in keys}))
     assert len(constructed) == built
     assert len(p.verification) == 2
-    np.testing.assert_array_equal(p.verification[0].matrix, np.eye(4))
-    np.testing.assert_array_equal(p.verification[1].matrix, np.eye(4))
+    # Bob's qubit and the channel are the default qubits
+    for proj in p.verification:
+        np.testing.assert_array_equal(proj.lifted_matrix((1, 2)), np.eye(4))
+
+
+# 1 alice + 13 bob + 1 channel qubits and no verify key: Bob's default
+# qubits are 14 wide, where a dense identity projector takes 4 GiB
+WIDE_WITHOUT_VERIFY = {
+    "name": "wide-open",
+    "qubits": {"alice": 1, "bob": 13, "channel": 1},
+    "commit_rounds": [{"actor": "alice", "ops": [{"gate": "H", "targets": [0]},
+                                                 {"gate": "CX", "targets": [0, 14]}]}],
+    "open_rounds": [{"actor": "bob", "ops": [{"gate": "X", "targets": [1]}]}],
+}
+
+_RUN_UNDER_1_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qcheat import cli
+for command in ("purify", "attack", "simulate", "fidelity"):
+    print(command, cli.main([command, "--protocol", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_wide_document_without_verify_runs_in_bounded_memory(tmp_path):
+    doc = tmp_path / "wide.yaml"
+    doc.write_text(yaml.safe_dump(WIDE_WITHOUT_VERIFY), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_UNDER_1_GIB, str(doc), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes = dict(line.split() for line in done.stdout.splitlines())
+    assert codes["purify"] == "0", done.stderr
+    assert all(code in ("0", "2") for code in codes.values()), done.stderr
+    assert sorted(codes) == ["attack", "fidelity", "purify", "simulate"]
+
+
+def test_purify_round_trip_without_verify_keeps_the_simulate_report(perfbench_gen, tmp_path):
+    ladder = perfbench_gen.ladder_documents(1, sizes=(13,))
+    for doc in (minimal_doc(), ladder["ladder-n13-open"]):
+        assert "verify" not in doc
+        original, purified = tmp_path / "original.yaml", tmp_path / "purified.yaml"
+        original.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert cli.main(["purify", "--protocol", str(original), "--out", str(purified)]) == 0
+        reports = []
+        for path in (original, purified):
+            out = tmp_path / "report.json"
+            assert cli.main(["simulate", "--protocol", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
