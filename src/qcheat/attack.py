@@ -80,15 +80,11 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
     a_side = proto.alice_side(p, custody)
     delta, fidelity, unitary = proto.commit_fidelity(p, custody, states)
     if unitary is None:
-        # F took the trace route through Bob's reductions, so the
-        # Alice-side overlap is an independent second number
-        unitary, overlap = uhlmann_unitary(*states, a_side)
-        cheat_state = apply_unitary(states[0], unitary, a_side)
-    else:
-        # F and the unitary came from one SVD, so the second number is
-        # measured on the state the unitary produces
-        cheat_state = apply_unitary(states[0], unitary, a_side)
-        overlap = float(abs(np.vdot(states[1].amplitudes, cheat_state.amplitudes)))
+        unitary, _ = uhlmann_unitary(*states, a_side)
+    # the overlap is measured on the state the unitary produces, so the
+    # report's overlap = 1 - delta check holds it against a second number
+    cheat_state = apply_unitary(states[0], unitary, a_side)
+    overlap = float(abs(np.vdot(states[1].amplitudes, cheat_state.amplitudes)))
     honest = tuple(_clamp_probability(proto.run_open(p, states[b], b)) for b in (0, 1))
     cheat = _clamp_probability(proto.run_open(p, cheat_state, 1))
 

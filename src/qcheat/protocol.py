@@ -905,8 +905,15 @@ def commit_fidelity(p: Protocol, custody: str, states):
     commit_reductions and ``unitary`` is None.
     """
     a_side, keep = alice_side(p, custody), bob_holding(p, custody)
+    # With Alice's side the larger, the trace route's 2^|Bob|-wide kernels
+    # cost far less than the 2^|A|-wide SVD: simulate, which needs no
+    # unitary, ran 16-28x slower on the Gram route there (Alice 10-12
+    # qubits, Bob holding 6-9, 2 cores), and an Alice side over
+    # MAX_SIDE_QUBITS would refuse a document the trace route can score.
+    # attack takes the SVD either way and pays the trace route on top,
+    # 5-12% of its time.
     if len(keep) > TRACE_ROUTE_MAX_QUBITS and len(a_side) <= len(keep):
-        unitary, fidelity = uhlmann_unitary(*states, a_side, nuclear_norm=True)
+        unitary, fidelity = uhlmann_unitary(*states, a_side)
         return _defect(fidelity), fidelity, unitary
     delta, fidelity, _, _ = commit_reductions(p, custody, states)
     return delta, fidelity, None

@@ -117,36 +117,31 @@ def schmidt_decompose(state: PureState, a_side) -> SchmidtDecomposition:
 def _polar_rotation(state0: PureState, state1: PureState, a_side) -> tuple:
     """Polar unitary of the A-side cross-Gram matrix M1 M0^dagger.
 
-    Returns (unitary, singular values of the Gram, M0, M1).  The full SVD
-    supplies a deterministic orthonormal completion on the kernel, so the
-    result is always a genuine unitary.
+    Returns (unitary, singular values of the Gram).  The full SVD supplies
+    a deterministic orthonormal completion on the kernel, so the result is
+    always a genuine unitary.
     """
     a0, _, m0 = _split_matrix(state0, a_side)
     a1, _, m1 = _split_matrix(state1, a_side)
     if a0 != a1 or state0.num_qubits != state1.num_qubits:
         raise ValueError("states must live on the same register and bipartition")
-    gram = m1 @ m0.conj().T
-    left, singular, right = np.linalg.svd(gram)
-    return left @ right, singular, m0, m1
+    left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
+    return left @ right, singular
 
 
-def uhlmann_unitary(state0: PureState, state1: PureState, a_side, *, nuclear_norm=False):
+def uhlmann_unitary(state0: PureState, state1: PureState, a_side):
     """Best A-side rotation of ``state0`` toward ``state1``.
 
     Returns
     -------
     (unitary, fidelity) : the 2^|A| x 2^|A| unitary U and the fidelity of
-        the two B-side reductions.  By default the fidelity is measured as
-        the achieved overlap |<state1| (U x I) |state0>|.  With
-        ``nuclear_norm`` it is read off the same SVD instead, as the sum of
-        the cross-Gram's singular values (Uhlmann's theorem), without the
-        2^|A| x 2^|A| x 2^|B| product U M0.  Applying U never changes the
-        B-side reduction of any state.
+        the two B-side reductions, read off the same SVD as the sum of the
+        cross-Gram's singular values (Uhlmann's theorem).  It equals the
+        overlap |<state1| (U x I) |state0>| that U achieves.  Applying U
+        never changes the B-side reduction of any state.
     """
-    unitary, singular, m0, m1 = _polar_rotation(state0, state1, a_side)
-    if nuclear_norm:
-        return unitary, float(np.sum(singular))
-    return unitary, float(abs(np.vdot(m1, unitary @ m0)))
+    unitary, singular = _polar_rotation(state0, state1, a_side)
+    return unitary, float(np.sum(singular))
 
 
 def cheating_unitary_ideal(state0: PureState, state1: PureState, a_side) -> np.ndarray:

@@ -195,7 +195,7 @@ def test_gram_route_overlap_check_is_not_a_tautology(perfbench_gen, monkeypatch)
         _, _, m0 = schmidt._split_matrix(state0, a_side)
         _, _, m1 = schmidt._split_matrix(state1, a_side)
         left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
-        return right @ left, singular, m0, m1
+        return right @ left, singular
 
     monkeypatch.setattr(schmidt, "_polar_rotation", wrong_rotation)
     with pytest.raises(InvariantViolation, match="overlap"):
@@ -248,3 +248,29 @@ def test_shipped_documents_keep_the_trace_route(monkeypatch, tmp_path, command, 
     assert counts["fidelity_trace"] == 1
     assert counts["partial_trace"] == 2
     assert counts["svd"] == (1 if command == "attack" else 0)
+
+
+@pytest.mark.parametrize("alice,bob", [(7, 4), (8, 5)])
+def test_larger_alice_side_keeps_the_trace_route(
+        perfbench_gen, tmp_path, monkeypatch, alice, bob):
+    doc = perfbench_gen.ladder_document(
+        np.random.default_rng(alice), "alice-larger", alice, bob, True)
+    p = purify_protocol(parse_protocol(doc))
+    assert len(alice_side(p, commit_custody(p))) > len(bob_holding(p, commit_custody(p)))
+    reports = {}
+    for command, svd in (("attack", 1), ("simulate", 0)):
+        counts = kernel_counts(monkeypatch)
+        reports[command] = cli_report(tmp_path, command, doc)
+        assert counts["fidelity_trace"] == 1 and counts["svd"] == svd, command
+        monkeypatch.undo()
+    assert reports["attack"]["delta"] == reports["simulate"]["delta"]
+
+
+def test_alice_side_over_the_cap_is_simulated_but_not_attacked(perfbench_gen, tmp_path):
+    doc = perfbench_gen.ladder_document(
+        np.random.default_rng(7), "alice-over-cap", qcore.MAX_SIDE_QUBITS + 1, 4, True)
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(["simulate", "--protocol", str(path), "--out", str(out)]) == 0
+    assert cli.main(["attack", "--protocol", str(path), "--out", str(out)]) == 2
