@@ -265,21 +265,22 @@ def load_coin_protocol(source: str, *, param_overrides=None) -> CoinProtocol:
 
 
 def run_rounds(p: CoinProtocol) -> PureState:
-    return proto._apply_ops(zero_state(p.partition.num_qubits), p.initial_alice,
-                            p.initial_bob, *(rnd.ops for rnd in p.rounds))
+    return qcore.apply_circuit(zero_state(p.partition.num_qubits), p.initial_alice,
+                               p.initial_bob, *(rnd.ops for rnd in p.rounds))
 
 
 def _round_states(p: CoinProtocol) -> list:
     """[psi_0, ..., psi_N]: the honest state after the preparations and k rounds.
 
-    The gates go through ``_apply_ops`` in ``run_rounds``'s order, so psi_k
-    is bit-identical to ``run_rounds`` of the k-round truncation.  The list
+    The gates go through ``qcore.apply_circuit`` one round per list, in
+    ``run_rounds``'s order, and no fused block spans two rounds, so psi_k is
+    bit-identical to ``run_rounds`` of the k-round truncation.  The list
     holds (N+1) * 2^n * 16 bytes.
     """
-    states = [proto._apply_ops(zero_state(p.partition.num_qubits),
-                               p.initial_alice, p.initial_bob)]
+    states = [qcore.apply_circuit(zero_state(p.partition.num_qubits),
+                                  p.initial_alice, p.initial_bob)]
     for rnd in p.rounds:
-        states.append(proto._apply_ops(states[-1], rnd.ops))
+        states.append(qcore.apply_circuit(states[-1], rnd.ops))
     return states
 
 
@@ -404,7 +405,7 @@ def _truncate(p: CoinProtocol, state: PureState, tol, allow_mixed_invalid):
     last = p.rounds[-1]
     sender_space = tuple(sorted(set(p.partition.machine(sender))
                                 | p.partition.channel_qubits))
-    unitary = proto._circuit_matrix(last.ops, sender_space)
+    unitary = qcore._circuit_matrix(last.ops, sender_space)
     sender_rules = {}
     for label in OUTCOME_LABELS:
         lifted = p.outcome_rules[sender][label].lifted_matrix(sender_space)

@@ -174,24 +174,10 @@ class Protocol(_Document):
 
 def _embed(matrix: np.ndarray, positions, k: int) -> np.ndarray:
     """Lift an operator on ``positions`` to the full 2^k space."""
-    t = len(positions)
-    if t == k and positions == tuple(range(k)):
+    if len(positions) == k and positions == tuple(range(k)):
         return np.array(matrix, dtype=complex)
-    op = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * t))
     full = np.eye(2 ** k, dtype=complex).reshape((2,) * k + (2 ** k,))
-    out = np.tensordot(op, full, axes=(tuple(range(t, 2 * t)), tuple(positions)))
-    out = np.moveaxis(out, tuple(range(t)), tuple(positions))
-    return out.reshape(2 ** k, 2 ** k)
-
-
-def _circuit_matrix(ops, qubits) -> np.ndarray:
-    """Matrix of a gate list on the subspace spanned by ``qubits`` (sorted)."""
-    k = len(qubits)
-    mat = np.eye(2 ** k, dtype=complex)
-    for op in ops:
-        positions = tuple(qubits.index(t) for t in op.targets)
-        mat = _embed(qcore.gate_matrix(op), positions, k) @ mat
-    return mat
+    return qcore._contract(full, matrix, tuple(positions)).reshape(2 ** k, 2 ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +595,7 @@ def _parse_projector(spec, *, env, default_qubits, allowed, num_qubits, loc,
         if mask[index]:
             raise ProtocolError(f"accept state {s!r} repeats", _loc(loc, "accept_states"))
         mask[index] = 1.0
-    circuit = _circuit_matrix(gates, qubits)
+    circuit = qcore._circuit_matrix(gates, qubits)
     matrix = circuit.conj().T @ (mask[:, None] * circuit)
     return Projector(qubits, matrix)
 
@@ -811,21 +797,13 @@ def _require_unitary(p: Protocol, operation: str):
             f"{operation} needs a measurement-free protocol; run purify_protocol first")
 
 
-def _apply_ops(state: PureState, *op_lists) -> PureState:
-    """``state`` with each gate list applied in turn."""
-    for ops in op_lists:
-        for op in ops:
-            state = qcore.apply_gate(state, op)
-    return state
-
-
 def run_commit(p: Protocol, b: int) -> PureState:
     """Joint pure state after Alice commits to bit ``b`` honestly."""
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
     _require_unitary(p, "run_commit")
-    return _apply_ops(zero_state(p.partition.num_qubits), p.initial_alice[b],
-                      p.initial_bob_channel, *(rnd.ops for rnd in p.commit_rounds))
+    return qcore.apply_circuit(zero_state(p.partition.num_qubits), p.initial_alice[b],
+                               p.initial_bob_channel, *(rnd.ops for rnd in p.commit_rounds))
 
 
 def run_open(p: Protocol, state: PureState, claimed_b: int) -> float:
@@ -837,7 +815,7 @@ def run_open(p: Protocol, state: PureState, claimed_b: int) -> float:
         raise ValueError(
             f"state has {state.num_qubits} qubits, protocol register has "
             f"{p.partition.num_qubits}")
-    state = _apply_ops(state, *(rnd.ops for rnd in p.open_rounds))
+    state = qcore.apply_circuit(state, *(rnd.ops for rnd in p.open_rounds))
     return p.verification[claimed_b].expectation(state)
 
 
@@ -943,8 +921,8 @@ def enumerate_branches(p: Protocol, b: int):
     """
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
-    state = _apply_ops(zero_state(p.partition.num_qubits), p.initial_alice[b],
-                       p.initial_bob_channel)
+    state = qcore.apply_circuit(zero_state(p.partition.num_qubits), p.initial_alice[b],
+                                p.initial_bob_channel)
     branches = [(1.0, {}, state)]
     for rnd in p.all_rounds:
         for op in rnd.ops:

@@ -272,12 +272,16 @@ def _induction_inputs(gen):
 
 
 def _rounds_and_gates(monkeypatch, call):
-    """(``call()``, protocols ``run_rounds`` ran, gates ``apply_gate`` applied)."""
+    """(``call()``, protocols ``run_rounds`` ran, gates ``apply_circuit`` applied)."""
     runs, gates = [], []
-    real_run, real_gate = cointoss.run_rounds, qcore.apply_gate
+    real_run, real_circuit = cointoss.run_rounds, qcore.apply_circuit
+
+    def counted_circuit(state, *op_lists):
+        gates.extend(op for ops in op_lists for op in ops)
+        return real_circuit(state, *op_lists)
+
     monkeypatch.setattr(cointoss, "run_rounds", lambda q: runs.append(q) or real_run(q))
-    monkeypatch.setattr(qcore, "apply_gate",
-                        lambda state, op: gates.append(op) or real_gate(state, op))
+    monkeypatch.setattr(qcore, "apply_circuit", counted_circuit)
     try:
         result = call()
     finally:

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from qcheat import qcore
 from qcheat.qcore import (
+    FUSE_QUBITS,
     MAX_QUBITS,
+    MAX_RAW_TARGETS,
     MAX_SIDE_QUBITS,
+    NORM_TOL,
     DensityMatrix,
     GateOp,
     InvariantViolation,
     Partition,
     PureState,
+    apply_circuit,
     apply_gate,
     apply_unitary,
     gate_matrix,
@@ -97,6 +102,18 @@ def test_zero_state():
 def test_pure_state_rejects_unnormalised():
     with pytest.raises(InvariantViolation):
         PureState(np.array([1.0, 1.0]))
+
+
+def test_pure_state_norm_tolerance_is_unchanged():
+    rng = np.random.default_rng(17)
+    unit = random_state(rng, 5).amplitudes
+    with pytest.raises(InvariantViolation):
+        PureState(unit * (1.0 + 2 * NORM_TOL))
+    with pytest.raises(InvariantViolation):
+        PureState(unit * (1.0 - 2 * NORM_TOL))
+    PureState(unit * (1.0 + 0.5 * NORM_TOL))
+    with pytest.raises(InvariantViolation):
+        PureState(np.array([math.nan, 0.0]))
 
 
 def test_pure_state_rejects_bad_length():
@@ -187,6 +204,110 @@ def test_apply_gate_matches_embedding_oracle():
         full = embed_oracle(gate_matrix(op), op.targets, 4)
         np.testing.assert_allclose(
             apply_gate(state, op).amplitudes, full @ state.amplitudes, atol=1e-12)
+
+
+def per_gate_oracle(amps, ops, n):
+    """The gates applied one at a time, each by its own contraction."""
+    psi = np.asarray(amps, dtype=complex)
+    for op in ops:
+        k = len(op.targets)
+        mat = gate_matrix(op).reshape((2,) * (2 * k))
+        out = np.tensordot(mat, psi.reshape((2,) * n),
+                           axes=(tuple(range(k, 2 * k)), op.targets))
+        psi = np.moveaxis(out, tuple(range(k)), op.targets).reshape(-1)
+    return psi
+
+
+_ONE_QUBIT = ("H", "X", "Y", "Z", "S", "T")
+_TWO_QUBIT = ("CX", "CZ", "SWAP")
+
+
+def random_circuit(rng, n, length):
+    """Seeded gates of every kind, on random distinct targets in random order."""
+    ops = []
+    for i in range(length):
+        kind = str(rng.choice(_ONE_QUBIT + _TWO_QUBIT + ("RY", "RZ", "RAW")))
+        if kind == "RAW":
+            width = int(rng.integers(1, min(MAX_RAW_TARGETS, n) + 1))
+        else:
+            width = 2 if kind in _TWO_QUBIT else 1
+        targets = tuple(int(q) for q in rng.permutation(n)[:width])
+        if i % 5 == 0 and n - 1 not in targets:
+            targets = targets[:-1] + (n - 1,)
+        if kind == "RAW":
+            ops.append(GateOp("RAW", targets, matrix=random_unitary(rng, 2 ** width)))
+        elif kind in ("RY", "RZ"):
+            ops.append(GateOp(kind, targets, param=float(rng.uniform(-math.pi, math.pi))))
+        else:
+            ops.append(GateOp(kind, targets))
+    return ops
+
+
+@pytest.mark.parametrize("n", [3, 7, 13])
+def test_apply_circuit_matches_the_per_gate_chain(n):
+    rng = np.random.default_rng([303, n])
+    for trial in range(4):
+        ops = random_circuit(rng, n, 40)
+        state = random_state(rng, n)
+        want = per_gate_oracle(state.amplitudes, ops, n)
+        np.testing.assert_allclose(apply_circuit(state, ops).amplitudes, want,
+                                   rtol=0, atol=1e-12)
+        if n <= 7:
+            full = np.eye(2 ** n, dtype=complex)
+            for op in ops:
+                full = embed_oracle(gate_matrix(op), op.targets, n) @ full
+            np.testing.assert_allclose(want, full @ state.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_apply_circuit_covers_every_target_shape():
+    # descending, non-adjacent and last-qubit targets, runs that overflow a block
+    rng = np.random.default_rng(304)
+    n = 13
+    ops = [GateOp("RAW", (12, 5, 0), matrix=random_unitary(rng, 8)),
+           GateOp("CX", (12, 3)), GateOp("RY", (7,), param=0.3),
+           GateOp("RAW", (9, 2), matrix=random_unitary(rng, 4)),
+           GateOp("SWAP", (11, 4)), GateOp("H", (12,)),
+           GateOp("RAW", (6,), matrix=random_unitary(rng, 2)),
+           GateOp("CZ", (10, 1)), GateOp("T", (0,)),
+           *(GateOp("CX", (q + 1, q)) for q in reversed(range(n - 1)))]
+    blocks = qcore._fused_blocks(ops, n)
+    assert all(len(qubits) <= FUSE_QUBITS for _, qubits in blocks)
+    assert len(blocks) < len(ops)
+    state = random_state(rng, n)
+    np.testing.assert_allclose(apply_circuit(state, ops).amplitudes,
+                               per_gate_oracle(state.amplitudes, ops, n), rtol=0, atol=1e-12)
+
+
+def test_fused_blocks_stay_within_the_bound():
+    assert FUSE_QUBITS >= MAX_RAW_TARGETS
+    chain = [GateOp("CX", (q, q + 1)) for q in range(5)]
+    assert [qubits for _, qubits in qcore._fused_blocks(chain, 6)] == [(0, 1, 2, 3), (3, 4, 5)]
+    rng = np.random.default_rng(305)
+    for n in (3, 7, 13):
+        for _, qubits in qcore._fused_blocks(random_circuit(rng, n, 60), n):
+            assert 1 <= len(qubits) <= FUSE_QUBITS
+
+
+def test_apply_circuit_lists_equal_one_call_per_list():
+    rng = np.random.default_rng(306)
+    for n in (3, 7, 13):
+        first, second = random_circuit(rng, n, 9), random_circuit(rng, n, 7)
+        state = random_state(rng, n)
+        assert np.array_equal(apply_circuit(state, first, second).amplitudes,
+                              apply_circuit(apply_circuit(state, first), second).amplitudes)
+    assert apply_circuit(state) is state
+    assert apply_circuit(state, (), []) is state
+
+
+def test_apply_circuit_checks_every_op_before_applying():
+    state = zero_state(3)
+    fine = [GateOp("H", (0,)), GateOp("CX", (0, 1))]
+    with pytest.raises(ValueError, match="classical control"):
+        apply_circuit(state, fine, [GateOp("X", (2,), control_classical="m")])
+    with pytest.raises(ValueError, match="outside register"):
+        apply_circuit(state, fine, [GateOp("CX", (1, 3))])
+    with pytest.raises(ValueError, match="outside register"):
+        apply_gate(state, GateOp("X", (-1,)))
 
 
 def test_apply_unitary_composition():
