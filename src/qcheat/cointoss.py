@@ -18,6 +18,14 @@ therefore runs the rounds forward once, keeping each round's state
 ((N+1) * 2^n * 16 bytes for N rounds on n qubits), and consumes them from
 the last round back: gate applications are linear in the round count.
 
+``parse_coin_protocol`` checks a document once; ``CoinProtocol`` is a plain
+record.  Truncation keeps each invariant by construction.  Deleting the last
+round leaves the rounds alternating and measurement-free, and both actors get
+rules under the same three labels.  The receiver, who sends the new last round,
+gets rules on their machine that sum to I (invalid is I - S0 - S1).  The
+sender, who now receives the channel, gets rules on their machine and the
+channel conjugated by the deleted round's unitary: their sum stays I up to rounding.
+
 The round-count module ties off the quantitative side: any protocol whose
 per-round information advance is at most epsilon while the parties' known
 information never drifts apart by more than epsilon needs at least
@@ -27,7 +35,7 @@ ceil(1/epsilon) rounds to walk from (0,0) to (1,1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +67,8 @@ class CoinProtocol(proto._Document):
     ``outcome_rules`` maps each actor to projectors labeled "0", "1" and
     "invalid" that partition the actor's end-of-protocol holding: the last
     sender reads only their machine, the other party may also read the
-    channel they just received.
+    channel they just received.  The record checks nothing: the parser checks
+    this once, and truncation keeps it (see the module docstring).
     """
 
     name: str
@@ -70,39 +79,6 @@ class CoinProtocol(proto._Document):
     outcome_rules: dict
     ancilla_owners: tuple = ()
     params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for prev, rnd in zip(self.rounds, self.rounds[1:]):
-            if prev.actor == rnd.actor:
-                raise InvariantViolation("coin-toss rounds must strictly alternate")
-        for rnd in self.rounds:
-            if any(isinstance(op, proto.MeasureOp) for op in rnd.ops):
-                raise InvariantViolation(
-                    "coin protocol still contains measurements; purify first")
-        if set(self.outcome_rules) != set(proto.ACTORS):
-            raise InvariantViolation("outcome rules must cover alice and bob")
-        sender = self.rounds[-1].actor if self.rounds else None
-        for actor, rules in self.outcome_rules.items():
-            if tuple(sorted(rules)) != tuple(sorted(OUTCOME_LABELS)):
-                raise InvariantViolation(
-                    f"{actor} outcome labels must be exactly 0, 1, invalid")
-            holding = set(self.partition.machine(actor))
-            if actor != sender:
-                holding |= self.partition.channel_qubits
-            space = set()
-            for label, rule in rules.items():
-                outside = set(rule.qubits) - holding
-                if outside:
-                    raise InvariantViolation(
-                        f"{actor} outcome rule {label!r} reads qubit "
-                        f"{min(outside)} outside their holding")
-                space |= set(rule.qubits)
-            space = tuple(sorted(space))
-            total = sum(rules[label].lifted_matrix(space) for label in OUTCOME_LABELS)
-            if np.max(np.abs(total - np.eye(2 ** len(space)))) > COMPLETENESS_TOL:
-                raise InvariantViolation(
-                    f"{actor} outcome rules do not sum to the identity within "
-                    f"{COMPLETENESS_TOL}")
 
     @property
     def num_rounds(self) -> int:
@@ -247,13 +223,28 @@ def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
             for label in OUTCOME_LABELS
         }
 
-    try:
-        return CoinProtocol(
-            name=name, partition=partition, initial_alice=prep_a,
-            initial_bob=prep_b, rounds=rounds, outcome_rules=rules,
-            ancilla_owners=tuple(owners), params=params)
-    except InvariantViolation as exc:
-        raise ProtocolError(str(exc)) from None
+    # each rule reads the actor's machine or the channel, and the channel
+    # only when the actor did not send the last round
+    sender = rounds[-1].actor if rounds else None
+    for actor, actor_rules in rules.items():
+        for label, rule in actor_rules.items():
+            read = partition.channel_qubits.intersection(rule.qubits)
+            if actor == sender and read:
+                raise ProtocolError(f"{actor} outcome rule {label!r} reads qubit {min(read)} "
+                                    "outside their holding", f"outcomes.{actor}.{label}")
+        space = tuple(sorted({q for rule in actor_rules.values() for q in rule.qubits}))
+        if len(space) > qcore.MAX_SIDE_QUBITS:
+            raise ProtocolError(f"{actor} outcome rules read {len(space)} qubits; a rule "
+                                f"space is capped at {qcore.MAX_SIDE_QUBITS}", f"outcomes.{actor}")
+        total = sum(rule.lifted_matrix(space) for rule in actor_rules.values())
+        if np.max(np.abs(total - np.eye(2 ** len(space)))) > COMPLETENESS_TOL:
+            raise ProtocolError(f"{actor} outcome rules do not sum to the identity within "
+                                f"{COMPLETENESS_TOL}", f"outcomes.{actor}")
+
+    return CoinProtocol(
+        name=name, partition=partition, initial_alice=prep_a,
+        initial_bob=prep_b, rounds=rounds, outcome_rules=rules,
+        ancilla_owners=tuple(owners), params=params)
 
 
 def load_coin_protocol(source: str, *, param_overrides=None) -> CoinProtocol:
@@ -412,11 +403,8 @@ def _truncate(p: CoinProtocol, state: PureState, tol, allow_mixed_invalid):
         sender_rules[label] = Projector(
             sender_space, unitary.conj().T @ lifted @ unitary)
 
-    return triple, CoinProtocol(
-        name=p.name, partition=p.partition, initial_alice=p.initial_alice,
-        initial_bob=p.initial_bob, rounds=p.rounds[:-1],
-        outcome_rules={sender: sender_rules, receiver: receiver_rules},
-        ancilla_owners=p.ancilla_owners, params=p.params)
+    return triple, replace(p, rounds=p.rounds[:-1],
+                           outcome_rules={sender: sender_rules, receiver: receiver_rules})
 
 
 def _channel_holder(p: CoinProtocol) -> str:

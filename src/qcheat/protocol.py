@@ -504,7 +504,9 @@ def _parse_rounds(nodes, *, env, partition, loc, results, allow_measure,
         if actor not in ACTORS:
             raise ProtocolError(f"actor must be alice or bob, got {actor!r}",
                                 _loc(rloc, "actor"))
-        allow_consecutive = bool(node.get("allow_consecutive", False))
+        allow_consecutive = node.get("allow_consecutive", False)
+        if not isinstance(allow_consecutive, bool):
+            raise ProtocolError("expected true or false", _loc(rloc, "allow_consecutive"))
         if actor == prev_actor:
             if strict_alternation:
                 raise ProtocolError("rounds must strictly alternate actors", rloc)
@@ -553,6 +555,8 @@ def _parse_projector(spec, *, env, default_qubits, allowed, num_qubits, loc,
         if not qubits:
             raise ProtocolError("no default qubits available; give an explicit list", loc)
     k = len(qubits)
+    if k > qcore.MAX_SIDE_QUBITS:
+        raise ProtocolError(f"projector on {k} qubits; the cap is {qcore.MAX_SIDE_QUBITS}", loc)
 
     forms = [key for key in ("zero", "matrix", "accept_states") if key in spec]
     if len(forms) != 1:
@@ -628,22 +632,24 @@ def _front_matter(document, kind, top_keys, overrides):
     nb = _as_count(_req(counts, "bob", "qubits"), "qubits.bob")
     nc = _as_count(_req(counts, "channel", "qubits"), "qubits.channel")
 
-    declared = (frozenset(range(na)), frozenset(range(na, na + nb)),
-                frozenset(range(na + nb, na + nb + nc)))
-    partition = Partition(*declared)
-
     owners = []
     for i, owner in enumerate(_as_list(data.get("ancillas", []), "ancillas")):
         owner = _as_str(owner, f"ancillas[{i}]")
         if owner not in ACTORS:
             raise ProtocolError(f"ancilla owner must be alice or bob, got {owner!r}",
                                 f"ancillas[{i}]")
-        partition = partition.add_ancilla(owner)
         owners.append(owner)
-    if partition.num_qubits > qcore.MAX_QUBITS:
-        raise ProtocolError(
-            f"{partition.num_qubits} qubits declared; the register is capped at "
-            f"{qcore.MAX_QUBITS}", "qubits")
+    # refused before any qubit set is built: a count may be in the billions
+    total = na + nb + nc + len(owners)
+    if total > qcore.MAX_QUBITS:
+        raise ProtocolError(f"{total} qubits declared; the register is capped at "
+                            f"{qcore.MAX_QUBITS}", "qubits")
+
+    declared = (frozenset(range(na)), frozenset(range(na, na + nb)),
+                frozenset(range(na + nb, na + nb + nc)))
+    partition = Partition(*declared)
+    for owner in owners:
+        partition = partition.add_ancilla(owner)
 
     params = {}
     for key, value in _as_dict(data.get("params", {}) or {}, "params").items():

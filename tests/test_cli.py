@@ -214,6 +214,76 @@ def test_angle_overflow_is_input_error_at_angle(tmp_path, capsys, command, doc):
     assert "ops[0].angle: expected a finite number" in capsys.readouterr().err
 
 
+def _commitment(**fields):
+    doc = {"name": "bounded", "qubits": dict(QUBITS), "params": {"theta": 0.5},
+           "commit_rounds": [{"actor": "alice",
+                              "ops": [{"gate": "RY", "targets": [0], "angle": "theta"}]}]}
+    return {**doc, **fields}
+
+
+def _coin(**fields):
+    rules = {actor: {"0": {"qubits": [q], "accept_states": ["0"]},
+                     "1": {"qubits": [q], "accept_states": ["1"]},
+                     "invalid": {"qubits": [q], "zero": True}}
+             for actor, q in (("alice", 0), ("bob", 1))}
+    doc = {"name": "bounded", "kind": "coin-toss", "qubits": dict(QUBITS),
+           "rounds": [{"actor": "alice", "ops": [{"gate": "H", "targets": [0]}]}],
+           "outcomes": rules}
+    return {**doc, **fields}
+
+
+# Alice's two rules read 7 and 6 of her 13 qubits: each fits the side cap,
+# the 13-qubit space the completeness check lifts them to does not
+_WIDE_RULES = {
+    "alice": {"0": {"qubits": list(range(7)), "accept_states": ["0" * 7]},
+              "1": {"qubits": list(range(7, 13)), "accept_states": ["0" * 6]},
+              "invalid": {"qubits": [0], "zero": True}},
+    "bob": {"0": {"qubits": [13], "accept_states": ["0"]},
+            "1": {"qubits": [13], "accept_states": ["1"]},
+            "invalid": {"qubits": [13], "zero": True}},
+}
+_TWICE = [{"actor": "alice", "ops": [{"gate": "X", "targets": [0]}]},
+          {"actor": "alice", "ops": [{"gate": "Z", "targets": [0]}],
+           "allow_consecutive": "no"}]
+_NOT_A_FLAG = [{"actor": "alice", "ops": [{"gate": "H", "targets": [0]}],
+                "allow_consecutive": 1}]
+
+
+# Documents the parser must refuse, with the field each error names: a
+# register or matrix too wide to build, and a non-boolean allow_consecutive.
+# Built, the first four would exhaust memory, the fifth would ask for a
+# 64 GiB identity and the sixth for a 1 GiB lift.
+@pytest.mark.parametrize("doc, location", [
+    (_commitment(qubits={"alice": 10 ** 9, "bob": 1, "channel": 1}), "qubits"),
+    (_commitment(ancillas=["alice"] * 100_000), "qubits"),
+    (_coin(qubits={"alice": 10 ** 9, "bob": 1, "channel": 1}), "qubits"),
+    (_coin(ancillas=["bob"] * 100_000), "qubits"),
+    (_commitment(qubits={"alice": 1, "bob": 15, "channel": 1},
+                 verify={"accept_b0": {"accept_states": ["0" * 16]}}), "verify.accept_b0"),
+    (_coin(qubits={"alice": 13, "bob": 1, "channel": 1}, outcomes=_WIDE_RULES),
+     "outcomes.alice"),
+    (_commitment(commit_rounds=_TWICE), "commit_rounds[1].allow_consecutive"),
+    (_coin(rounds=_NOT_A_FLAG), "rounds[0].allow_consecutive"),
+], ids=["commitment-qubits", "commitment-ancillas", "coin-qubits", "coin-ancillas",
+        "wide-verify", "wide-coin-rules", "commitment-flag", "coin-flag"])
+def test_refused_documents_exit_2_at_a_field_under_1_gib(tmp_path, cli_under_1_gib,
+                                                        doc, location):
+    path = tmp_path / "doc.yaml"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    # every command of the document's kind
+    commands = COMMANDS[4:] if doc.get("kind") == "coin-toss" else COMMANDS[:4] + COMMANDS[5:]
+    runs = cli_under_1_gib([command + ["--protocol", str(path)] for command in commands])
+    for command, (code, text) in zip(commands, runs):
+        if command[0] == "sweep":
+            # sweep keeps each grid point's failure in its row
+            assert code == 0, text
+            points = json.loads(text)["points"]
+            assert all(pt["error"].startswith(f"{location}: ") for pt in points), text
+        else:
+            assert code == 2, (command, text)
+            assert text.startswith(f"error: {location}: "), (command, text)
+
+
 @pytest.mark.parametrize("source", ["leaky-bc(nan)", "leaky-bc(inf)"])
 def test_non_finite_positional_parameter_is_input_error(capsys, source):
     assert cli.main(["attack", "--protocol", source]) == 2

@@ -23,7 +23,7 @@ from qcheat.cointoss import (
     truncate_last_round,
     validate_walk,
 )
-from qcheat.protocol import ProtocolError, document_to_yaml
+from qcheat.protocol import Projector, ProtocolError, document_to_yaml
 from qcheat.qcore import InvariantViolation
 
 
@@ -120,15 +120,17 @@ def test_rule_outside_holding_rejected():
     doc = mixed_invalid_doc()
     # alice is the last sender, so she cannot read the channel qubit 3
     doc["outcomes"]["alice"]["0"] = {"qubits": [3], "accept_states": ["0"]}
-    with pytest.raises(ProtocolError, match="outside their holding"):
+    with pytest.raises(ProtocolError, match="outside their holding") as refused:
         parse_coin_protocol(doc)
+    assert refused.value.location == "outcomes.alice.0"
 
 
 def test_incomplete_rules_rejected():
     doc = mixed_invalid_doc()
     doc["outcomes"]["bob"]["invalid"] = {"qubits": [2], "accept_states": ["1"]}
-    with pytest.raises(ProtocolError, match="sum to the identity"):
+    with pytest.raises(ProtocolError, match="sum to the identity") as refused:
         parse_coin_protocol(doc)
+    assert refused.value.location == "outcomes.bob"
 
 
 def test_measured_coin_document_is_purified_on_entry():
@@ -301,6 +303,20 @@ def test_induction_applies_each_gate_once(monkeypatch, perfbench_gen):
         assert runs == [], name
         assert len(gates) == len(ops), name
         assert all(a is b for a, b in zip(gates, ops)), name
+
+
+def test_truncation_lifts_only_the_sender_rules(monkeypatch, perfbench_gen):
+    # a truncation lifts the sender's three rules once; it checks nothing
+    # the parser already checked, so no completeness lift per step
+    lifts = []
+    real = Projector.lifted_matrix
+    monkeypatch.setattr(Projector, "lifted_matrix",
+                        lambda rule, space: lifts.append(rule) or real(rule, space))
+    for name, p in _induction_inputs(perfbench_gen).items():
+        lifts.clear()
+        rep = induction_report(p)
+        assert rep.steps, name
+        assert len(lifts) == 3 * len(rep.steps), name
 
 
 def _replayed_induction(p):

@@ -1,10 +1,6 @@
 """Protocol documents: parsing, honest execution, purification, emission."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +138,11 @@ def test_repeated_actor_needs_annotation():
     ])
     with pytest.raises(ProtocolError, match="twice in a row"):
         parse_protocol(doc)
+    for flag in ("no", 1, 0.5, [0], None):
+        doc["commit_rounds"][1]["allow_consecutive"] = flag
+        with pytest.raises(ProtocolError, match="true or false") as refused:
+            parse_protocol(doc)
+        assert refused.value.location == "commit_rounds[1].allow_consecutive"
     doc["commit_rounds"][1]["allow_consecutive"] = True
     assert len(parse_protocol(doc).commit_rounds) == 2
 
@@ -579,29 +580,15 @@ WIDE_WITHOUT_VERIFY = {
     "open_rounds": [{"actor": "bob", "ops": [{"gate": "X", "targets": [1]}]}],
 }
 
-_RUN_UNDER_1_GIB = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from qcheat import cli
-for command in ("purify", "attack", "simulate", "fidelity"):
-    print(command, cli.main([command, "--protocol", sys.argv[1], "--out", sys.argv[2]]))
-"""
-
-
-def test_wide_document_without_verify_runs_in_bounded_memory(tmp_path):
+def test_wide_document_without_verify_runs_in_bounded_memory(tmp_path, cli_under_1_gib):
     doc = tmp_path / "wide.yaml"
     doc.write_text(yaml.safe_dump(WIDE_WITHOUT_VERIFY), encoding="utf-8")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-c", _RUN_UNDER_1_GIB, str(doc), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    codes = dict(line.split() for line in done.stdout.splitlines())
-    assert codes["purify"] == "0", done.stderr
-    assert all(code in ("0", "2") for code in codes.values()), done.stderr
-    assert sorted(codes) == ["attack", "fidelity", "purify", "simulate"]
+    commands = ("purify", "attack", "simulate", "fidelity")
+    runs = cli_under_1_gib([[command, "--protocol", str(doc), "--out", str(tmp_path / "out")]
+                            for command in commands])
+    codes = {command: code for command, (code, _) in zip(commands, runs)}
+    assert codes["purify"] == 0, runs
+    assert all(code in (0, 2) for code in codes.values()), runs
 
 
 def test_purify_round_trip_without_verify_keeps_the_simulate_report(perfbench_gen, tmp_path):
