@@ -119,9 +119,14 @@ def sweep_parameter(document: dict, param=None) -> str:
 
 
 def attack_sweep(source, grid, *, param=None, custody=None):
-    """Run epr_attack across a parameter grid; per-point failures stay in-row."""
+    """Run epr_attack across a parameter grid; per-point failures stay in-row.
+
+    A document that does not parse at its declared parameters raises
+    before the grid runs, rather than copying one error into every row.
+    """
     document = source if isinstance(source, dict) else proto.resolve_document(source)[0]
     param = sweep_parameter(document, param)
+    proto.parse_protocol(document)
     points = []
     for raw in grid:
         value = float(raw)

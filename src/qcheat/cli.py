@@ -3,8 +3,8 @@
 Every command resolves a protocol document (built-in name or file path),
 runs one analysis, and emits a report whose bytes are a pure function of
 the inputs: JSON with insertion-ordered keys and 17-significant-digit
-floats, or CSV with a fixed header.  Exit codes: 0 success, 2 rejected
-input, 3 a broken internal invariant.
+floats, or CSV flattened from that JSON value.  Exit codes: 0 success,
+2 rejected input (or out of memory), 3 a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 from . import attack as attacks
 from . import cointoss as coins
 from . import protocol as proto
-from .fidelity import (fidelity_povm, fidelity_purification, fidelity_trace,
-                       povm_overlap, random_povm)
+from .fidelity import fidelity_povm, fidelity_purification, povm_overlap, random_povm
 from .qcore import InvariantViolation
 
 EXIT_OK = 0
@@ -38,12 +37,16 @@ POVM_SAMPLE_TOL = 1e-8
 
 
 class Report:
-    """A finished report: a JSON value plus an optional tabular projection."""
+    """A finished report: a JSON value and the records its CSV rows flatten.
 
-    def __init__(self, value, csv_header=None, csv_rows=None):
+    ``records`` defaults to [value]; ``columns`` defaults to the first
+    record's cells (see ``_csv_cells``).
+    """
+
+    def __init__(self, value, records=None, columns=None):
         self.value = value
-        self.csv_header = csv_header
-        self.csv_rows = csv_rows
+        self.records = [value] if records is None else records
+        self.columns = columns
 
 
 def _format_float(value: float) -> str:
@@ -85,6 +88,20 @@ def _render_json(value, level=0) -> str:
     return _json_scalar(value)
 
 
+def _csv_cells(record: dict) -> dict:
+    """A record's CSV cells: its scalar fields, and each map of scalars
+    entry by entry as ``field_key``.  ``command``, lists and maps of maps
+    stay JSON-only."""
+    cells = {}
+    for key, item in record.items():
+        if isinstance(item, dict):
+            if not any(isinstance(entry, (dict, list, tuple)) for entry in item.values()):
+                cells.update((f"{key}_{sub}", entry) for sub, entry in item.items())
+        elif key != "command" and not isinstance(item, (list, tuple)):
+            cells[key] = item
+    return cells
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -114,13 +131,13 @@ def emit_report(report: Report, fmt: str = "json", path=None) -> int:
     if fmt == "json":
         text = _render_json(report.value) + "\n"
     elif fmt == "csv":
-        if report.csv_header is None:
-            raise ValueError("this report has no tabular form; use --output json")
+        rows = [_csv_cells(record) for record in report.records]
+        columns = report.columns or list(rows[0])
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(report.csv_header)
-        for row in report.csv_rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
+        writer.writerow(columns)
+        for cells in rows:
+            writer.writerow([_csv_cell(cells.get(column)) for column in columns])
         text = buffer.getvalue()
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -183,23 +200,7 @@ def _cmd_simulate(ns) -> Report:
         "honest_accept": {"0": honest[0], "1": honest[1]},
         "cross_accept": {"commit0_open1": cross01, "commit1_open0": cross10},
     }
-    header = ["protocol", "channel_custody", "ancillas", "delta",
-              "honest_accept_0", "honest_accept_1",
-              "cross_accept_commit0_open1", "cross_accept_commit1_open0"]
-    row = [p.name, custody, p.ancilla_count, delta,
-           honest[0], honest[1], cross01, cross10]
-    return Report(value, header, [row])
-
-
-_ATTACK_HEADER = ["protocol", "channel_custody", "delta", "fidelity",
-                  "achieved_overlap", "honest_accept_0", "honest_accept_1",
-                  "cheat_accept"]
-
-
-def _attack_row(rep: attacks.AttackReport) -> list:
-    return [rep.protocol_name, rep.channel_custody, rep.delta, rep.fidelity,
-            rep.achieved_overlap, rep.honest_accept[0], rep.honest_accept[1],
-            rep.cheat_accept]
+    return Report(value)
 
 
 def _attack_fields(rep: attacks.AttackReport) -> dict:
@@ -217,7 +218,7 @@ def _cmd_attack(ns) -> Report:
     rep = attacks.epr_attack(p, custody=ns.channel_custody)
     value = {"command": "attack", "protocol": rep.protocol_name,
              "channel_custody": rep.channel_custody, **_attack_fields(rep)}
-    return Report(value, _ATTACK_HEADER, [_attack_row(rep)])
+    return Report(value)
 
 
 def _parse_grid(text: str):
@@ -235,37 +236,34 @@ def _parse_grid(text: str):
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
+_SWEEP_COLUMNS = ["param", "value", "delta", "fidelity", "achieved_overlap",
+                  "honest_accept_0", "honest_accept_1", "cheat_accept", "error"]
+
+
 def _cmd_sweep(ns) -> Report:
     grid = _parse_grid(ns.grid)
     data, _, _ = _resolve(ns.protocol, proto.KIND_COMMITMENT)
     param = attacks.sweep_parameter(data, ns.param)
     points = attacks.attack_sweep(data, grid, param=param,
                                   custody=ns.channel_custody)
-    items = []
-    rows = []
-    for pt in points:
-        if pt.report is None:
-            items.append({"value": pt.value, "error": pt.error})
-            rows.append([param, pt.value] + [None] * 6 + [pt.error])
-        else:
-            items.append({"value": pt.value, **_attack_fields(pt.report), "error": None})
-            rows.append([param, pt.value, *_attack_row(pt.report)[2:], None])
+    items = [{"value": pt.value, "error": pt.error} if pt.report is None
+             else {"value": pt.value, **_attack_fields(pt.report), "error": None}
+             for pt in points]
     value = {
         "command": "sweep",
         "protocol": data.get("name"),
         "param": param,
         "points": items,
     }
-    header = ["param", "value", "delta", "fidelity", "achieved_overlap",
-              "honest_accept_0", "honest_accept_1", "cheat_accept", "error"]
-    return Report(value, header, rows)
+    # every point may be an error row, so the columns are named here
+    return Report(value, [{"param": param, **item} for item in items], _SWEEP_COLUMNS)
 
 
 def _cmd_fidelity(ns) -> Report:
     p = _load(ns.protocol, proto.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
-    delta, rho0, rho1 = proto.commit_delta(p, custody)
-    f_trace = fidelity_trace(rho0, rho1)
+    delta, f_trace, rho0, rho1 = proto.commit_reductions(
+        p, custody, (proto.run_commit(p, b) for b in (0, 1)))
     f_purif, _ = fidelity_purification(rho0, rho1)
     f_povm, _ = fidelity_povm(rho0, rho1)
 
@@ -298,14 +296,7 @@ def _cmd_fidelity(ns) -> Report:
         "povm_sample_min": sample_min,
         "povm_samples_ok": samples_ok,
     }
-    header = ["protocol", "channel_custody", "delta", "fidelity_trace",
-              "fidelity_purification", "fidelity_povm", "gap_purification",
-              "gap_povm", "seed", "povm_samples", "povm_sample_min",
-              "povm_samples_ok"]
-    row = [p.name, custody, delta, f_trace, f_purif, f_povm,
-           abs(f_trace - f_purif), abs(f_trace - f_povm), int(ns.seed),
-           samples, sample_min, samples_ok]
-    return Report(value, header, [row])
+    return Report(value)
 
 
 def _cmd_cointoss(ns) -> Report:
@@ -313,11 +304,6 @@ def _cmd_cointoss(ns) -> Report:
     cp = _load(ns.protocol, proto.KIND_COIN)
     verdict = coins.induction_report(
         cp, tol=ns.ideal_tol, allow_mixed_invalid=ns.allow_mixed_invalid)
-    dist = verdict.outcome_distribution
-    distribution = {
-        actor: {label: dist[actor][label] for label in coins.OUTCOME_LABELS}
-        for actor in ("alice", "bob")
-    }
     steps = []
     for step in verdict.steps:
         t = step.triple
@@ -334,7 +320,7 @@ def _cmd_cointoss(ns) -> Report:
         "protocol": cp.name,
         "rounds": verdict.rounds,
         "verdict": verdict.verdict,
-        "outcome_distribution": distribution,
+        "outcome_distribution": verdict.outcome_distribution,
         "steps": steps,
         "mutual_information": verdict.mutual_information,
         "witness_round": verdict.witness_round,
@@ -342,12 +328,7 @@ def _cmd_cointoss(ns) -> Report:
         "witness_pair": verdict.witness_pair,
         "message": verdict.message,
     }
-    header = ["protocol", "rounds", "verdict", "mutual_information",
-              "witness_round", "witness_fidelity", "witness_pair", "message"]
-    row = [cp.name, verdict.rounds, verdict.verdict,
-           verdict.mutual_information, verdict.witness_round,
-           verdict.witness_fidelity, verdict.witness_pair, verdict.message]
-    return Report(value, header, [row])
+    return Report(value)
 
 
 def _cmd_purify(ns) -> str:
@@ -457,6 +438,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_INPUT
 
 

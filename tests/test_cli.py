@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from qcheat import attack as attacks
 from qcheat import cli
+from qcheat import fidelity as fid
 from qcheat import protocol as proto
 from qcheat.cointoss import parse_coin_protocol
 from qcheat.protocol import parse_protocol
@@ -86,6 +88,22 @@ def test_fidelity_routes_and_samples(capsys):
     assert doc["povm_samples"] == 25 and doc["seed"] == 3
     assert doc["povm_sample_min"] >= doc["fidelity_povm"] - 1e-8
     assert doc["povm_samples_ok"] is True
+
+
+def test_fidelity_takes_the_trace_route_once(monkeypatch, capsys):
+    calls = []
+    real = fid.fidelity_trace
+
+    def counted(rho0, rho1):
+        calls.append(1)
+        return real(rho0, rho1)
+    # every qcheat module that binds the function, the fidelity module included
+    for module in [m for name, m in sys.modules.items() if name.startswith("qcheat")]:
+        if getattr(module, "fidelity_trace", None) is real:
+            monkeypatch.setattr(module, "fidelity_trace", counted)
+    assert cli.main(["fidelity", "--protocol", "bb84-bc"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_cointoss_contradiction_report(capsys):
@@ -274,14 +292,21 @@ def test_refused_documents_exit_2_at_a_field_under_1_gib(tmp_path, cli_under_1_g
     commands = COMMANDS[4:] if doc.get("kind") == "coin-toss" else COMMANDS[:4] + COMMANDS[5:]
     runs = cli_under_1_gib([command + ["--protocol", str(path)] for command in commands])
     for command, (code, text) in zip(commands, runs):
-        if command[0] == "sweep":
-            # sweep keeps each grid point's failure in its row
-            assert code == 0, text
-            points = json.loads(text)["points"]
-            assert all(pt["error"].startswith(f"{location}: ") for pt in points), text
-        else:
-            assert code == 2, (command, text)
-            assert text.startswith(f"error: {location}: "), (command, text)
+        assert code == 2, (command, text)
+        assert text.startswith(f"error: {location}: "), (command, text)
+
+
+def test_out_of_memory_is_input_error_under_1_gib(tmp_path, cli_under_1_gib):
+    # a 12-qubit verify projector: building it takes more than 1 GiB
+    doc = _commitment(qubits={"alice": 1, "bob": 11, "channel": 1},
+                      verify={"accept_b0": {"accept_states": ["0" * 12]}})
+    path = tmp_path / "doc.yaml"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    commands = COMMANDS[:4] + COMMANDS[5:]
+    runs = cli_under_1_gib([command + ["--protocol", str(path)] for command in commands])
+    for command, (code, text) in zip(commands, runs):
+        assert code == 2, (command, text)
+        assert text.startswith("error: out of memory ("), (command, text)
 
 
 @pytest.mark.parametrize("source", ["leaky-bc(nan)", "leaky-bc(inf)"])
@@ -320,8 +345,7 @@ def test_emitter_refuses_non_finite_floats(value):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_report_is_internal_error(monkeypatch, tmp_path, capsys, fmt):
-    monkeypatch.setattr(cli, "_cmd_attack", lambda ns: cli.Report(
-        {"delta": math.nan}, ["delta"], [[math.nan]]))
+    monkeypatch.setattr(cli, "_cmd_attack", lambda ns: cli.Report({"delta": math.nan}))
     target = tmp_path / "out"
     assert cli.main(["attack", "--protocol", "bell-bc", "--output", fmt,
                      "--out", str(target)]) == 3

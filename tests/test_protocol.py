@@ -589,6 +589,8 @@ def test_wide_document_without_verify_runs_in_bounded_memory(tmp_path, cli_under
     codes = {command: code for command, (code, _) in zip(commands, runs)}
     assert codes["purify"] == 0, runs
     assert all(code in (0, 2) for code in codes.values()), runs
+    # exit 2 here must be a refusal, not a caught MemoryError
+    assert not any("out of memory" in text for _, text in runs), runs
 
 
 def test_purify_round_trip_without_verify_keeps_the_simulate_report(perfbench_gen, tmp_path):
