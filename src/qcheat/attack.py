@@ -125,8 +125,8 @@ def attack_sweep(source, grid, *, param=None, custody=None):
     before the grid runs, rather than copying one error into every row.
     """
     document = source if isinstance(source, dict) else proto.resolve_document(source)[0]
-    param = sweep_parameter(document, param)
     proto.parse_protocol(document)
+    param = sweep_parameter(document, param)
     points = []
     for raw in grid:
         value = float(raw)

@@ -243,9 +243,9 @@ _SWEEP_COLUMNS = ["param", "value", "delta", "fidelity", "achieved_overlap",
 def _cmd_sweep(ns) -> Report:
     grid = _parse_grid(ns.grid)
     data, _, _ = _resolve(ns.protocol, proto.KIND_COMMITMENT)
-    param = attacks.sweep_parameter(data, ns.param)
-    points = attacks.attack_sweep(data, grid, param=param,
-                                  custody=ns.channel_custody)
+    points = attacks.attack_sweep(data, grid, param=ns.param, custody=ns.channel_custody)
+    # _parse_grid refuses an empty grid, so there is a first point
+    param = points[0].param
     items = [{"value": pt.value, "error": pt.error} if pt.report is None
              else {"value": pt.value, **_attack_fields(pt.report), "error": None}
              for pt in points]

@@ -175,25 +175,22 @@ _COIN_TOP_KEYS = ("name", "kind", "qubits", "params", "initial", "rounds",
 
 def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
     """Parse a coin-toss document; measurements are compiled away on entry."""
-    data, name, partition, owners, (decl_a, decl_b, _), params, env = proto._front_matter(
+    data, name, scope, owners, declared, params = proto._front_matter(
         document, KIND_COIN, _COIN_TOP_KEYS, param_overrides)
 
-    initial = proto._as_dict(data.get("initial", {}) or {}, "initial")
-    proto._check_keys(initial, ("alice", "bob"), "initial")
-    prep_a = proto._parse_prep(initial.get("alice", []), env=env, allowed=decl_a,
-                               num_qubits=partition.num_qubits,
-                               describe="alice's declared qubits", loc="initial.alice")
-    prep_b = proto._parse_prep(initial.get("bob", []), env=env, allowed=decl_b,
-                               num_qubits=partition.num_qubits,
-                               describe="bob's declared qubits", loc="initial.bob")
+    initial = proto._section(data, "initial")
+    proto._check_keys(initial, proto.ACTORS, "initial")
+    prep_a, prep_b = (
+        proto._parse_ops(initial.get(actor, []), scope, f"initial.{actor}", allowed,
+                         f"{actor}'s declared qubits")
+        for actor, allowed in zip(proto.ACTORS, declared))
 
-    results = {}
-    rounds, _ = proto._parse_rounds(
-        proto._req(data, "rounds", ""), env=env, partition=partition,
-        loc="rounds", results=results, allow_measure=True,
-        strict_alternation=True)
+    rounds, _ = proto._parse_rounds(proto._req(data, "rounds", ""), scope, "rounds",
+                                    strict_alternation=True)
     owners = list(owners)
-    partition, rounds = proto._purify_round_list(partition, owners, {}, rounds)
+    partition, rounds = proto._purify_round_list(scope.partition, owners, {}, rounds)
+    # outcome rules read the purified register, ancillas included
+    scope = replace(scope, partition=partition)
 
     outcomes = proto._as_dict(proto._req(data, "outcomes", ""), "outcomes")
     proto._check_keys(outcomes, proto.ACTORS, "outcomes")
@@ -213,13 +210,11 @@ def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
         if missing:
             raise ProtocolError(f"missing outcome label {missing[0]!r}",
                                 f"outcomes.{actor}")
-        machine = tuple(sorted(partition.machine(actor)))
-        allowed = set(machine) | partition.channel_qubits
         rules[actor] = {
             label: proto._parse_projector(
-                labeled[label], env=env, default_qubits=machine, allowed=allowed,
-                num_qubits=partition.num_qubits, loc=f"outcomes.{actor}.{label}",
-                allow_zero=True)
+                labeled[label], scope, f"outcomes.{actor}.{label}",
+                default_qubits=partition.holding(actor, None),
+                allowed=partition.holding(actor, actor), allow_zero=True)
             for label in OUTCOME_LABELS
         }
 
@@ -304,7 +299,7 @@ def _condition_on_sender(p: CoinProtocol, state: PureState, allow_mixed_invalid:
         raise ValueError("protocol has no rounds; nothing to condition on")
     sender = p.rounds[-1].actor
     receiver = other_actor(sender)
-    keep = tuple(sorted(p.partition.machine(receiver)))
+    keep = p.partition.holding(receiver, sender)
     conditional = {}
     for label in OUTCOME_LABELS:
         prob, post = p.outcome_rules[sender][label].project(state)
@@ -394,8 +389,7 @@ def _truncate(p: CoinProtocol, state: PureState, tol, allow_mixed_invalid):
     }
 
     last = p.rounds[-1]
-    sender_space = tuple(sorted(set(p.partition.machine(sender))
-                                | p.partition.channel_qubits))
+    sender_space = p.partition.holding(sender, sender)
     unitary = qcore._circuit_matrix(last.ops, sender_space)
     sender_rules = {}
     for label in OUTCOME_LABELS:
@@ -456,10 +450,8 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
         current = truncated
 
     state = states.pop()
-    a_side = set(current.partition.machine("alice"))
-    if _channel_holder(current) == "alice":
-        a_side |= current.partition.channel_qubits
-    mi = qcore.mutual_information(state, tuple(sorted(a_side)))
+    a_side = current.partition.holding("alice", _channel_holder(current))
+    mi = qcore.mutual_information(state, a_side)
     shown = "0" if mi <= MI_TOL else f"{mi:.3e}"
     return InductionVerdict(
         verdict="contradiction", rounds=p.num_rounds, steps=tuple(steps),

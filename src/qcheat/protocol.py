@@ -104,12 +104,12 @@ class Projector:
             state.amplitudes, self.matrix, self.qubits, state.num_qubits)
         return float(np.real(np.vdot(state.amplitudes, projected)))
 
-    def project(self, state: PureState, cutoff: float = PRESENCE_CUTOFF):
-        """(probability, normalized post-state or None when below cutoff)."""
+    def project(self, state: PureState):
+        """(probability, normalized post-state or None at or below PRESENCE_CUTOFF)."""
         projected = qcore._apply_matrix(
             state.amplitudes, self.matrix, self.qubits, state.num_qubits)
         prob = float(np.real(np.vdot(projected, projected)))
-        if prob <= cutoff:
+        if prob <= PRESENCE_CUTOFF:
             return prob, None
         return prob, PureState(projected / math.sqrt(prob))
 
@@ -305,6 +305,12 @@ def _as_count(value, loc):
     return value
 
 
+def _section(data, key):
+    """The top-level mapping at ``key``; only a missing key or null reads as empty."""
+    value = data.get(key)
+    return {} if value is None else _as_dict(value, key)
+
+
 def _check_keys(data, allowed, loc):
     unknown = [k for k in data if k not in allowed]
     if unknown:
@@ -433,11 +439,21 @@ def _parse_targets(node, allowed, num_qubits, loc, describe):
     return tuple(out)
 
 
-def _parse_op(node, *, env, allowed, num_qubits, describe, loc,
-              results, actor, allow_measure):
+@dataclass
+class _Scope:
+    """What a document's op lists parse against: its register partition, its
+    angle environment, and the measurement results recorded so far."""
+
+    partition: Partition
+    env: dict
+    results: dict = field(default_factory=dict)
+
+
+def _parse_op(node, scope, loc, allowed, describe, actor):
     node = _as_dict(node, loc)
+    num_qubits = scope.partition.num_qubits
     if "measure" in node:
-        if not allow_measure:
+        if actor is None:
             raise ProtocolError("measurements are not allowed here", loc)
         _check_keys(node, _MEASURE_KEYS, loc)
         if node["measure"] is not True:
@@ -446,9 +462,9 @@ def _parse_op(node, *, env, allowed, num_qubits, describe, loc,
         if not targets:
             raise ProtocolError("measurement needs at least one target", loc)
         result_id = _as_str(_req(node, "result_id", loc), _loc(loc, "result_id"))
-        if result_id in results:
+        if result_id in scope.results:
             raise ProtocolError(f"duplicate result_id {result_id!r}", _loc(loc, "result_id"))
-        results[result_id] = (actor, len(targets))
+        scope.results[result_id] = (actor, len(targets))
         return MeasureOp(targets, result_id)
 
     _check_keys(node, _OP_KEYS, loc)
@@ -458,7 +474,7 @@ def _parse_op(node, *, env, allowed, num_qubits, describe, loc,
     targets = _parse_targets(node, allowed, num_qubits, loc, describe)
     angle = None
     if "angle" in node:
-        angle = _parse_angle(node["angle"], env, _loc(loc, "angle"))
+        angle = _parse_angle(node["angle"], scope.env, _loc(loc, "angle"))
     matrix = None
     if "matrix" in node:
         matrix = _parse_matrix(node["matrix"], _loc(loc, "matrix"))
@@ -468,11 +484,11 @@ def _parse_op(node, *, env, allowed, num_qubits, describe, loc,
         if actor is None:
             raise ProtocolError("classical controls are not allowed here",
                                 _loc(loc, "control_classical"))
-        if control not in results:
+        if control not in scope.results:
             raise ProtocolError(
                 f"classical control references unknown or later result {control!r}",
                 _loc(loc, "control_classical"))
-        owner = results[control][0]
+        owner = scope.results[control][0]
         if owner != actor:
             raise ProtocolError(
                 f"classical control {control!r} belongs to {owner}; only the "
@@ -483,18 +499,17 @@ def _parse_op(node, *, env, allowed, num_qubits, describe, loc,
         raise ProtocolError(str(exc), loc) from None
 
 
-def _parse_prep(nodes, *, env, allowed, num_qubits, describe, loc):
-    ops = []
-    for i, node in enumerate(_as_list(nodes, loc)):
-        ops.append(_parse_op(
-            node, env=env, allowed=allowed, num_qubits=num_qubits,
-            describe=describe, loc=f"{loc}[{i}]",
-            results={}, actor=None, allow_measure=False))
-    return tuple(ops)
+def _parse_ops(nodes, scope, loc, allowed, describe, actor=None):
+    """The op list at ``loc``, targets within ``allowed``.
+
+    Measurements and classical controls are legal only in a round, whose
+    ``actor`` records and reads the results.
+    """
+    return tuple(_parse_op(node, scope, f"{loc}[{i}]", allowed, describe, actor)
+                 for i, node in enumerate(_as_list(nodes, loc)))
 
 
-def _parse_rounds(nodes, *, env, partition, loc, results, allow_measure,
-                  strict_alternation, prev_actor=None):
+def _parse_rounds(nodes, scope, loc, *, strict_alternation, prev_actor=None):
     rounds = []
     for i, node in enumerate(_as_list(nodes, loc)):
         rloc = f"{loc}[{i}]"
@@ -514,15 +529,10 @@ def _parse_rounds(nodes, *, env, partition, loc, results, allow_measure,
                 raise ProtocolError(
                     f"{actor} acts twice in a row; annotate allow_consecutive "
                     "if intended", rloc)
-        allowed = partition.machine(actor) | partition.channel_qubits
-        describe = f"{actor}'s machine or the channel"
-        ops = []
-        for j, op_node in enumerate(_as_list(_req(node, "ops", rloc), _loc(rloc, "ops"))):
-            ops.append(_parse_op(
-                op_node, env=env, allowed=allowed, num_qubits=partition.num_qubits,
-                describe=describe, loc=f"{rloc}.ops[{j}]",
-                results=results, actor=actor, allow_measure=allow_measure))
-        rounds.append(Round(actor, tuple(ops), allow_consecutive))
+        ops = _parse_ops(_req(node, "ops", rloc), scope, _loc(rloc, "ops"),
+                         scope.partition.holding(actor, actor),
+                         f"{actor}'s machine or the channel", actor)
+        rounds.append(Round(actor, ops, allow_consecutive))
         prev_actor = actor
     return tuple(rounds), prev_actor
 
@@ -533,8 +543,7 @@ def _parse_rounds(nodes, *, env, partition, loc, results, allow_measure,
 _PROJECTOR_KEYS = ("qubits", "gates", "accept_states", "matrix", "zero")
 
 
-def _parse_projector(spec, *, env, default_qubits, allowed, num_qubits, loc,
-                     allow_zero=False):
+def _parse_projector(spec, scope, loc, *, default_qubits, allowed, allow_zero=False):
     spec = _as_dict(spec, loc)
     _check_keys(spec, _PROJECTOR_KEYS, loc)
     if "qubits" in spec:
@@ -582,12 +591,8 @@ def _parse_projector(spec, *, env, default_qubits, allowed, num_qubits, loc,
         except InvariantViolation as exc:
             raise ProtocolError(str(exc), _loc(loc, "matrix")) from None
 
-    gates = []
-    for j, node in enumerate(_as_list(spec.get("gates", []), _loc(loc, "gates"))):
-        gates.append(_parse_op(
-            node, env=env, allowed=set(qubits), num_qubits=num_qubits,
-            describe="the projector's qubit list", loc=f"{loc}.gates[{j}]",
-            results={}, actor=None, allow_measure=False))
+    gates = _parse_ops(spec.get("gates", []), scope, _loc(loc, "gates"), qubits,
+                       "the projector's qubit list")
     states = _as_list(spec["accept_states"], _loc(loc, "accept_states"))
     mask = np.zeros(2 ** k)
     for s in states:
@@ -614,8 +619,8 @@ _TOP_KEYS = ("name", "kind", "qubits", "params", "initial",
 def _front_matter(document, kind, top_keys, overrides):
     """Keys, kind, header and params of a document of either kind.
 
-    Returns (data, name, partition, ancilla owners, declared (alice, bob,
-    channel) ranges, params, angle environment).
+    Returns (data, name, the document's ``_Scope``, ancilla owners,
+    declared (alice, bob, channel) ranges, params).
     """
     data = _load_yaml(document) if isinstance(document, str) else document
     data = _as_dict(data, "")
@@ -652,7 +657,7 @@ def _front_matter(document, kind, top_keys, overrides):
         partition = partition.add_ancilla(owner)
 
     params = {}
-    for key, value in _as_dict(data.get("params", {}) or {}, "params").items():
+    for key, value in _section(data, "params").items():
         params[str(key)] = _as_number(value, f"params.{key}")
     if overrides:
         unknown = [k for k in overrides if k not in params]
@@ -661,41 +666,29 @@ def _front_matter(document, kind, top_keys, overrides):
                                 "params")
         params.update({k: _as_number(float(v), f"params.{k}")
                        for k, v in overrides.items()})
-    env = dict(params)
-    env["pi"] = math.pi
-    return data, name, partition, tuple(owners), declared, params, env
+    scope = _Scope(partition, {**params, "pi": math.pi})
+    return data, name, scope, tuple(owners), declared, params
 
 
 def parse_protocol(document, *, param_overrides=None) -> Protocol:
     """Parse and validate a bit-commitment document (YAML text or mapping)."""
-    data, name, partition, owners, (decl_a, decl_b, decl_c), params, env = _front_matter(
+    data, name, scope, owners, (decl_a, decl_b, decl_c), params = _front_matter(
         document, KIND_COMMITMENT, _TOP_KEYS, param_overrides)
 
-    initial = _as_dict(data.get("initial", {}) or {}, "initial")
+    initial = _section(data, "initial")
     _check_keys(initial, ("alice0", "alice1", "bob_channel"), "initial")
-    prep0 = _parse_prep(initial.get("alice0", []), env=env, allowed=decl_a,
-                        num_qubits=partition.num_qubits,
-                        describe="alice's declared qubits", loc="initial.alice0")
-    prep1 = _parse_prep(initial.get("alice1", []), env=env, allowed=decl_a,
-                        num_qubits=partition.num_qubits,
-                        describe="alice's declared qubits", loc="initial.alice1")
-    prep_bc = _parse_prep(initial.get("bob_channel", []), env=env,
-                          allowed=decl_b | decl_c,
-                          num_qubits=partition.num_qubits,
-                          describe="bob's declared qubits or the channel",
-                          loc="initial.bob_channel")
+    prep0, prep1 = (_parse_ops(initial.get(key, []), scope, f"initial.{key}", decl_a,
+                               "alice's declared qubits") for key in ("alice0", "alice1"))
+    prep_bc = _parse_ops(initial.get("bob_channel", []), scope, "initial.bob_channel",
+                         decl_b | decl_c, "bob's declared qubits or the channel")
 
-    results = {}
     commit_rounds, last = _parse_rounds(
-        data.get("commit_rounds", []), env=env, partition=partition,
-        loc="commit_rounds", results=results, allow_measure=True,
-        strict_alternation=False)
+        data.get("commit_rounds", []), scope, "commit_rounds", strict_alternation=False)
     open_rounds, _ = _parse_rounds(
-        data.get("open_rounds", []), env=env, partition=partition,
-        loc="open_rounds", results=results, allow_measure=True,
-        strict_alternation=False, prev_actor=last)
+        data.get("open_rounds", []), scope, "open_rounds", strict_alternation=False,
+        prev_actor=last)
 
-    verify = _as_dict(data.get("verify", {}) or {}, "verify")
+    verify = _section(data, "verify")
     _check_keys(verify, ("accept_b0", "accept_b1"), "verify")
     default_qubits = tuple(sorted(decl_b | decl_c))
     identity = None
@@ -703,9 +696,8 @@ def parse_protocol(document, *, param_overrides=None) -> Protocol:
     for key in ("accept_b0", "accept_b1"):
         if key in verify:
             accept.append(_parse_projector(
-                verify[key], env=env, default_qubits=default_qubits,
-                allowed=decl_b | decl_c, num_qubits=partition.num_qubits,
-                loc=f"verify.{key}"))
+                verify[key], scope, f"verify.{key}", default_qubits=default_qubits,
+                allowed=decl_b | decl_c))
         else:
             if identity is None:
                 # the identity on one qubit lifts to the identity on all of
@@ -714,7 +706,7 @@ def parse_protocol(document, *, param_overrides=None) -> Protocol:
             accept.append(identity)
 
     return Protocol(
-        name=name, partition=partition, initial_alice=(prep0, prep1),
+        name=name, partition=scope.partition, initial_alice=(prep0, prep1),
         initial_bob_channel=prep_bc, commit_rounds=commit_rounds,
         open_rounds=open_rounds, verification=tuple(accept),
         ancilla_owners=owners, params=params)
@@ -846,17 +838,11 @@ def commit_custody(p: Protocol, override=None) -> str:
 
 def alice_side(p: Protocol, custody: str) -> tuple:
     """Alice's full holding at commit time: machine, her ancillas, channel if hers."""
-    side = set(p.partition.machine("alice"))
-    if custody == "alice":
-        side |= p.partition.channel_qubits
-    return tuple(sorted(side))
+    return p.partition.holding("alice", custody)
 
 
 def bob_holding(p: Protocol, custody: str) -> tuple:
-    side = set(p.partition.machine("bob"))
-    if custody != "alice":
-        side |= p.partition.channel_qubits
-    return tuple(sorted(side))
+    return p.partition.holding("bob", custody)
 
 
 def _defect(fidelity: float) -> float:

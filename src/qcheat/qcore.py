@@ -170,6 +170,14 @@ class Partition:
             return self.bob_qubits
         raise ValueError(f"unknown actor {actor!r}")
 
+    def holding(self, actor: str, channel) -> tuple:
+        """``actor``'s sorted qubits: their machine, and the channel when
+        ``channel``, the party holding it, is ``actor``."""
+        side = self.machine(actor)
+        if channel == actor:
+            side = side | self.channel_qubits
+        return tuple(sorted(side))
+
     def add_ancilla(self, owner: str) -> "Partition":
         """Append one fresh qubit at the end of the register, owned by ``owner``."""
         idx = self.num_qubits

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fidelity import fidelity_trace
 from .qcore import (
     MAX_SIDE_QUBITS,
     InvariantViolation,
@@ -165,11 +164,3 @@ def cheating_unitary_ideal(state0: PureState, state1: PureState, a_side) -> np.n
             f"{IDEAL_REDUCTION_TOL}); the states are not locally equivalent -- "
             "use uhlmann_unitary for the optimal approximate rotation")
     return _polar_rotation(state0, state1, a)[0]
-
-
-def reduction_fidelity(state0: PureState, state1: PureState, a_side) -> float:
-    """Fidelity of the B-side reductions; the ceiling for any A-side rotation."""
-    n = state0.num_qubits
-    a = tuple(sorted(_check_targets(a_side, n, "a_side")))
-    b = tuple(q for q in range(n) if q not in a)
-    return fidelity_trace(partial_trace(state0, b), partial_trace(state1, b))

@@ -10,7 +10,6 @@ from qcheat.qcore import GateOp, InvariantViolation, PureState, apply_gate, appl
 from qcheat.schmidt import (
     SchmidtDecomposition,
     cheating_unitary_ideal,
-    reduction_fidelity,
     schmidt_decompose,
     uhlmann_unitary,
 )
@@ -130,7 +129,6 @@ def test_uhlmann_achieves_reduction_fidelity():
         unitary, achieved = uhlmann_unitary(s0, s1, a_side)
         want = fidelity_trace(partial_trace(s0, b_side), partial_trace(s1, b_side))
         assert achieved == pytest.approx(want, abs=1e-9)
-        assert achieved == pytest.approx(reduction_fidelity(s0, s1, a_side), abs=1e-9)
         moved = apply_unitary(s0, unitary, a_side)
         assert overlap(moved, s1) == pytest.approx(achieved, abs=1e-9)
 
