@@ -104,9 +104,9 @@ class SweepPoint:
     error: str | None
 
 
-def sweep_parameter(document: dict, param=None) -> str:
-    """The parameter a sweep varies: the named one, or the document's only one."""
-    params = document.get("params") or {}
+def sweep_parameter(p: Protocol, param=None) -> str:
+    """The parameter a sweep varies: the named one, or ``p``'s only one."""
+    params = p.params
     if param is not None:
         if param not in params:
             raise ProtocolError(f"protocol declares no parameter {param!r}", "params")
@@ -125,8 +125,7 @@ def attack_sweep(source, grid, *, param=None, custody=None):
     before the grid runs, rather than copying one error into every row.
     """
     document = source if isinstance(source, dict) else proto.resolve_document(source)[0]
-    proto.parse_protocol(document)
-    param = sweep_parameter(document, param)
+    param = sweep_parameter(proto.parse_protocol(document), param)
     points = []
     for raw in grid:
         value = float(raw)

@@ -19,12 +19,20 @@ therefore runs the rounds forward once, keeping each round's state
 the last round back: gate applications are linear in the round count.
 
 ``parse_coin_protocol`` checks a document once; ``CoinProtocol`` is a plain
-record.  Truncation keeps each invariant by construction.  Deleting the last
-round leaves the rounds alternating and measurement-free, and both actors get
-rules under the same three labels.  The receiver, who sends the new last round,
-gets rules on their machine that sum to I (invalid is I - S0 - S1).  The
-sender, who now receives the channel, gets rules on their machine and the
-channel conjugated by the deleted round's unitary: their sum stays I up to rounding.
+record.  ``truncate_last_round`` keeps each invariant by construction.
+Deleting the last round leaves the rounds alternating and measurement-free,
+and both actors get rules under the same three labels.  The receiver, who
+sends the new last round, gets rules on their machine that sum to I (invalid
+is I - S0 - S1).  The sender, who now receives the channel, gets rules on
+their machine and the channel conjugated by the deleted round's unitary: their
+sum stays I up to rounding.
+
+``induction_report`` builds neither a truncated protocol nor a pulled-back
+rule.  The parser requires the rounds to alternate actors, so the receiver
+of round k+1 is the sender of round k: the step deleting round k conditions
+on the rules the step before built for its receiver, and the pulled-back
+rules of round k+1's sender would be replaced unread.  The only thing they
+told was who holds the channel at the end, and that is round 1's sender.
 
 The round-count module ties off the quantitative side: any protocol whose
 per-round information advance is at most epsilon while the parties' known
@@ -287,22 +295,25 @@ def _distribution(p: CoinProtocol, state: PureState) -> dict:
 # last-round conditioning
 
 
-def _condition_on_sender(p: CoinProtocol, state: PureState, allow_mixed_invalid: bool):
-    """Project the sender's outcome rule on the pre-transmission ``state``.
-
-    ``state`` is the honest state after all of ``p``'s rounds.  Returns
-    (sender, receiver, receiver machine, {label: (prob, rho)}) where rho is
-    the receiver-machine reduction conditioned on the sender reading that
-    label.  The channel still sits with the sender, so it is traced out.
-    """
+def _last_sender(p: CoinProtocol) -> str:
     if not p.rounds:
         raise ValueError("protocol has no rounds; nothing to condition on")
-    sender = p.rounds[-1].actor
-    receiver = other_actor(sender)
-    keep = p.partition.holding(receiver, sender)
+    return p.rounds[-1].actor
+
+
+def _condition_on_sender(partition: Partition, sender: str, rules: dict,
+                         state: PureState, allow_mixed_invalid: bool):
+    """Project the sender's outcome ``rules`` on the pre-transmission ``state``.
+
+    ``state`` is the honest state after the sender's round.  Returns
+    (receiver machine, {label: (prob, rho)}) where rho is the
+    receiver-machine reduction conditioned on the sender reading that
+    label.  The channel still sits with the sender, so it is traced out.
+    """
+    keep = partition.holding(other_actor(sender), sender)
     conditional = {}
     for label in OUTCOME_LABELS:
-        prob, post = p.outcome_rules[sender][label].project(state)
+        prob, post = rules[label].project(state)
         if post is None:
             continue
         conditional[label] = (prob, qcore.partial_trace(post, keep))
@@ -314,7 +325,7 @@ def _condition_on_sender(p: CoinProtocol, state: PureState, allow_mixed_invalid:
                 f"the invalid outcome conditions the receiver on a mixed state "
                 f"(purity {purity:.6g}); pass allow_mixed_invalid=True to drop "
                 "the single-pure-state assumption")
-    return sender, receiver, keep, conditional
+    return keep, conditional
 
 
 def _triple_of(conditional) -> FidelityTriple:
@@ -330,7 +341,9 @@ def _triple_of(conditional) -> FidelityTriple:
 
 def last_round_fidelities(p: CoinProtocol, *, allow_mixed_invalid=False) -> FidelityTriple:
     """Pairwise fidelities of the receiver's sender-conditioned states."""
-    _, _, _, conditional = _condition_on_sender(p, run_rounds(p), allow_mixed_invalid)
+    sender = _last_sender(p)
+    _, conditional = _condition_on_sender(p.partition, sender, p.outcome_rules[sender],
+                                          run_rounds(p), allow_mixed_invalid)
     return _triple_of(conditional)
 
 
@@ -351,7 +364,13 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
     ``tol`` is a finite number in [0, 1).
     """
     _check_tol(tol, "tol")
-    return _truncate(p, run_rounds(p), tol, allow_mixed_invalid)[1]
+    state = run_rounds(p)
+    sender = _last_sender(p)
+    _, receiver_rules = _receiver_rules(p, p.num_rounds, p.outcome_rules[sender], state,
+                                        tol, allow_mixed_invalid)
+    return replace(p, rounds=p.rounds[:-1],
+                   outcome_rules={sender: _pulled_back_rules(p, sender),
+                                  other_actor(sender): receiver_rules})
 
 
 def _check_tol(tol, name: str):
@@ -364,15 +383,21 @@ def _check_tol(tol, name: str):
         raise ValueError(f"{name} must be a number in [0, 1), got {tol!r}")
 
 
-def _truncate(p: CoinProtocol, state: PureState, tol, allow_mixed_invalid):
-    """(fidelity triple, truncated protocol) from one conditioning on the sender.
+def _receiver_rules(p: CoinProtocol, k: int, rules: dict, state: PureState, tol,
+                    allow_mixed_invalid):
+    """(fidelity triple, receiver's rules) for deleting round ``k`` of ``p``.
 
-    ``state`` is the honest state after all of ``p``'s rounds.
+    ``rules`` are the outcome rules of round k's sender in the k-round
+    truncation of ``p``, and ``state`` is the honest state after round k.
+    The receiver's new rules, on their machine, are the supports of their
+    sender-conditioned states, with I - S0 - S1 as invalid.
     """
-    sender, receiver, keep, conditional = _condition_on_sender(p, state, allow_mixed_invalid)
+    sender = p.rounds[k - 1].actor
+    keep, conditional = _condition_on_sender(p.partition, sender, rules, state,
+                                             allow_mixed_invalid)
     triple = _triple_of(conditional)
     if triple.max_fidelity() > tol:
-        raise NotIdealError(p.num_rounds, triple, tol)
+        raise NotIdealError(k, triple, tol)
 
     dim = 2 ** len(keep)
     supports = {}
@@ -382,23 +407,27 @@ def _truncate(p: CoinProtocol, state: PureState, tol, allow_mixed_invalid):
         else:
             supports[label] = np.zeros((dim, dim), dtype=complex)
     remainder = np.eye(dim, dtype=complex) - supports["0"] - supports["1"]
-    receiver_rules = {
+    return triple, {
         "0": Projector(keep, supports["0"]),
         "1": Projector(keep, supports["1"]),
         "invalid": Projector(keep, remainder),
     }
 
-    last = p.rounds[-1]
-    sender_space = p.partition.holding(sender, sender)
-    unitary = qcore._circuit_matrix(last.ops, sender_space)
-    sender_rules = {}
-    for label in OUTCOME_LABELS:
-        lifted = p.outcome_rules[sender][label].lifted_matrix(sender_space)
-        sender_rules[label] = Projector(
-            sender_space, unitary.conj().T @ lifted @ unitary)
 
-    return triple, replace(p, rounds=p.rounds[:-1],
-                           outcome_rules={sender: sender_rules, receiver: receiver_rules})
+def _pulled_back_rules(p: CoinProtocol, sender: str) -> dict:
+    """The last sender's rules conjugated by their deleted round's unitary.
+
+    They act on the sender's machine and the channel, which the sender
+    holds again once the round is gone.
+    """
+    sender_space = p.partition.holding(sender, sender)
+    unitary = qcore._circuit_matrix(p.rounds[-1].ops, sender_space)
+    rules = p.outcome_rules[sender]
+    return {
+        label: Projector(sender_space,
+                         unitary.conj().T @ rules[label].lifted_matrix(sender_space) @ unitary)
+        for label in OUTCOME_LABELS
+    }
 
 
 def _channel_holder(p: CoinProtocol) -> str:
@@ -426,32 +455,43 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     done, and psi_0 gives the zero-round mutual information.
     Truncation rewrites only outcome rules, never the state before the
     deleted round, so gate applications are linear in N.  The cost is
-    memory: up to (N+1) * 2^n * 16 bytes of states at once.  Raises
-    ValueError unless ``tol`` is a finite number in [0, 1).
+    memory: up to (N+1) * 2^n * 16 bytes of states at once.
+
+    The rounds must alternate actors, as every parsed coin protocol's do.
+    Then the receiver of round k+1 is the sender of round k, so the rules
+    that step k+1 builds for its receiver are the ones step k conditions
+    on, and the sender's pulled-back rules would be replaced unread.  The
+    induction therefore builds neither a truncated protocol nor a
+    pulled-back rule; ``truncate_last_round`` still builds both.  The
+    channel of the zero-round protocol sits with round 1's sender.
+    Raises ValueError for rounds that repeat an actor, and unless ``tol``
+    is a finite number in [0, 1).
     """
     _check_tol(tol, "tol")
+    for k, (before, after) in enumerate(zip(p.rounds, p.rounds[1:]), start=2):
+        if before.actor == after.actor:
+            raise ValueError(f"rounds {k - 1} and {k} are both {after.actor}'s; the "
+                             "induction needs rounds that alternate actors")
     states = _round_states(p)
     distribution = _distribution(p, states[-1])
     steps = []
-    current = p
-    while current.rounds:
+    rules = p.outcome_rules[p.rounds[-1].actor] if p.rounds else None
+    for k in range(p.num_rounds, 0, -1):
         try:
-            triple, truncated = _truncate(current, states.pop(), tol,
-                                          allow_mixed_invalid)
+            triple, rules = _receiver_rules(p, k, rules, states.pop(), tol,
+                                            allow_mixed_invalid)
         except NotIdealError as exc:
             return InductionVerdict(
                 verdict="not_ideal", rounds=p.num_rounds, steps=tuple(steps),
                 mutual_information=None, witness_round=exc.round_index,
                 witness_fidelity=exc.fidelity, witness_pair=exc.pair,
                 message=f"not ideal: {exc}", outcome_distribution=distribution)
-        steps.append(TruncationStep(
-            round_index=current.num_rounds, sender=current.rounds[-1].actor,
-            triple=triple))
-        current = truncated
+        steps.append(TruncationStep(round_index=k, sender=p.rounds[k - 1].actor,
+                                    triple=triple))
 
     state = states.pop()
-    a_side = current.partition.holding("alice", _channel_holder(current))
-    mi = qcore.mutual_information(state, a_side)
+    holder = p.rounds[0].actor if p.rounds else _channel_holder(p)
+    mi = qcore.mutual_information(state, p.partition.holding("alice", holder))
     shown = "0" if mi <= MI_TOL else f"{mi:.3e}"
     return InductionVerdict(
         verdict="contradiction", rounds=p.num_rounds, steps=tuple(steps),

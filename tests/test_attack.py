@@ -114,21 +114,21 @@ def test_report_validates_overlap_identity():
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_parameter_inference():
-    doc, _ = resolve_document("leaky-bc")
-    assert sweep_parameter(doc) == "theta"
-    assert sweep_parameter(doc, "theta") == "theta"
+    p = load_protocol("leaky-bc")
+    assert sweep_parameter(p) == "theta"
+    assert sweep_parameter(p, "theta") == "theta"
 
 
 def test_sweep_parameter_rejects_unknown_name():
-    doc, _ = resolve_document("leaky-bc")
+    p = load_protocol("leaky-bc")
     with pytest.raises(ProtocolError, match="phi"):
-        sweep_parameter(doc, "phi")
+        sweep_parameter(p, "phi")
 
 
 def test_sweep_parameter_needs_exactly_one_candidate():
-    doc, _ = resolve_document("bell-bc")
+    p = load_protocol("bell-bc")
     with pytest.raises(ProtocolError):
-        sweep_parameter(doc)
+        sweep_parameter(p)
 
 
 def test_attack_sweep_over_the_leaky_family():

@@ -365,6 +365,18 @@ def test_malformed_grid_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_sweep_on_a_numeric_parameter_key(tmp_path, capsys):
+    # YAML reads the key 1 as an int; the parser declares the parameter "1"
+    doc, _ = proto.resolve_document("bell-bc")
+    path = tmp_path / "numeric.yaml"
+    path.write_text(proto.document_to_yaml({**doc, "params": {1: 0.5}}), encoding="utf-8")
+    for extra in ([], ["--param", "1"]):
+        assert cli.main(["sweep", "--protocol", str(path), "--grid", "0:1:2", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["param"] == "1"
+        assert [pt["error"] for pt in report["points"]] == [None, None]
+
+
 def test_unknown_sweep_param_is_input_error():
     assert cli.main(["sweep", "--protocol", "leaky-bc", "--grid", "0:1:2",
                      "--param", "phi"]) == 2

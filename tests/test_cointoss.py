@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -250,9 +251,10 @@ def test_induction_replays_the_rounds_once_per_step(monkeypatch, name, runs):
     # one honest state per truncation step, plus the zero-round state at the
     # end, each a distinct state of the forward pass
     used = []
-    real_truncate, real_mi = cointoss._truncate, qcore.mutual_information
-    monkeypatch.setattr(cointoss, "_truncate",
-                        lambda q, state, *rest: used.append(state) or real_truncate(q, state, *rest))
+    real_receiver, real_mi = cointoss._receiver_rules, qcore.mutual_information
+    monkeypatch.setattr(
+        cointoss, "_receiver_rules",
+        lambda q, k, rules, state, *rest: used.append(state) or real_receiver(q, k, rules, state, *rest))
     monkeypatch.setattr(qcore, "mutual_information",
                         lambda state, side: used.append(state) or real_mi(state, side))
     induction_report(load_coin_protocol(name))
@@ -306,8 +308,9 @@ def test_induction_applies_each_gate_once(monkeypatch, perfbench_gen):
 
 
 def test_truncation_lifts_only_the_sender_rules(monkeypatch, perfbench_gen):
-    # a truncation lifts the sender's three rules once; it checks nothing
-    # the parser already checked, so no completeness lift per step
+    # truncate_last_round lifts the sender's three rules once to pull them
+    # back, and checks nothing the parser already checked, so no
+    # completeness lift; the induction pulls back nothing, so it lifts none
     lifts = []
     real = Projector.lifted_matrix
     monkeypatch.setattr(Projector, "lifted_matrix",
@@ -316,7 +319,11 @@ def test_truncation_lifts_only_the_sender_rules(monkeypatch, perfbench_gen):
         lifts.clear()
         rep = induction_report(p)
         assert rep.steps, name
-        assert len(lifts) == 3 * len(rep.steps), name
+        assert lifts == [], name
+        for _ in rep.steps:
+            p = truncate_last_round(p)
+            assert len(lifts) == 3, name
+            lifts.clear()
 
 
 def _replayed_induction(p):
@@ -350,6 +357,92 @@ def test_induction_matches_the_replayed_truncations_bit_for_bit(perfbench_gen, v
     else:
         assert rep.verdict == "not_ideal"
         assert (rep.witness_pair, rep.witness_fidelity) == refused.worst_pair()
+
+
+def _asymmetric_coin(alice, bob, first, hadamard, rounds=8):
+    """A coin like perfbench's on ``alice`` + ``bob`` + 1 qubits, ``first`` sending first.
+
+    Round 1 copies ``first``'s outcome qubit into the channel, round 2 copies
+    the channel into the other party's outcome qubit.  In each later round
+    the sender applies Z to the qubit holding their record and a seeded RY
+    to a free qubit of theirs; a sender's first and third later rounds swap
+    the record onto an idle qubit and back, so the rules the middle steps
+    condition on read other qubits than the parsed ones.  With ``hadamard``
+    ``first`` puts the outcome qubit in superposition, which makes round 1
+    non-orthogonal.
+    """
+    rng = np.random.default_rng([alice, bob, rounds])
+    machines = {"alice": list(range(alice)), "bob": list(range(alice, alice + bob))}
+    channel = alice + bob
+    second = "bob" if first == "alice" else "alice"
+    outcome = {actor: qubits[0] for actor, qubits in machines.items()}
+    record = dict(outcome)
+    plan = [{"actor": first, "ops": [{"gate": "CX", "targets": [outcome[first], channel]}]},
+            {"actor": second, "ops": [{"gate": "CX", "targets": [channel, outcome[second]]}]}]
+    for k in range(2, rounds):
+        actor = (first, second)[k % 2]
+        o, idle = machines[actor][0], machines[actor][1]
+        ops = []
+        if (k - 2) // 2 % 3 != 1:
+            ops.append({"gate": "SWAP", "targets": [o, idle]})
+            record[actor] = idle if record[actor] == o else o
+        free = [q for q in machines[actor] if q != record[actor]]
+        ops.append({"gate": "Z", "targets": [record[actor]]})
+        ops.append({"gate": "RY", "targets": [free[int(rng.integers(len(free)))]],
+                    "angle": float(rng.uniform(0.0, math.pi))})
+        plan.append({"actor": actor, "ops": ops})
+    assert record == outcome
+    doc = {"name": f"coin-a{alice}-b{bob}", "kind": "coin-toss",
+           "qubits": {"alice": alice, "bob": bob, "channel": 1}}
+    if hadamard:
+        doc["initial"] = {first: [{"gate": "H", "targets": [outcome[first]]}]}
+    doc["rounds"] = plan
+    doc["outcomes"] = {
+        actor: {"0": {"qubits": [q], "accept_states": ["0"]},
+                "1": {"qubits": [q], "accept_states": ["1"]},
+                "invalid": {"qubits": [q], "zero": True}}
+        for actor, q in outcome.items()}
+    return parse_coin_protocol(doc)
+
+
+@pytest.mark.parametrize("alice, bob, first", [(4, 2, "alice"), (2, 4, "bob")])
+@pytest.mark.parametrize("hadamard", [False, True])
+def test_induction_matches_the_pulled_back_chain_on_asymmetric_registers(
+        monkeypatch, alice, bob, first, hadamard):
+    # the induction carries each step's receiver rules to the next step;
+    # the public chain pulls the sender's rules back through every round
+    p = _asymmetric_coin(alice, bob, first, hadamard)
+    sides = []
+    real_mi = qcore.mutual_information
+    monkeypatch.setattr(qcore, "mutual_information",
+                        lambda state, side: sides.append(side) or real_mi(state, side))
+    rep = induction_report(p)
+    monkeypatch.undo()
+
+    protocols, triples, refused = _replayed_induction(p)
+    assert rep.steps == tuple(
+        cointoss.TruncationStep(q.num_rounds, q.rounds[-1].actor, triple)
+        for q, triple in zip(protocols, triples))
+    assert len(rep.steps) == (7 if hadamard else 8)
+    if hadamard:
+        assert rep.verdict == "not_ideal"
+        assert rep.witness_round == 1
+        assert (rep.witness_pair, rep.witness_fidelity) == refused.worst_pair()
+        assert rep.mutual_information is None and sides == []
+    else:
+        assert refused is None and rep.verdict == "contradiction"
+        empty = protocols[-1]
+        assert empty.num_rounds == 0
+        assert cointoss._channel_holder(empty) == first
+        assert sides == [empty.partition.holding("alice", first)]
+        assert rep.mutual_information == real_mi(run_rounds(empty), sides[0])
+
+
+def test_induction_refuses_rounds_that_repeat_an_actor():
+    p = _asymmetric_coin(4, 2, "alice", False)
+    twice = replace(p, rounds=p.rounds[:2] + p.rounds[1:])
+    with pytest.raises(ValueError, match="rounds 2 and 3 are both bob's"):
+        induction_report(twice)
 
 
 def test_cointoss_command_runs_the_rounds_once(monkeypatch, perfbench_gen, tmp_path):
