@@ -10,6 +10,7 @@ so a concealing protocol (small delta) is an open book for her.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .schmidt import uhlmann_unitary
 PROBABILITY_DUST = 1e-9
 PROBABILITY_CEILING = 1.0 + 1e-9
 OVERLAP_IDENTITY_TOL = 1e-6
+CHEAT_BOUND_TOL = 1e-9
 
 
 def _clamp_probability(value: float) -> float:
@@ -62,6 +64,15 @@ class AttackReport:
             raise InvariantViolation(
                 f"achieved overlap {self.achieved_overlap} disagrees with "
                 f"1 - delta = {1.0 - self.delta} by {drift:.3e}")
+        # Bob's acceptance is one projector after one unitary, so it tells the
+        # cheat state from the honest b=1 state no better than their trace
+        # distance sqrt(1 - overlap^2) does (Lo-Chau's cheat bound)
+        gap = abs(self.cheat_accept - self.honest_accept[1])
+        bound = math.sqrt(max(0.0, 1.0 - self.achieved_overlap ** 2))
+        if gap > bound + CHEAT_BOUND_TOL:
+            raise InvariantViolation(
+                f"cheat acceptance {self.cheat_accept} is {gap:.3e} from the honest "
+                f"b=1 acceptance, beyond the trace-distance bound {bound:.3e}")
 
 
 def epr_attack(p: Protocol, custody=None) -> AttackReport:

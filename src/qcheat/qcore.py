@@ -6,9 +6,9 @@ Conventions used throughout the package:
   state |q0 q1 ... q_{n-1}> sits at index q0*2^(n-1) + ... + q_{n-1}.
   Reshaping an amplitude vector to shape (2,)*n therefore maps qubit k to
   tensor axis k.
-* Registers are capped at 24 qubits; any operation that materialises a
-  2^a x 2^b coefficient matrix requires each side to stay at or below
-  12 qubits.
+* Registers are capped at 24 qubits.  Every bipartite quantity reads the
+  2^a x 2^b coefficient matrix of one split, ``_split``, whose row side,
+  the side square matrices are formed on, stays at or below 12 qubits.
 * Gates go through one kernel, ``apply_circuit``.  It fuses each gate list
   (a round) into dense blocks on at most FUSE_QUBITS qubits and checks the
   norm once per call.  ``apply_gate`` is its one-gate case.
@@ -118,13 +118,6 @@ class DensityMatrix:
                 f"smallest eigenvalue {lo!r} is below -{EIGENVALUE_TOL}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "dim", entries.shape[0])
-
-    @property
-    def num_qubits(self) -> int:
-        n = int(math.log2(self.dim))
-        if 2 ** n != self.dim:
-            raise InvariantViolation(f"dimension {self.dim} is not a power of two")
-        return n
 
 
 @dataclass(frozen=True)
@@ -390,38 +383,30 @@ def apply_gate(state: PureState, op: GateOp) -> PureState:
     return apply_circuit(state, (op,))
 
 
-def partial_trace(state: PureState, keep) -> DensityMatrix:
-    """Reduced density matrix of ``state`` on the ``keep`` qubits.
+def _split(state: PureState, rows) -> tuple:
+    """(rows, cols, M): the coefficient matrix of ``state`` across one cut.
 
-    Implemented by permuting the kept axes to the front, flattening to the
-    2^k x 2^(n-k) coefficient matrix M and forming M M^dagger.
+    ``rows`` is sorted and indexes the 2^|rows| rows of M; the rest of the
+    register, in order, indexes its columns.  Both sides must be nonempty.
+    Only the row side is capped at MAX_SIDE_QUBITS: every caller puts there
+    the side it forms square matrices on.
     """
-    keep = tuple(sorted(_check_targets(keep, state.num_qubits, "keep")))
-    if len(keep) == 0:
-        raise ValueError("keep set must be nonempty")
-    if len(keep) > MAX_SIDE_QUBITS:
+    n = state.num_qubits
+    rows = tuple(sorted(_check_targets(rows, n, "side")))
+    cols = tuple(q for q in range(n) if q not in rows)
+    if not rows or not cols:
+        raise ValueError("both sides of the split must be nonempty")
+    if len(rows) > MAX_SIDE_QUBITS:
         raise ValueError(
-            f"cannot keep {len(keep)} qubits; sides are capped at {MAX_SIDE_QUBITS}")
-    rest = tuple(q for q in range(state.num_qubits) if q not in keep)
-    mat = state.tensor().transpose(keep + rest).reshape(2 ** len(keep), -1)
+            f"cannot form a {len(rows)}-qubit side; sides are capped at {MAX_SIDE_QUBITS}")
+    return rows, cols, state.tensor().transpose(rows + cols).reshape(2 ** len(rows), -1)
+
+
+def partial_trace(state: PureState, keep) -> DensityMatrix:
+    """Reduced density matrix of ``state`` on the ``keep`` qubits: M M^dagger
+    of the split with ``keep`` as its rows."""
+    mat = _split(state, keep)[2]
     return DensityMatrix(mat @ mat.conj().T)
-
-
-def reduce_density(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Partial trace of a density matrix down to the ``keep`` qubits."""
-    n = rho.num_qubits
-    keep = tuple(sorted(_check_targets(keep, n, "keep")))
-    if len(keep) == 0:
-        raise ValueError("keep set must be nonempty")
-    tensor = rho.entries.reshape((2,) * (2 * n))
-    # trace out the dropped axes highest-first so earlier positions stay valid
-    dropped = [q for q in range(n) if q not in keep]
-    remaining = n
-    for q in sorted(dropped, reverse=True):
-        tensor = np.trace(tensor, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    d = 2 ** len(keep)
-    return DensityMatrix(tensor.reshape(d, d))
 
 
 def matrix_sqrt_psd(matrix) -> np.ndarray:
@@ -446,39 +431,30 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def _entropy_bits(probs) -> float:
+    """Shannon entropy in bits; probabilities below 1e-12 contribute zero."""
+    probs = probs[probs > ENTROPY_CUTOFF]
+    return float(-np.sum(probs * np.log2(probs))) + 0.0  # never -0.0
+
+
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits; eigenvalues below 1e-12 contribute zero."""
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh(mat)
-    vals = vals[vals > ENTROPY_CUTOFF]
-    return float(-np.sum(vals * np.log2(vals))) + 0.0  # never -0.0
+    return _entropy_bits(np.linalg.eigvalsh(mat))
 
 
-def mutual_information(state, a_side) -> float:
-    """Quantum mutual information I(A:B) = S(A) + S(B) - S(AB) in bits.
+def mutual_information(state: PureState, a_side) -> float:
+    """Quantum mutual information I(A:B) of a pure state, in bits.
 
-    ``state`` may be a PureState or a DensityMatrix on the full register;
-    ``a_side`` lists the qubits of side A, the rest form side B.
+    ``a_side`` lists the qubits of side A, the rest form side B.  A pure
+    joint state has S(AB) = 0 and S(A) = S(B), so I = 2 S(A), read off the
+    Schmidt coefficients of one split with the smaller side as its rows.
     """
-    if isinstance(state, PureState):
-        n = state.num_qubits
-        a = tuple(sorted(_check_targets(a_side, n, "a_side")))
-        b = tuple(q for q in range(n) if q not in a)
-        if not a or not b:
-            raise ValueError("both sides of the split must be nonempty")
-        s_a = von_neumann_entropy(partial_trace(state, a))
-        s_b = von_neumann_entropy(partial_trace(state, b))
-        return s_a + s_b  # pure joint state has S(AB) = 0
-    if isinstance(state, DensityMatrix):
-        n = state.num_qubits
-        a = tuple(sorted(_check_targets(a_side, n, "a_side")))
-        b = tuple(q for q in range(n) if q not in a)
-        if not a or not b:
-            raise ValueError("both sides of the split must be nonempty")
-        s_a = von_neumann_entropy(reduce_density(state, a))
-        s_b = von_neumann_entropy(reduce_density(state, b))
-        return s_a + s_b - von_neumann_entropy(state)
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    a = _check_targets(a_side, state.num_qubits, "side")
+    rows = a if 2 * len(a) <= state.num_qubits else [
+        q for q in range(state.num_qubits) if q not in a]
+    singular = np.linalg.svd(_split(state, rows)[2], compute_uv=False)
+    return 2.0 * _entropy_bits(singular ** 2)
 
 
 def zero_state(num_qubits: int) -> PureState:

@@ -15,31 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (
-    MAX_SIDE_QUBITS,
-    InvariantViolation,
-    PureState,
-    _check_targets,
-    partial_trace,
-)
+from .qcore import InvariantViolation, PureState, _split, partial_trace
 
 COEFF_CUTOFF = 1e-10
 BASIS_TOL = 1e-8
 WEIGHT_TOL = 1e-9
 IDEAL_REDUCTION_TOL = 1e-8
-
-
-def _split_matrix(state: PureState, a_side) -> tuple:
-    """Coefficient matrix of ``state`` with the A-side indices as rows."""
-    n = state.num_qubits
-    a = tuple(sorted(_check_targets(a_side, n, "a_side")))
-    b = tuple(q for q in range(n) if q not in a)
-    if not a or not b:
-        raise ValueError("both sides of the bipartition must be nonempty")
-    if len(a) > MAX_SIDE_QUBITS or len(b) > MAX_SIDE_QUBITS:
-        raise ValueError(f"bipartition sides are capped at {MAX_SIDE_QUBITS} qubits")
-    mat = state.tensor().transpose(a + b).reshape(2 ** len(a), 2 ** len(b))
-    return a, b, mat
 
 
 @dataclass(frozen=True)
@@ -101,7 +82,7 @@ def schmidt_decompose(state: PureState, a_side) -> SchmidtDecomposition:
     Coefficients below 1e-10 are dropped; the squares of the survivors
     are exactly the nonzero eigenvalues of either reduced state.
     """
-    a, b, mat = _split_matrix(state, a_side)
+    a, b, mat = _split(state, a_side)
     left, coeffs, right = np.linalg.svd(mat, full_matrices=False)
     keep = coeffs > COEFF_CUTOFF
     return SchmidtDecomposition(
@@ -120,8 +101,8 @@ def _polar_rotation(state0: PureState, state1: PureState, a_side) -> tuple:
     a deterministic orthonormal completion on the kernel, so the result is
     always a genuine unitary.
     """
-    a0, _, m0 = _split_matrix(state0, a_side)
-    a1, _, m1 = _split_matrix(state1, a_side)
+    a0, _, m0 = _split(state0, a_side)
+    a1, _, m1 = _split(state1, a_side)
     if a0 != a1 or state0.num_qubits != state1.num_qubits:
         raise ValueError("states must live on the same register and bipartition")
     left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
@@ -150,11 +131,7 @@ def cheating_unitary_ideal(state0: PureState, state1: PureState, a_side) -> np.n
     within 1e-8; when they merely overlap, use ``uhlmann_unitary`` for the
     optimal approximate rotation instead.
     """
-    n = state0.num_qubits
-    a = tuple(sorted(_check_targets(a_side, n, "a_side")))
-    b = tuple(q for q in range(n) if q not in a)
-    if not b:
-        raise ValueError("both sides of the bipartition must be nonempty")
+    a, b, _ = _split(state0, a_side)
     red0 = partial_trace(state0, b).entries
     red1 = partial_trace(state1, b).entries
     gap = float(np.max(np.abs(red0 - red1)))

