@@ -66,3 +66,32 @@ def test_shipped_reports_do_not_depend_on_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         runs[threads] = json.loads(done.stdout)
     assert runs["1"] == runs["2"] == _expected()
+
+
+# ``cointoss`` report digests of ``coin_documents(1, rounds)``, the coins the
+# benchmark's induction workload runs; recorded at one and two BLAS threads.
+COIN_DIGESTS = {
+    16: {"fixed": ("a20d85bc71a7032925e4b6d18bef6d92f86b592de811409db7bd3a88f6390ac3",
+                   "1e7174efd8385cea3de92d8d03eaab5c823272920fda11347247ccae0f3201d1"),
+         "hadamard": ("8958c828fa3d90f4a57aa5d65f7b7a637c85284c51082c089624d0b3c93ec5e4",
+                      "b50744d281a3fbfdb449b0f21de9b955145d4d39d3720b130891d2b8c4bf7fce")},
+    128: {"fixed": ("b21297e54b73cc212a377ce6593ced88c373b2f014bdd653a028b2fa0e84dd35",
+                    "df6fdb58d1e35195aac77939eb2af42e3378203c03c3f414a4af3989770d34fc"),
+          "hadamard": ("c0ab25486916d6fd76acc8d6d5d73fd48ffd7f29f4859811dc9a28c71259132d",
+                       "48c6c475841639d389384f100ba2e19704e77ec1bc18099290221ecdfb4d0aa0")},
+}
+
+
+def test_generated_coin_reports_match_recorded_digests(perfbench_gen, tmp_path):
+    out = tmp_path / "report.out"
+    for rounds, variants in COIN_DIGESTS.items():
+        for name, doc in perfbench_gen.coin_documents(1, rounds).items():
+            source = tmp_path / f"{name}.yaml"
+            source.write_text(perfbench_gen.to_yaml(doc), encoding="utf-8")
+            digests = []
+            for fmt in ("json", "csv"):
+                argv = ["cointoss", "--protocol", str(source), "--output", fmt,
+                        "--out", str(out)]
+                assert cli.main(argv) == 0, (name, fmt)
+                digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+            assert tuple(digests) == variants[name.rsplit("-", 1)[1]], name
