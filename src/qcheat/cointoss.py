@@ -18,14 +18,34 @@ therefore runs the rounds forward once, keeping each round's state
 ((N+1) * 2^n * 16 bytes for N rounds on n qubits), and consumes them from
 the last round back: gate applications are linear in the round count.
 
+Each step runs on coefficient matrices, as the attack does, and takes its
+fidelities by Uhlmann's theorem (Uhlmann 1976; Jozsa, J. Mod. Opt. 41,
+1994).  The sender's rules are isometries V with P = V V^dagger: a document
+rule's V comes from one ``eigh`` when the analysis starts, and every later
+rule from the step before.  For each label, V^dagger contracted into psi_k
+and cut with rows on the receiver's machine gives X with X X^dagger = p rho:
+p = ||X||_F^2 is the label's probability and rho the receiver's conditional
+state.  The pairwise fidelity is ||X_x^dagger X_y||_* / sqrt(p_x p_y),
+clamped at 1.  One thin SVD per present label gives the receiver's new
+rule, the left singular vectors with sigma^2 / p > SUPPORT_CUTOFF; "invalid"
+is the orthogonal complement of the "0" and "1" rules.  No reduced density
+matrix, matrix square root or projector is formed, and the checks those
+made stay at the step: the three probabilities sum to 1 within
+COMPLETENESS_TOL; each new rule is an isometry within PROJECTOR_TOL; the
+supports of "0" and "1" do not overlap, every singular value of [V0 V1]
+being 1 within PROJECTOR_TOL (a ``tol`` loose enough to let them overlap is
+a ValueError); the invalid outcome's purity is sum sigma^4 / p^2; and
+``FidelityTriple`` checks its bounds.  ``fidelity.fidelity_trace`` on the
+reduced states stays the independent route the tests compare against.
+
 ``parse_coin_protocol`` checks a document once; ``CoinProtocol`` is a plain
 record.  ``truncate_last_round`` keeps each invariant by construction.
 Deleting the last round leaves the rounds alternating and measurement-free,
 and both actors get rules under the same three labels.  The receiver, who
-sends the new last round, gets rules on their machine that sum to I (invalid
-is I - S0 - S1).  The sender, who now receives the channel, gets rules on
-their machine and the channel conjugated by the deleted round's unitary: their
-sum stays I up to rounding.
+sends the new last round, gets Projectors V V^dagger on their machine that
+sum to I (invalid is I - S0 - S1).  The sender, who now receives the
+channel, gets rules on their machine and the channel conjugated by the
+deleted round's unitary: their sum stays I up to rounding.
 
 ``induction_report`` builds neither a truncated protocol nor a pulled-back
 rule.  The parser requires the rounds to alternate actors, so the receiver
@@ -50,17 +70,19 @@ import numpy as np
 
 from . import protocol as proto
 from . import qcore
-from .fidelity import fidelity_trace
 from .protocol import (
     KIND_COIN,
+    PROJECTOR_TOL,
     ProtocolError,
     Projector,
     other_actor,
 )
 from .qcore import InvariantViolation, Partition, PureState, zero_state
+from .schmidt import _coefficient_fidelity
 
 IDEAL_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
+PRESENCE_CUTOFF = 1e-12
 PURITY_TOL = 1e-8
 COMPLETENESS_TOL = 1e-8
 MI_TOL = 1e-9
@@ -292,7 +314,7 @@ def _distribution(p: CoinProtocol, state: PureState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# last-round conditioning
+# last-round conditioning on coefficient matrices
 
 
 def _last_sender(p: CoinProtocol) -> str:
@@ -301,56 +323,100 @@ def _last_sender(p: CoinProtocol) -> str:
     return p.rounds[-1].actor
 
 
-def _condition_on_sender(partition: Partition, sender: str, rules: dict,
-                         state: PureState, allow_mixed_invalid: bool):
-    """Project the sender's outcome ``rules`` on the pre-transmission ``state``.
+def _isometries(rules: dict) -> dict:
+    """{label: (qubits, V)}: each Projector rule as an isometry, P = V V^dagger.
+
+    V holds the rule's eigenvectors of eigenvalue 1, from one ``eigh``; a
+    zero rule has no columns and takes none.
+    """
+    isometries = {}
+    for label, rule in rules.items():
+        if np.any(rule.matrix):
+            values, vectors = np.linalg.eigh(rule.matrix)
+            isometries[label] = (rule.qubits, vectors[:, values > 0.5])
+        else:
+            isometries[label] = (rule.qubits, np.zeros((len(rule.matrix), 0), dtype=complex))
+    return isometries
+
+
+def _conditionals(state: PureState, keep: tuple, rules: dict) -> dict:
+    """{label: (p, X)} for each label the sender reads with p > PRESENCE_CUTOFF.
+
+    X is (V^dagger x I) psi as a matrix with rows on ``keep``, the
+    receiver's machine, so X X^dagger = p rho for rho the receiver's state
+    conditioned on the label.  The channel still sits with the sender, so
+    it lies among the columns.  ``rules`` maps each label to (qubits, V);
+    V None is the orthogonal complement of the "0" and "1" isometries on
+    the same qubits.  Each label's block is contracted on its own, so the
+    probabilities of the three labels must sum to 1.
+    """
+    dim = 2 ** len(keep)
+    blocks, picked = {}, {}
+    for label in OUTCOME_LABELS:
+        qubits, v = rules[label]
+        if qubits not in blocks:
+            blocks[qubits] = qcore._split(state, keep, lead=qubits)[2].reshape(
+                dim, 2 ** len(qubits), -1)
+        if v is None:
+            picked[label] = (blocks[qubits] - rules["0"][1] @ picked["0"]
+                             - rules["1"][1] @ picked["1"])
+        else:
+            picked[label] = v.conj().T @ blocks[qubits]
+    probs = {label: float(np.vdot(x, x).real) for label, x in picked.items()}
+    total = sum(probs.values())
+    if abs(total - 1.0) > COMPLETENESS_TOL:
+        raise InvariantViolation(
+            f"outcome probabilities sum to {total!r}, not 1 within {COMPLETENESS_TOL}")
+    return {label: (probs[label], picked[label].reshape(dim, -1))
+            for label in OUTCOME_LABELS if probs[label] > PRESENCE_CUTOFF}
+
+
+def _condition(partition: Partition, sender: str, rules: dict, state: PureState,
+               allow_mixed_invalid: bool):
+    """Condition the receiver on the sender's outcome ``rules`` (isometries).
 
     ``state`` is the honest state after the sender's round.  Returns
-    (receiver machine, {label: (prob, rho)}) where rho is the
-    receiver-machine reduction conditioned on the sender reading that
-    label.  The channel still sits with the sender, so it is traced out.
+    (receiver machine, {label: (p, X, W^dagger, s)}, fidelity triple).  X
+    is the label's coefficient matrix, cut to the receiver's dimension by a
+    QR of X^dagger when it has more columns than rows: X X^dagger is
+    unchanged, and so are X's exact zero rows.  Each present label takes
+    one thin SVD, X = U diag(s) W^dagger, so s^2 / p are the eigenvalues
+    of the conditional state, and each pairwise fidelity is Uhlmann's on
+    the X / sqrt(p).
     """
     keep = partition.holding(other_actor(sender), sender)
-    conditional = {}
-    for label in OUTCOME_LABELS:
-        prob, post = rules[label].project(state)
-        if post is None:
-            continue
-        conditional[label] = (prob, qcore.partial_trace(post, keep))
-    if "invalid" in conditional and not allow_mixed_invalid:
-        rho = conditional["invalid"][1].entries
-        purity = float(np.real(np.trace(rho @ rho)))
+    factors = {}
+    for label, (prob, x) in _conditionals(state, keep, rules).items():
+        if x.shape[1] > x.shape[0]:
+            x = np.linalg.qr(x.conj().T, mode="r").conj().T
+        _, s, wh = np.linalg.svd(x, full_matrices=False)
+        factors[label] = (prob, x, wh, s)
+    if "invalid" in factors and not allow_mixed_invalid:
+        prob, _, _, s = factors["invalid"]
+        purity = float(np.sum((s ** 2 / prob) ** 2))
         if purity < 1.0 - PURITY_TOL:
             raise ValueError(
                 f"the invalid outcome conditions the receiver on a mixed state "
                 f"(purity {purity:.6g}); pass allow_mixed_invalid=True to drop "
                 "the single-pure-state assumption")
-    return keep, conditional
 
-
-def _triple_of(conditional) -> FidelityTriple:
     def pair(x, y):
-        if x in conditional and y in conditional:
-            return fidelity_trace(conditional[x][1], conditional[y][1])
+        if x in factors and y in factors:
+            (px, mx, _, _), (py, my, _, _) = factors[x], factors[y]
+            return _coefficient_fidelity(mx / math.sqrt(px), my / math.sqrt(py))
         return None
 
-    return FidelityTriple(
+    triple = FidelityTriple(
         f01=pair("0", "1"), f0inv=pair("0", "invalid"), f1inv=pair("1", "invalid"),
-        present=tuple(label for label in OUTCOME_LABELS if label in conditional))
+        present=tuple(factors))
+    return keep, factors, triple
 
 
 def last_round_fidelities(p: CoinProtocol, *, allow_mixed_invalid=False) -> FidelityTriple:
     """Pairwise fidelities of the receiver's sender-conditioned states."""
     sender = _last_sender(p)
-    _, conditional = _condition_on_sender(p.partition, sender, p.outcome_rules[sender],
-                                          run_rounds(p), allow_mixed_invalid)
-    return _triple_of(conditional)
-
-
-def _support_projector(rho: np.ndarray) -> np.ndarray:
-    values, vectors = np.linalg.eigh(rho)
-    basis = vectors[:, values > SUPPORT_CUTOFF]
-    return basis @ basis.conj().T
+    return _condition(p.partition, sender, _isometries(p.outcome_rules[sender]),
+                      run_rounds(p), allow_mixed_invalid)[2]
 
 
 def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
@@ -359,18 +425,24 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
 
     The receiver's new rule discriminates the supports of their conditional
     states (everything else counts as invalid); the sender's rule is pulled
-    back through the deleted round's unitary.  Raises NotIdealError when
-    any conditional pair has fidelity above ``tol``, and ValueError unless
-    ``tol`` is a finite number in [0, 1).
+    back through the deleted round's unitary.  Both come back as checked
+    Projectors.  Raises NotIdealError when any conditional pair has
+    fidelity above ``tol``, and ValueError unless ``tol`` is a finite
+    number in [0, 1) or when the receiver's supports overlap.
     """
     _check_tol(tol, "tol")
     state = run_rounds(p)
     sender = _last_sender(p)
-    _, receiver_rules = _receiver_rules(p, p.num_rounds, p.outcome_rules[sender], state,
-                                        tol, allow_mixed_invalid)
+    _, rules = _receiver_rules(p, p.num_rounds, _isometries(p.outcome_rules[sender]), state,
+                               tol, allow_mixed_invalid)
+    (keep, v0), (_, v1) = rules["0"], rules["1"]
+    s0, s1 = v0 @ v0.conj().T, v1 @ v1.conj().T
     return replace(p, rounds=p.rounds[:-1],
                    outcome_rules={sender: _pulled_back_rules(p, sender),
-                                  other_actor(sender): receiver_rules})
+                                  other_actor(sender): {
+                                      "0": Projector(keep, s0),
+                                      "1": Projector(keep, s1),
+                                      "invalid": Projector(keep, np.eye(len(s0)) - s0 - s1)}})
 
 
 def _check_tol(tol, name: str):
@@ -387,31 +459,44 @@ def _receiver_rules(p: CoinProtocol, k: int, rules: dict, state: PureState, tol,
                     allow_mixed_invalid):
     """(fidelity triple, receiver's rules) for deleting round ``k`` of ``p``.
 
-    ``rules`` are the outcome rules of round k's sender in the k-round
+    ``rules`` are the isometries of round k's sender in the k-round
     truncation of ``p``, and ``state`` is the honest state after round k.
     The receiver's new rules, on their machine, are the supports of their
-    sender-conditioned states, with I - S0 - S1 as invalid.
+    sender-conditioned states: for "0" and "1" the left singular vectors
+    with s^2 / p > SUPPORT_CUTOFF, each checked to be an isometry; invalid
+    is the complement of both (V None).  Raises ValueError when the two
+    supports overlap, which a loose ``tol`` allows: then some singular
+    value of [V0 V1] is not 1.
     """
     sender = p.rounds[k - 1].actor
-    keep, conditional = _condition_on_sender(p.partition, sender, rules, state,
-                                             allow_mixed_invalid)
-    triple = _triple_of(conditional)
+    keep, factors, triple = _condition(p.partition, sender, rules, state, allow_mixed_invalid)
     if triple.max_fidelity() > tol:
         raise NotIdealError(k, triple, tol)
 
-    dim = 2 ** len(keep)
     supports = {}
     for label in ("0", "1"):
-        if label in conditional:
-            supports[label] = _support_projector(conditional[label][1].entries)
+        if label in factors:
+            # u = X w / sigma, not LAPACK's U: the product keeps X's exact
+            # zero rows, so orthogonal supports give fidelities of exactly 0
+            prob, x, wh, s = factors[label]
+            kept = s ** 2 > SUPPORT_CUTOFF * prob
+            v = x @ (wh[kept].conj().T / s[kept])
         else:
-            supports[label] = np.zeros((dim, dim), dtype=complex)
-    remainder = np.eye(dim, dtype=complex) - supports["0"] - supports["1"]
-    return triple, {
-        "0": Projector(keep, supports["0"]),
-        "1": Projector(keep, supports["1"]),
-        "invalid": Projector(keep, remainder),
-    }
+            v = np.zeros((2 ** len(keep), 0), dtype=complex)
+        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) > PROJECTOR_TOL:
+            raise InvariantViolation(f"support {label!r} is not an isometry within {PROJECTOR_TOL}")
+        supports[label] = (keep, v)
+    (_, v0), (_, v1) = supports["0"], supports["1"]
+    if v0.shape[1] and v1.shape[1]:
+        singular = np.linalg.svd(np.hstack([v0, v1]), compute_uv=False)
+        if np.max(np.abs(singular - 1.0)) > PROJECTOR_TOL:
+            cosine = float(np.max(np.abs(singular ** 2 - 1.0)))
+            raise ValueError(
+                f"round {k}: the receiver's supports overlap (largest principal cosine "
+                f"{cosine:.6g}); the orthogonality threshold {tol:g} (--ideal-tol) is too "
+                "loose to truncate this round")
+    supports["invalid"] = (keep, None)
+    return triple, supports
 
 
 def _pulled_back_rules(p: CoinProtocol, sender: str) -> dict:
@@ -453,6 +538,11 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     state psi_0 ... psi_N; the verdict's outcome distribution is read off
     psi_N, the step that truncates round k pops psi_k and drops it when
     done, and psi_0 gives the zero-round mutual information.
+    Each step conditions on isometries, not projectors: the last sender's
+    document rules become isometries by one ``eigh`` each, and each step
+    hands its receiver's supports, from one thin SVD per present label, to
+    the next step as that step's sender rules (see the module docstring
+    for the kernel and the checks it keeps at every step).
     Truncation rewrites only outcome rules, never the state before the
     deleted round, so gate applications are linear in N.  The cost is
     memory: up to (N+1) * 2^n * 16 bytes of states at once.
@@ -464,8 +554,9 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     induction therefore builds neither a truncated protocol nor a
     pulled-back rule; ``truncate_last_round`` still builds both.  The
     channel of the zero-round protocol sits with round 1's sender.
-    Raises ValueError for rounds that repeat an actor, and unless ``tol``
-    is a finite number in [0, 1).
+    Raises ValueError for rounds that repeat an actor, unless ``tol`` is a
+    finite number in [0, 1), and when a ``tol`` above some round's
+    fidelity lets that round's supports overlap.
     """
     _check_tol(tol, "tol")
     for k, (before, after) in enumerate(zip(p.rounds, p.rounds[1:]), start=2):
@@ -475,7 +566,7 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     states = _round_states(p)
     distribution = _distribution(p, states[-1])
     steps = []
-    rules = p.outcome_rules[p.rounds[-1].actor] if p.rounds else None
+    rules = _isometries(p.outcome_rules[p.rounds[-1].actor]) if p.rounds else None
     for k in range(p.num_rounds, 0, -1):
         try:
             triple, rules = _receiver_rules(p, k, rules, states.pop(), tol,

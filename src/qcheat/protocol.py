@@ -25,7 +25,6 @@ from .qcore import GateOp, InvariantViolation, Partition, PureState, zero_state
 from .schmidt import uhlmann_unitary
 
 PROJECTOR_TOL = 1e-8
-PRESENCE_CUTOFF = 1e-12
 BRANCH_CUTOFF = 1e-15
 # Bob's holdings up to this many qubits take the trace route to F in
 # commit_fidelity, which costs under 0.5 ms at this size.  The Gram route
@@ -103,15 +102,6 @@ class Projector:
         projected = qcore._apply_matrix(
             state.amplitudes, self.matrix, self.qubits, state.num_qubits)
         return float(np.real(np.vdot(state.amplitudes, projected)))
-
-    def project(self, state: PureState):
-        """(probability, normalized post-state or None at or below PRESENCE_CUTOFF)."""
-        projected = qcore._apply_matrix(
-            state.amplitudes, self.matrix, self.qubits, state.num_qubits)
-        prob = float(np.real(np.vdot(projected, projected)))
-        if prob <= PRESENCE_CUTOFF:
-            return prob, None
-        return prob, PureState(projected / math.sqrt(prob))
 
     def lifted_matrix(self, space) -> np.ndarray:
         """The same operator written on a sorted superset of qubits."""

@@ -383,17 +383,21 @@ def apply_gate(state: PureState, op: GateOp) -> PureState:
     return apply_circuit(state, (op,))
 
 
-def _split(state: PureState, rows) -> tuple:
+def _split(state: PureState, rows, lead=()) -> tuple:
     """(rows, cols, M): the coefficient matrix of ``state`` across one cut.
 
     ``rows`` is sorted and indexes the 2^|rows| rows of M; the rest of the
-    register, in order, indexes its columns.  Both sides must be nonempty.
+    register indexes its columns: the ``lead`` qubits first, in the order
+    given, then the others in order.  Both sides must be nonempty.
     Only the row side is capped at MAX_SIDE_QUBITS: every caller puts there
     the side it forms square matrices on.
     """
     n = state.num_qubits
     rows = tuple(sorted(_check_targets(rows, n, "side")))
-    cols = tuple(q for q in range(n) if q not in rows)
+    lead = _check_targets(lead, n, "side")
+    if set(lead) & set(rows):
+        raise ValueError("the leading column qubits overlap the row side")
+    cols = lead + tuple(q for q in range(n) if q not in rows and q not in lead)
     if not rows or not cols:
         raise ValueError("both sides of the split must be nonempty")
     if len(rows) > MAX_SIDE_QUBITS:

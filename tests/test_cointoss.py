@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcheat import cli, cointoss, qcore
+from qcheat import cli, cointoss, fidelity, qcore
 from qcheat.cointoss import (
     CoinProtocol,
     FidelityTriple,
@@ -26,6 +26,7 @@ from qcheat.cointoss import (
 )
 from qcheat.protocol import Projector, ProtocolError, document_to_yaml
 from qcheat.qcore import InvariantViolation
+from test_attack import count_calls
 
 
 def mixed_invalid_doc():
@@ -490,6 +491,148 @@ def test_induction_with_loose_tolerance_pushes_past_the_witness():
     # the witness fidelity is 1.0, so even tol=0.99 still refuses
     rep = induction_report(load_coin_protocol("guess-ct"), tol=0.99)
     assert rep.verdict == "not_ideal"
+
+
+# --- the coefficient-matrix kernel --------------------------------------------
+
+def overlap_doc(angle, phase=None):
+    """1 + 1 + 1 coin whose round-3 conditional states overlap.
+
+    Alice copies a uniform bit into the channel; Bob rotates his qubit by
+    ``angle`` when the channel is 1, so his states for Alice's two outcomes
+    overlap, with fidelity |cos(angle)| from |0>.  With a ``phase`` Bob
+    starts from H then RZ(phase) instead, which makes his states complex.
+    Alice's last round (Z) leaves them as they are.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    raw = [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+           [[0, 0], [0, 0], [c, 0], [-s, 0]], [[0, 0], [0, 0], [s, 0], [c, 0]]]
+    initial = {"alice": [{"gate": "H", "targets": [0]}]}
+    if phase is not None:
+        initial["bob"] = [{"gate": "H", "targets": [1]},
+                          {"gate": "RZ", "targets": [1], "angle": phase}]
+    return {
+        "name": "overlap-ct", "kind": "coin-toss",
+        "qubits": {"alice": 1, "bob": 1, "channel": 1},
+        "initial": initial,
+        "rounds": [
+            {"actor": "alice", "ops": [{"gate": "CX", "targets": [0, 2]}]},
+            {"actor": "bob", "ops": [{"gate": "RAW", "targets": [2, 1], "matrix": raw}]},
+            {"actor": "alice", "ops": [{"gate": "Z", "targets": [0]}]},
+        ],
+        "outcomes": {actor: {"0": {"qubits": [q], "accept_states": ["0"]},
+                             "1": {"qubits": [q], "accept_states": ["1"]},
+                             "invalid": {"qubits": [q], "zero": True}}
+                     for actor, q in (("alice", 0), ("bob", 1))},
+    }
+
+
+@pytest.mark.parametrize("tol, code", [("0.97", 2), ("0.99", 2), (None, 0)])
+def test_overlapping_supports_are_bad_input(tmp_path, capsys, tol, code):
+    # f01 = 0.866 at round 3: a tol above it truncates into supports that
+    # overlap, which is the caller's threshold at fault, not an invariant
+    source = tmp_path / "overlap-ct.yaml"
+    source.write_text(document_to_yaml(overlap_doc(math.pi / 6)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["cointoss", "--protocol", str(source), "--out", str(out)]
+    assert cli.main(argv + (["--ideal-tol", tol] if tol else [])) == code
+    if tol:
+        err = capsys.readouterr().err
+        assert "--ideal-tol" in err and "round 3" in err, err
+        assert "largest principal cosine 0.866025" in err, err
+    else:
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "not_ideal"
+        assert report["message"].startswith("not ideal: round 3")
+        assert report["witness_fidelity"] == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
+
+
+def _rotated_coin(side, seed, rounds=6):
+    """A Hadamard coin on ``side`` + ``side`` + 1 qubits whose last sender
+    rotates their outcome qubit by a seeded RY, so the receiver's two
+    conditional states overlap without coinciding."""
+    rng = np.random.default_rng([side, seed])
+    channel = 2 * side
+    plan = [{"actor": "alice", "ops": [{"gate": "CX", "targets": [0, channel]}]},
+            {"actor": "bob", "ops": [{"gate": "CX", "targets": [channel, side]}]}]
+    for k in range(2, rounds):
+        outcome = 0 if k % 2 == 0 else side
+        plan.append({"actor": "alice" if k % 2 == 0 else "bob", "ops": [
+            {"gate": "Z", "targets": [outcome]},
+            {"gate": "RY", "targets": [outcome + 1 + int(rng.integers(side - 1))],
+             "angle": float(rng.uniform(0.0, math.pi))}]})
+    plan[-1]["ops"].append({"gate": "RY", "targets": [0 if rounds % 2 else side],
+                            "angle": float(rng.uniform(0.2, math.pi / 2 - 0.2))})
+    return {"name": f"rotated-{side}", "kind": "coin-toss",
+            "qubits": {"alice": side, "bob": side, "channel": 1},
+            "initial": {"alice": [{"gate": "H", "targets": [0]}]},
+            "rounds": plan,
+            "outcomes": {actor: {"0": {"qubits": [q], "accept_states": ["0"]},
+                                 "1": {"qubits": [q], "accept_states": ["1"]},
+                                 "invalid": {"qubits": [q], "zero": True}}
+                         for actor, q in (("alice", 0), ("bob", side))}}
+
+
+def _trace_route_triple(p):
+    """The conditional fidelities the density-matrix way: project psi_N on
+    each sender rule, reduce to the receiver's machine, ``fidelity_trace``."""
+    sender = p.rounds[-1].actor
+    receiver = "bob" if sender == "alice" else "alice"
+    state = run_rounds(p)
+    rho = {}
+    for label, rule in p.outcome_rules[sender].items():
+        projected = qcore._apply_matrix(state.amplitudes, rule.matrix, rule.qubits,
+                                        state.num_qubits)
+        prob = float(np.vdot(projected, projected).real)
+        if prob > cointoss.PRESENCE_CUTOFF:
+            post = qcore.PureState(projected / math.sqrt(prob))
+            rho[label] = qcore.partial_trace(post, p.partition.holding(receiver, sender))
+    return {pair: fidelity.fidelity_trace(rho[x], rho[y])
+            for pair, x, y in (("f01", "0", "1"), ("f0inv", "0", "invalid"),
+                               ("f1inv", "1", "invalid"))
+            if x in rho and y in rho}
+
+
+@pytest.mark.parametrize("family, seed", [
+    *(("overlap", seed) for seed in range(4)),
+    *((side, seed) for side in (3, 5) for seed in range(3)),
+])
+def test_conditional_fidelities_agree_with_the_trace_route(family, seed):
+    if family == "overlap":
+        angle, phase = np.random.default_rng([1, seed]).uniform(0.1, math.pi / 2 - 0.1, 2)
+        p = parse_coin_protocol(overlap_doc(float(angle), float(phase) if seed % 2 else None))
+    else:
+        p = parse_coin_protocol(_rotated_coin(family, seed))
+    triple = last_round_fidelities(p)
+    want = _trace_route_triple(p)
+    got = {pair: value for pair, value in triple.items() if value is not None}
+    assert sorted(got) == sorted(want) == ["f01"]
+    assert 0.05 < want["f01"] < 0.999
+    assert got["f01"] == pytest.approx(want["f01"], abs=1e-10)
+
+
+def test_induction_forms_no_density_matrix(monkeypatch, perfbench_gen):
+    # the induction conditions on coefficient matrices: no reduced state,
+    # no matrix square root, and eigh only for the document's own rules
+    real_init = qcore.DensityMatrix.__post_init__
+    for name, doc in perfbench_gen.coin_documents(1, 16).items():
+        p = parse_coin_protocol(doc)
+        built = []
+        monkeypatch.setattr(qcore.DensityMatrix, "__post_init__",
+                            lambda rho: built.append(rho) or real_init(rho))
+        counts = count_calls(monkeypatch, {
+            "partial_trace": qcore.partial_trace,
+            "fidelity_trace": fidelity.fidelity_trace,
+            "matrix_sqrt_psd": qcore.matrix_sqrt_psd,
+            "eigh": np.linalg.eigh,
+        })
+        rep = induction_report(p)
+        monkeypatch.undo()
+        assert len(rep.steps) >= 15, name
+        assert built == [], name
+        assert counts["partial_trace"] == counts["fidelity_trace"] == 0, name
+        assert counts["matrix_sqrt_psd"] == 0, name
+        assert counts["eigh"] <= len(p.outcome_rules[p.rounds[-1].actor]), name
 
 
 # --- document emission -------------------------------------------------------
