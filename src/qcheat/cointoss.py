@@ -327,15 +327,12 @@ def _isometries(rules: dict) -> dict:
     """{label: (qubits, V)}: each Projector rule as an isometry, P = V V^dagger.
 
     V holds the rule's eigenvectors of eigenvalue 1, from one ``eigh``; a
-    zero rule has no columns and takes none.
+    zero rule's V has no columns.
     """
     isometries = {}
     for label, rule in rules.items():
-        if np.any(rule.matrix):
-            values, vectors = np.linalg.eigh(rule.matrix)
-            isometries[label] = (rule.qubits, vectors[:, values > 0.5])
-        else:
-            isometries[label] = (rule.qubits, np.zeros((len(rule.matrix), 0), dtype=complex))
+        values, vectors = np.linalg.eigh(rule.matrix)
+        isometries[label] = (rule.qubits, vectors[:, values > 0.5])
     return isometries
 
 
