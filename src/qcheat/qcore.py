@@ -395,8 +395,6 @@ def _split(state: PureState, rows, lead=()) -> tuple:
     n = state.num_qubits
     rows = tuple(sorted(_check_targets(rows, n, "side")))
     lead = _check_targets(lead, n, "side")
-    if set(lead) & set(rows):
-        raise ValueError("the leading column qubits overlap the row side")
     cols = lead + tuple(q for q in range(n) if q not in rows and q not in lead)
     if not rows or not cols:
         raise ValueError("both sides of the split must be nonempty")
