@@ -482,18 +482,17 @@ def _receiver_rules(p: CoinProtocol, k: int, rules: dict, state: PureState, tol,
             v = np.zeros((2 ** len(keep), 0), dtype=complex)
         if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) > PROJECTOR_TOL:
             raise InvariantViolation(f"support {label!r} is not an isometry within {PROJECTOR_TOL}")
-        supports[label] = (keep, v)
-    (_, v0), (_, v1) = supports["0"], supports["1"]
-    if v0.shape[1] and v1.shape[1]:
-        singular = np.linalg.svd(np.hstack([v0, v1]), compute_uv=False)
+        supports[label] = v
+    if supports["0"].shape[1] and supports["1"].shape[1]:
+        singular = np.linalg.svd(np.hstack([supports["0"], supports["1"]]), compute_uv=False)
         if np.max(np.abs(singular - 1.0)) > PROJECTOR_TOL:
             cosine = float(np.max(np.abs(singular ** 2 - 1.0)))
             raise ValueError(
                 f"round {k}: the receiver's supports overlap (largest principal cosine "
                 f"{cosine:.6g}); the orthogonality threshold {tol:g} (--ideal-tol) is too "
                 "loose to truncate this round")
-    supports["invalid"] = (keep, None)
-    return triple, supports
+    return triple, {"0": (keep, supports["0"]), "1": (keep, supports["1"]),
+                    "invalid": (keep, None)}
 
 
 def _pulled_back_rules(p: CoinProtocol, sender: str) -> dict:
