@@ -611,6 +611,52 @@ def test_conditional_fidelities_agree_with_the_trace_route(family, seed):
     assert got["f01"] == pytest.approx(want["f01"], abs=1e-10)
 
 
+def three_way_doc():
+    """Alice draws 0, 1 or invalid uniformly on two qubits and both parties
+    copy it through a 2-qubit channel, so the invalid outcome is present
+    and orthogonal at rounds 3 and 2, where round 2's rules are built."""
+    s = 1 / math.sqrt(2)
+    controlled_h = [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+                    [[0, 0], [0, 0], [s, 0], [s, 0]], [[0, 0], [0, 0], [s, 0], [-s, 0]]]
+
+    def rules(a, b):
+        return {"0": {"qubits": [a, b], "accept_states": ["00"]},
+                "1": {"qubits": [a, b], "accept_states": ["01"]},
+                "invalid": {"qubits": [a, b], "accept_states": ["10", "11"]}}
+
+    return {
+        "name": "three-way", "kind": "coin-toss",
+        "qubits": {"alice": 2, "bob": 2, "channel": 2},
+        "initial": {"alice": [
+            {"gate": "RY", "targets": [0], "angle": 2 * math.acos(math.sqrt(2 / 3))},
+            {"gate": "X", "targets": [0]},
+            {"gate": "RAW", "targets": [0, 1], "matrix": controlled_h},
+            {"gate": "X", "targets": [0]}]},
+        "rounds": [
+            {"actor": "alice", "ops": [{"gate": "CX", "targets": [0, 4]},
+                                       {"gate": "CX", "targets": [1, 5]}]},
+            {"actor": "bob", "ops": [{"gate": "CX", "targets": [4, 2]},
+                                     {"gate": "CX", "targets": [5, 3]}]},
+            {"actor": "alice", "ops": [{"gate": "Z", "targets": [0]}]},
+        ],
+        "outcomes": {"alice": rules(0, 1), "bob": rules(2, 3)},
+    }
+
+
+def test_induction_conditions_on_a_present_complement():
+    # the induction carries "invalid" as the complement of the "0" and "1"
+    # supports; the replayed chain writes it out as I - S0 - S1
+    p = parse_coin_protocol(three_way_doc())
+    assert outcome_distribution(p)["bob"]["invalid"] == pytest.approx(1 / 3, abs=1e-12)
+    rep = induction_report(p)
+    protocols, triples, refused = _replayed_induction(p)
+    assert [step.triple for step in rep.steps] == triples
+    assert [step.triple.present for step in rep.steps] == [("0", "1", "invalid")] * 2
+    assert all(step.triple.max_fidelity() == 0.0 for step in rep.steps)
+    assert (rep.verdict, rep.witness_round) == ("not_ideal", 1)
+    assert (rep.witness_pair, rep.witness_fidelity) == refused.worst_pair()
+
+
 def test_induction_forms_no_density_matrix(monkeypatch, perfbench_gen):
     # the induction conditions on coefficient matrices: no reduced state,
     # no matrix square root, and eigh only for the document's own rules
