@@ -21,7 +21,15 @@ import numpy as np
 from . import attack as attacks
 from . import cointoss as coins
 from . import protocol as proto
-from .fidelity import fidelity_povm, fidelity_purification, povm_overlap, random_povm
+from .fidelity import (
+    POVM_BYTE_BUDGET,
+    fidelity_povm,
+    fidelity_purification,
+    povm_chunk,
+    povm_overlaps,
+    povm_sample_bytes,
+    random_povms,
+)
 from .qcore import InvariantViolation
 
 EXIT_OK = 0
@@ -260,24 +268,35 @@ def _cmd_sweep(ns) -> Report:
 
 
 def _cmd_fidelity(ns) -> Report:
+    samples = int(ns.povm_samples)
+    if samples < 0:
+        raise ValueError("--povm-samples must be nonnegative")
+    if samples and ns.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     p = _load(ns.protocol, proto.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
+    held = len(proto.bob_holding(p, custody))
+    dim = 2 ** held
+    need = povm_sample_bytes(dim, dim + 1) if samples else 0
+    if need > POVM_BYTE_BUDGET:
+        raise ValueError(
+            f"--povm-samples: one random measurement on Bob's {held} qubits needs an "
+            f"estimated {need} bytes, over the {POVM_BYTE_BUDGET}-byte sampling budget")
     delta, f_trace, rho0, rho1 = proto.commit_reductions(
         p, custody, (proto.run_commit(p, b) for b in (0, 1)))
     f_purif, _ = fidelity_purification(rho0, rho1)
     f_povm, _ = fidelity_povm(rho0, rho1)
 
-    samples = int(ns.povm_samples)
-    if samples < 0:
-        raise ValueError("--povm-samples must be nonnegative")
     sample_min = None
     samples_ok = None
     if samples:
-        # every measurement's overlap must sit at or above the minimum
+        # every measurement's overlap must sit at or above the minimum; the
+        # samples run a budget's worth at a time
         rng = np.random.default_rng(ns.seed)
-        dim = rho0.dim
-        values = [povm_overlap(rho0, rho1, random_povm(dim, dim + 1, rng))
-                  for _ in range(samples)]
+        step = povm_chunk(dim, dim + 1)
+        values = np.concatenate([
+            povm_overlaps(rho0, rho1, random_povms(dim, dim + 1, min(step, samples - start), rng))
+            for start in range(0, samples, step)])
         sample_min = min(values)
         samples_ok = bool(sample_min >= f_povm - POVM_SAMPLE_TOL)
 

@@ -9,6 +9,15 @@ The same quantity F(rho0, rho1) is exposed through three routes:
 Cross-checking the three against each other is the package's main guard
 against silent numerical drift, so each route is implemented
 independently rather than delegating to a shared kernel.
+
+Random measurements, which check that no complete measurement beats the
+minimising one, are sampled as stacks: ``random_povms`` draws, whitens and
+checks (count, outcomes, d, d) elements at once and ``povm_overlaps``
+scores them, each in chunks of ``povm_chunk`` samples whose peak stays
+within POVM_BYTE_BUDGET.  ``povm_sample_bytes`` is one sample's share, so a
+caller can refuse a dimension where even one sample is over the budget.
+The single-measurement API (``Povm``, ``random_povm``, ``povm_overlap``) is
+the one-sample case of the same code, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +36,13 @@ from .qcore import (
 SUPPORT_CUTOFF = 1e-10
 POVM_PSD_TOL = 1e-10
 POVM_COMPLETE_TOL = 1e-8
+# Bytes one chunk of sampled measurements may hold at its peak.
+POVM_BYTE_BUDGET = 1 << 28
+# (outcomes, d, d) complex stacks one sample holds at that peak: its
+# elements (the blocks before whitening) and two more, which are the
+# Gaussian draws and G, G and G^dagger, or the check's two temporaries;
+# the fourth covers the sample's d x d and (outcomes, d) arrays.
+SAMPLE_STACKS = 4
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -39,7 +55,8 @@ def _as_matrix(rho) -> np.ndarray:
 class Povm:
     """Complete positive-operator-valued measurement.
 
-    Elements must be PSD within 1e-10 and sum to the identity within 1e-8.
+    Elements must be Hermitian and PSD within 1e-10 and sum to the identity
+    within 1e-8; ``check_povms`` makes the checks, as for a sampled stack.
     """
 
     elements: tuple
@@ -47,26 +64,15 @@ class Povm:
     def __post_init__(self):
         if len(self.elements) == 0:
             raise InvariantViolation("a POVM needs at least one element")
-        dim = np.asarray(self.elements[0]).shape[0]
-        frozen = []
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, el in enumerate(self.elements):
-            mat = np.array(el, dtype=complex)
+        mats = [np.array(el, dtype=complex) for el in self.elements]
+        dim = mats[0].shape[0]
+        for i, mat in enumerate(mats):
             if mat.shape != (dim, dim):
                 raise InvariantViolation(f"element {i} has shape {mat.shape}, want ({dim}, {dim})")
-            if np.max(np.abs(mat - mat.conj().T)) > POVM_PSD_TOL:
-                raise InvariantViolation(f"element {i} is not Hermitian within {POVM_PSD_TOL}")
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -POVM_PSD_TOL:
-                raise InvariantViolation(
-                    f"element {i} has eigenvalue {lo!r} below -{POVM_PSD_TOL}")
-            total += mat
-            mat.setflags(write=False)
-            frozen.append(mat)
-        if np.max(np.abs(total - np.eye(dim))) > POVM_COMPLETE_TOL:
-            raise InvariantViolation(
-                f"elements do not sum to the identity within {POVM_COMPLETE_TOL}")
-        object.__setattr__(self, "elements", tuple(frozen))
+        stack = np.stack(mats)
+        check_povms(stack[None])
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -75,6 +81,37 @@ class Povm:
     @property
     def num_outcomes(self) -> int:
         return len(self.elements)
+
+
+def check_povms(stack: np.ndarray) -> None:
+    """Check a (count, outcomes, d, d) stack of measurements, one per sample.
+
+    Every element must be Hermitian within POVM_PSD_TOL with its smallest
+    eigenvalue at least -POVM_PSD_TOL, and each sample's elements must sum
+    to the identity within POVM_COMPLETE_TOL.  Raises InvariantViolation
+    naming the first failing sample and element.  Runs in ``povm_chunk``
+    chunks.
+    """
+    count, outcomes, dim = stack.shape[:3]
+    step = povm_chunk(dim, outcomes)
+    for start in range(0, count, step):
+        chunk = stack[start:start + step]
+        asym = np.max(np.abs(chunk - chunk.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        lows = np.linalg.eigvalsh(chunk)[..., 0]
+        bad = (asym > POVM_PSD_TOL) | (lows < -POVM_PSD_TOL)
+        if bad.any():
+            s, i = (int(k) for k in np.argwhere(bad)[0])
+            if asym[s, i] > POVM_PSD_TOL:
+                raise InvariantViolation(
+                    f"sample {start + s}, element {i} is not Hermitian within {POVM_PSD_TOL}")
+            raise InvariantViolation(
+                f"sample {start + s}, element {i} has eigenvalue {float(lows[s, i])!r} "
+                f"below -{POVM_PSD_TOL}")
+        off = np.max(np.abs(chunk.sum(axis=1) - np.eye(dim)), axis=(-2, -1))
+        if (off > POVM_COMPLETE_TOL).any():
+            s = start + int(np.argmax(off > POVM_COMPLETE_TOL))
+            raise InvariantViolation(
+                f"sample {s}: elements do not sum to the identity within {POVM_COMPLETE_TOL}")
 
 
 def fidelity_trace(rho0, rho1) -> float:
@@ -164,31 +201,78 @@ def fidelity_povm(rho0, rho1):
 
 def povm_overlap(rho0, rho1, povm: Povm) -> float:
     """sum_b sqrt(Tr rho0 E_b) sqrt(Tr rho1 E_b) for one measurement."""
+    return float(povm_overlaps(rho0, rho1, np.stack(povm.elements)[None])[0])
+
+
+def povm_overlaps(rho0, rho1, elements: np.ndarray) -> np.ndarray:
+    """``povm_overlap`` of each measurement in a (count, outcomes, d, d) stack.
+
+    Each term is max(Re Tr(rho E_b), 0) for both states, and a sample's
+    terms are added in outcome order from 0.0, as for a single measurement,
+    so every value is bit-identical to that sample's ``povm_overlap``.
+    """
     r0 = _as_matrix(rho0)
     r1 = _as_matrix(rho1)
-    total = 0.0
-    for el in povm.elements:
-        p0 = max(float(np.real(np.trace(r0 @ el))), 0.0)
-        p1 = max(float(np.real(np.trace(r1 @ el))), 0.0)
-        total += np.sqrt(p0) * np.sqrt(p1)
-    return float(total)
+    count, outcomes, dim = elements.shape[:3]
+    totals = np.zeros(count)
+    step = povm_chunk(dim, outcomes)
+    for start in range(0, count, step):
+        chunk = elements[start:start + step]
+        p0, p1 = (np.maximum(np.trace(r @ chunk, axis1=-2, axis2=-1).real, 0.0)
+                  for r in (r0, r1))
+        terms = np.sqrt(p0) * np.sqrt(p1)
+        total = totals[start:start + step]
+        for b in range(outcomes):
+            total += terms[:, b]
+    return totals
+
+
+def povm_sample_bytes(dim: int, outcomes: int) -> int:
+    """Peak bytes one sampled measurement takes in ``random_povms`` and
+    ``povm_overlaps``: SAMPLE_STACKS complex (outcomes, d, d) stacks."""
+    return SAMPLE_STACKS * outcomes * dim * dim * 16
+
+
+def povm_chunk(dim: int, outcomes: int) -> int:
+    """Samples per chunk: as many as fit in POVM_BYTE_BUDGET, at least one."""
+    return max(1, POVM_BYTE_BUDGET // povm_sample_bytes(dim, outcomes))
 
 
 def random_povm(dim: int, num_outcomes: int, rng) -> Povm:
-    """Random complete POVM with ``num_outcomes`` elements.
+    """Random complete POVM with ``num_outcomes`` elements: one sample of
+    ``random_povms``."""
+    return Povm(tuple(random_povms(dim, num_outcomes, 1, rng)[0]))
 
-    Draws Wishart-style PSD blocks A_k = G_k G_k^dagger and whitens by the
-    total: E_k = S^{-1/2} A_k S^{-1/2} with S = sum A_k.  ``rng`` is an
-    integer seed or a numpy Generator; no ambient entropy is used.
+
+def random_povms(dim: int, outcomes: int, count: int, rng) -> np.ndarray:
+    """``count`` random complete POVMs as a checked (count, outcomes, d, d) stack.
+
+    Each draws Wishart-style PSD blocks A_k = G_k G_k^dagger and whitens by
+    the total: E_k = S^{-1/2} A_k S^{-1/2} with S = sum A_k.  Samples run in
+    chunks of ``povm_chunk`` that draw one Gaussian stream in sample,
+    outcome, real-then-imaginary order, so the stack does not depend on
+    where chunks start.  ``rng`` is an integer seed or a numpy Generator;
+    no ambient entropy is used.
     """
-    if dim < 1 or num_outcomes < 1:
+    if dim < 1 or outcomes < 1:
         raise ValueError("dim and num_outcomes must be positive")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    blocks = []
-    for _ in range(num_outcomes):
-        g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        blocks.append(g @ g.conj().T)
-    total = np.sum(blocks, axis=0)
-    vals, vecs = np.linalg.eigh(total)
-    whiten = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return Povm(tuple(whiten @ a @ whiten for a in blocks))
+    out = np.empty((count, outcomes, dim, dim), dtype=complex)
+    step = povm_chunk(dim, outcomes)
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        normals = gen.standard_normal((size, outcomes, 2, dim, dim))
+        # exactly re + 1j * im, without a third stack: both products are exact
+        g = normals[:, :, 1] * 1j
+        g += normals[:, :, 0]
+        del normals
+        # the blocks live in ``out`` until the whitened elements replace them
+        blocks = np.matmul(g, g.conj().swapaxes(-1, -2), out=out[start:start + size])
+        del g
+        vals, vecs = np.linalg.eigh(blocks.sum(axis=1))
+        whiten = ((vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2))[:, None]
+        np.matmul(whiten @ blocks, whiten, out=blocks)
+    check_povms(out)
+    return out

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,50 @@ def test_fidelity_routes_and_samples(capsys):
     assert doc["povm_samples"] == 25 and doc["seed"] == 3
     assert doc["povm_sample_min"] >= doc["fidelity_povm"] - 1e-8
     assert doc["povm_samples_ok"] is True
+
+
+def _counted_commits(monkeypatch) -> list:
+    calls = []
+    real = proto.run_commit
+    monkeypatch.setattr(proto, "run_commit", lambda p, b: calls.append(b) or real(p, b))
+    return calls
+
+
+@pytest.mark.parametrize("flags, code, err", [
+    (["--povm-samples", "-3"], 2, "error: --povm-samples must be nonnegative\n"),
+    (["--povm-samples", "5", "--seed", "-1"], 2, "error: --seed must be nonnegative\n"),
+    (["--seed", "-1"], 0, ""),
+], ids=["negative-samples", "negative-seed", "unused-seed"])
+def test_fidelity_flags_are_checked_before_any_state(monkeypatch, capsys, flags, code, err):
+    calls = _counted_commits(monkeypatch)
+    assert cli.main(["fidelity", "--protocol", "bb84-bc", *flags]) == code
+    assert capsys.readouterr().err == err
+    assert calls == ([] if code else [0, 1])
+
+
+def test_sampling_over_the_byte_budget_is_refused_before_any_commit(
+        tmp_path, perfbench_gen, cli_under_1_gib, monkeypatch, capsys):
+    docs = perfbench_gen.ladder_documents(1, sizes=(13, 19))
+    paths = {}
+    for name in ("ladder-n13-open", "ladder-n19-open"):
+        paths[name] = str(tmp_path / f"{name}.yaml")
+        Path(paths[name]).write_text(perfbench_gen.to_yaml(docs[name]), encoding="utf-8")
+    wide = ["fidelity", "--protocol", paths["ladder-n19-open"], "--povm-samples", "1"]
+    # Bob holds 10 qubits: one 1025-outcome measurement on 1024 x 1024
+    # matrices is refused from the document; 7 qubits (two samples) still run
+    runs = cli_under_1_gib([
+        wide, ["fidelity", "--protocol", paths["ladder-n13-open"], "--povm-samples", "2"]])
+    (code, text), (narrow_code, narrow_text) = runs
+    assert code == 2, text
+    assert text == ("error: --povm-samples: one random measurement on Bob's 10 qubits needs "
+                    f"an estimated {fid.povm_sample_bytes(1024, 1025)} bytes, over the "
+                    f"{fid.POVM_BYTE_BUDGET}-byte sampling budget\n")
+    assert narrow_code == 0, narrow_text
+    assert json.loads(narrow_text)["povm_samples_ok"] is True
+    calls = _counted_commits(monkeypatch)
+    assert cli.main(wide) == 2
+    assert calls == []
+    capsys.readouterr()
 
 
 def test_fidelity_takes_the_trace_route_once(monkeypatch, capsys):

@@ -10,12 +10,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qcheat import cli
-from qcheat.fidelity import random_povm
+from qcheat import fidelity as fid
+from qcheat.fidelity import (
+    check_povms,
+    povm_chunk,
+    povm_overlap,
+    povm_overlaps,
+    random_povm,
+    random_povms,
+)
+from qcheat.qcore import InvariantViolation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,3 +115,72 @@ def test_sampled_reports_match_recorded_digests_at_one_and_two_blas_threads(
         assert done.returncode == 0, done.stderr
         runs[threads] = json.loads(done.stdout)
     assert runs["1"] == runs["2"] == _expected()
+
+
+# --- the stacked kernel ------------------------------------------------------
+
+def _random_density(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _chunks_of(monkeypatch, samples, dim, outcomes):
+    monkeypatch.setattr(fid, "POVM_BYTE_BUDGET", samples * fid.povm_sample_bytes(dim, outcomes))
+    assert povm_chunk(dim, outcomes) == samples
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_stacked_samples_equal_one_sample_calls(monkeypatch, dim):
+    _chunks_of(monkeypatch, 3, dim, dim + 1)
+    rng = np.random.default_rng(dim)
+    rho0, rho1 = _random_density(rng, dim), _random_density(rng, dim)
+    stack = random_povms(dim, dim + 1, 7, np.random.default_rng(11))
+    gen = np.random.default_rng(11)
+    singles = [random_povm(dim, dim + 1, gen) for _ in range(7)]
+    assert np.array_equal(stack, np.array([povm.elements for povm in singles]))
+    assert np.array_equal(povm_overlaps(rho0, rho1, stack),
+                          [povm_overlap(rho0, rho1, povm) for povm in singles])
+
+
+def _planted(monkeypatch):
+    """Five valid 2 x 2 three-outcome samples, checked in chunks of 3."""
+    _chunks_of(monkeypatch, 3, 2, 3)
+    return random_povms(2, 3, 5, np.random.default_rng(5))
+
+
+def test_a_non_psd_element_is_named_by_sample_and_element(monkeypatch):
+    stack = _planted(monkeypatch)
+    # move weight from element 1 to element 0 along its lowest eigenvector:
+    # the sum stays the identity and both stay Hermitian
+    vals, vecs = np.linalg.eigh(stack[3, 1])
+    shift = (vals[0] + 1e-6) * np.outer(vecs[:, 0], vecs[:, 0].conj())
+    stack[3, 1] -= shift
+    stack[3, 0] += shift
+    with pytest.raises(InvariantViolation, match=r"^sample 3, element 1 has eigenvalue"):
+        check_povms(stack)
+
+
+def test_a_non_hermitian_or_incomplete_sample_is_named(monkeypatch):
+    stack = _planted(monkeypatch)
+    stack[4, 2, 0, 1] += 1e-6
+    with pytest.raises(InvariantViolation, match=r"^sample 4, element 2 is not Hermitian"):
+        check_povms(stack)
+    stack = _planted(monkeypatch)
+    stack[4, 2] *= 1 + 1e-6
+    with pytest.raises(InvariantViolation, match=r"^sample 4: elements do not sum"):
+        check_povms(stack)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_one_chunk_stays_within_the_byte_budget(monkeypatch, dim):
+    monkeypatch.setattr(fid, "POVM_BYTE_BUDGET", 8 << 20)
+    count = povm_chunk(dim, dim + 1)
+    rho = np.eye(dim) / dim
+    tracemalloc.start()
+    try:
+        povm_overlaps(rho, rho, random_povms(dim, dim + 1, count, np.random.default_rng(1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fid.POVM_BYTE_BUDGET
