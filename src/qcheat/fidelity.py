@@ -255,7 +255,7 @@ def random_povms(dim: int, outcomes: int, count: int, rng) -> np.ndarray:
     no ambient entropy is used.
     """
     if dim < 1 or outcomes < 1:
-        raise ValueError("dim and num_outcomes must be positive")
+        raise ValueError("dim and outcomes must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
     gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng

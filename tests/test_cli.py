@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,8 +114,9 @@ def test_sampling_over_the_byte_budget_is_refused_before_any_commit(
     docs = perfbench_gen.ladder_documents(1, sizes=(13, 19))
     paths = {}
     for name in ("ladder-n13-open", "ladder-n19-open"):
-        paths[name] = str(tmp_path / f"{name}.yaml")
-        Path(paths[name]).write_text(perfbench_gen.to_yaml(docs[name]), encoding="utf-8")
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(perfbench_gen.to_yaml(docs[name]), encoding="utf-8")
+        paths[name] = str(path)
     wide = ["fidelity", "--protocol", paths["ladder-n19-open"], "--povm-samples", "1"]
     # Bob holds 10 qubits: one 1025-outcome measurement on 1024 x 1024
     # matrices is refused from the document; 7 qubits (two samples) still run
