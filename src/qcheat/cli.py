@@ -25,10 +25,8 @@ from .fidelity import (
     POVM_BYTE_BUDGET,
     fidelity_povm,
     fidelity_purification,
-    povm_chunk,
-    povm_overlaps,
     povm_sample_bytes,
-    random_povms,
+    sample_overlaps,
 )
 from .qcore import InvariantViolation
 
@@ -203,7 +201,7 @@ def _cmd_simulate(ns) -> Report:
         "command": "simulate",
         "protocol": p.name,
         "channel_custody": custody,
-        "ancillas": p.ancilla_count,
+        "ancillas": len(p.ancilla_owners),
         "delta": delta,
         "honest_accept": {"0": honest[0], "1": honest[1]},
         "cross_accept": {"commit0_open1": cross01, "commit1_open0": cross10},
@@ -290,14 +288,8 @@ def _cmd_fidelity(ns) -> Report:
     sample_min = None
     samples_ok = None
     if samples:
-        # every measurement's overlap must sit at or above the minimum; the
-        # samples run a budget's worth at a time
-        rng = np.random.default_rng(ns.seed)
-        step = povm_chunk(dim, dim + 1)
-        values = np.concatenate([
-            povm_overlaps(rho0, rho1, random_povms(dim, dim + 1, min(step, samples - start), rng))
-            for start in range(0, samples, step)])
-        sample_min = min(values)
+        # every measurement's overlap must sit at or above the minimum
+        sample_min = min(sample_overlaps(rho0, rho1, dim + 1, samples, ns.seed))
         samples_ok = bool(sample_min >= f_povm - POVM_SAMPLE_TOL)
 
     value = {

@@ -13,11 +13,12 @@ independently rather than delegating to a shared kernel.
 Random measurements, which check that no complete measurement beats the
 minimising one, are sampled as stacks: ``random_povms`` draws, whitens and
 checks (count, outcomes, d, d) elements at once and ``povm_overlaps``
-scores them, each in chunks of ``povm_chunk`` samples whose peak stays
-within POVM_BYTE_BUDGET.  ``povm_sample_bytes`` is one sample's share, so a
-caller can refuse a dimension where even one sample is over the budget.
-The single-measurement API (``Povm``, ``random_povm``, ``povm_overlap``) is
-the one-sample case of the same code, bit for bit.
+scores them.  ``sample_overlaps`` is the one loop over chunks: it runs the
+two on ``povm_chunk`` samples at a time, so the peak stays within
+POVM_BYTE_BUDGET.  ``povm_sample_bytes`` is one sample's share, so a caller
+can refuse a dimension where even one sample is over the budget.  The
+single-measurement API (``Povm``, ``random_povm``, ``povm_overlap``) is the
+one-sample case of the same code, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,14 +75,6 @@ class Povm:
         stack.setflags(write=False)
         object.__setattr__(self, "elements", tuple(stack))
 
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    @property
-    def num_outcomes(self) -> int:
-        return len(self.elements)
-
 
 def check_povms(stack: np.ndarray) -> None:
     """Check a (count, outcomes, d, d) stack of measurements, one per sample.
@@ -89,29 +82,24 @@ def check_povms(stack: np.ndarray) -> None:
     Every element must be Hermitian within POVM_PSD_TOL with its smallest
     eigenvalue at least -POVM_PSD_TOL, and each sample's elements must sum
     to the identity within POVM_COMPLETE_TOL.  Raises InvariantViolation
-    naming the first failing sample and element.  Runs in ``povm_chunk``
-    chunks.
+    naming the first failing sample and element.
     """
-    count, outcomes, dim = stack.shape[:3]
-    step = povm_chunk(dim, outcomes)
-    for start in range(0, count, step):
-        chunk = stack[start:start + step]
-        asym = np.max(np.abs(chunk - chunk.conj().swapaxes(-1, -2)), axis=(-2, -1))
-        lows = np.linalg.eigvalsh(chunk)[..., 0]
-        bad = (asym > POVM_PSD_TOL) | (lows < -POVM_PSD_TOL)
-        if bad.any():
-            s, i = (int(k) for k in np.argwhere(bad)[0])
-            if asym[s, i] > POVM_PSD_TOL:
-                raise InvariantViolation(
-                    f"sample {start + s}, element {i} is not Hermitian within {POVM_PSD_TOL}")
+    asym = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    lows = np.linalg.eigvalsh(stack)[..., 0]
+    bad = (asym > POVM_PSD_TOL) | (lows < -POVM_PSD_TOL)
+    if bad.any():
+        s, i = (int(k) for k in np.argwhere(bad)[0])
+        if asym[s, i] > POVM_PSD_TOL:
             raise InvariantViolation(
-                f"sample {start + s}, element {i} has eigenvalue {float(lows[s, i])!r} "
-                f"below -{POVM_PSD_TOL}")
-        off = np.max(np.abs(chunk.sum(axis=1) - np.eye(dim)), axis=(-2, -1))
-        if (off > POVM_COMPLETE_TOL).any():
-            s = start + int(np.argmax(off > POVM_COMPLETE_TOL))
-            raise InvariantViolation(
-                f"sample {s}: elements do not sum to the identity within {POVM_COMPLETE_TOL}")
+                f"sample {s}, element {i} is not Hermitian within {POVM_PSD_TOL}")
+        raise InvariantViolation(
+            f"sample {s}, element {i} has eigenvalue {float(lows[s, i])!r} "
+            f"below -{POVM_PSD_TOL}")
+    off = np.max(np.abs(stack.sum(axis=1) - np.eye(stack.shape[-1])), axis=(-2, -1))
+    if (off > POVM_COMPLETE_TOL).any():
+        s = int(np.argmax(off > POVM_COMPLETE_TOL))
+        raise InvariantViolation(
+            f"sample {s}: elements do not sum to the identity within {POVM_COMPLETE_TOL}")
 
 
 def fidelity_trace(rho0, rho1) -> float:
@@ -166,7 +154,9 @@ def fidelity_povm(rho0, rho1):
     Builds the minimising POVM explicitly: on the support of rho1, measure
     the eigenbasis of rho1^{-1/2} sqrt(sqrt(rho1) rho0 sqrt(rho1)) rho1^{-1/2}
     (inverses taken on the support); the kernel of rho1, if any, is kept
-    as one extra outcome so the POVM stays complete.
+    as one extra outcome so the POVM stays complete.  Only the support
+    outcomes are scored: rho1 gives the kernel outcome no weight, and the
+    square root of its round-off would only add noise.
 
     Returns
     -------
@@ -196,7 +186,8 @@ def fidelity_povm(rho0, rho1):
     if np.count_nonzero(support) < d:
         elements.append(np.eye(d) - basis @ basis.conj().T)
     povm = Povm(tuple(elements))
-    return povm_overlap(r0, r1, povm), povm
+    scored = np.stack(povm.elements[:geo_vecs.shape[1]])[None]
+    return float(povm_overlaps(rho0, rho1, scored)[0]), povm
 
 
 def povm_overlap(rho0, rho1, povm: Povm) -> float:
@@ -211,25 +202,36 @@ def povm_overlaps(rho0, rho1, elements: np.ndarray) -> np.ndarray:
     terms are added in outcome order from 0.0, as for a single measurement,
     so every value is bit-identical to that sample's ``povm_overlap``.
     """
-    r0 = _as_matrix(rho0)
-    r1 = _as_matrix(rho1)
-    count, outcomes, dim = elements.shape[:3]
-    totals = np.zeros(count)
-    step = povm_chunk(dim, outcomes)
-    for start in range(0, count, step):
-        chunk = elements[start:start + step]
-        p0, p1 = (np.maximum(np.trace(r @ chunk, axis1=-2, axis2=-1).real, 0.0)
-                  for r in (r0, r1))
-        terms = np.sqrt(p0) * np.sqrt(p1)
-        total = totals[start:start + step]
-        for b in range(outcomes):
-            total += terms[:, b]
+    p0, p1 = (np.maximum(np.trace(_as_matrix(r) @ elements, axis1=-2, axis2=-1).real, 0.0)
+              for r in (rho0, rho1))
+    terms = np.sqrt(p0) * np.sqrt(p1)
+    totals = np.zeros(len(elements))
+    for b in range(terms.shape[1]):
+        totals += terms[:, b]
     return totals
 
 
+def sample_overlaps(rho0, rho1, outcomes: int, count: int, rng) -> np.ndarray:
+    """``povm_overlaps`` of ``count`` random measurements from ``random_povms``.
+
+    Samples are drawn and scored ``povm_chunk`` at a time, with the budget
+    read at each call, so the peak stays within POVM_BYTE_BUDGET whatever
+    ``count`` is.  The chunks draw from one Gaussian stream in sample
+    order, so where they start changes no bit.
+    """
+    dim = _as_matrix(rho0).shape[0]
+    gen = np.random.default_rng(rng)
+    values = np.empty(count)
+    step = povm_chunk(dim, outcomes)
+    for start in range(0, count, step):
+        chunk = values[start:start + step]
+        chunk[:] = povm_overlaps(rho0, rho1, random_povms(dim, outcomes, chunk.size, gen))
+    return values
+
+
 def povm_sample_bytes(dim: int, outcomes: int) -> int:
-    """Peak bytes one sampled measurement takes in ``random_povms`` and
-    ``povm_overlaps``: SAMPLE_STACKS complex (outcomes, d, d) stacks."""
+    """Peak bytes one sampled measurement takes in ``sample_overlaps``:
+    SAMPLE_STACKS complex (outcomes, d, d) stacks."""
     return SAMPLE_STACKS * outcomes * dim * dim * 16
 
 
@@ -248,31 +250,27 @@ def random_povms(dim: int, outcomes: int, count: int, rng) -> np.ndarray:
     """``count`` random complete POVMs as a checked (count, outcomes, d, d) stack.
 
     Each draws Wishart-style PSD blocks A_k = G_k G_k^dagger and whitens by
-    the total: E_k = S^{-1/2} A_k S^{-1/2} with S = sum A_k.  Samples run in
-    chunks of ``povm_chunk`` that draw one Gaussian stream in sample,
-    outcome, real-then-imaginary order, so the stack does not depend on
-    where chunks start.  ``rng`` is an integer seed or a numpy Generator;
-    no ambient entropy is used.
+    the total: E_k = S^{-1/2} A_k S^{-1/2} with S = sum A_k.  The normals
+    are drawn in sample, outcome, real-then-imaginary order, so ``count``
+    samples equal ``count`` one-sample calls on the same generator.  The
+    whole stack is one pass: ``sample_overlaps`` sizes it to the budget.
+    ``rng`` is an integer seed or a numpy Generator; no ambient entropy is
+    used.
     """
     if dim < 1 or outcomes < 1:
         raise ValueError("dim and outcomes must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    out = np.empty((count, outcomes, dim, dim), dtype=complex)
-    step = povm_chunk(dim, outcomes)
-    for start in range(0, count, step):
-        size = min(step, count - start)
-        normals = gen.standard_normal((size, outcomes, 2, dim, dim))
-        # exactly re + 1j * im, without a third stack: both products are exact
-        g = normals[:, :, 1] * 1j
-        g += normals[:, :, 0]
-        del normals
-        # the blocks live in ``out`` until the whitened elements replace them
-        blocks = np.matmul(g, g.conj().swapaxes(-1, -2), out=out[start:start + size])
-        del g
-        vals, vecs = np.linalg.eigh(blocks.sum(axis=1))
-        whiten = ((vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2))[:, None]
-        np.matmul(whiten @ blocks, whiten, out=blocks)
-    check_povms(out)
-    return out
+    normals = np.random.default_rng(rng).standard_normal((count, outcomes, 2, dim, dim))
+    # exactly re + 1j * im, without a third stack: both products are exact
+    g = normals[:, :, 1] * 1j
+    g += normals[:, :, 0]
+    del normals
+    # the blocks are whitened in place into the elements
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    del g
+    vals, vecs = np.linalg.eigh(blocks.sum(axis=1))
+    whiten = ((vecs / np.sqrt(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2))[:, None]
+    np.matmul(whiten @ blocks, whiten, out=blocks)
+    check_povms(blocks)
+    return blocks

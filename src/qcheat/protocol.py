@@ -12,6 +12,7 @@ closed unitary circuit.
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -143,10 +144,6 @@ class Protocol(_Document):
     verification: tuple           # (accept projector for b=0, for b=1)
     ancilla_owners: tuple = ()
     params: dict = field(default_factory=dict)
-
-    @property
-    def ancilla_count(self) -> int:
-        return len(self.ancilla_owners)
 
     @property
     def all_rounds(self) -> tuple:
@@ -907,22 +904,22 @@ def enumerate_branches(p: Protocol, b: int):
                                 p.initial_bob_channel)
     branches = [(1.0, {}, state)]
     for rnd in p.all_rounds:
-        for op in rnd.ops:
-            if isinstance(op, MeasureOp):
-                branches = _measure_branches(branches, op)
-            else:
-                next_branches = []
-                for prob, results, st in branches:
-                    if op.control_classical is not None:
-                        fire = all(results[op.control_classical])
-                        if fire:
-                            bare = GateOp(op.kind, op.targets, param=op.param,
-                                          matrix=op.matrix)
-                            st = qcore.apply_gate(st, bare)
-                    else:
-                        st = qcore.apply_gate(st, op)
-                    next_branches.append((prob, results, st))
-                branches = next_branches
+        for measured, run in itertools.groupby(rnd.ops, lambda op: isinstance(op, MeasureOp)):
+            if measured:
+                for op in run:
+                    branches = _measure_branches(branches, op)
+                continue
+            # each branch applies the run as one circuit; a classically
+            # controlled gate fires bare when every bit it names is 1
+            run = tuple(run)
+            next_branches = []
+            for prob, results, st in branches:
+                fired = [op if op.control_classical is None
+                         else GateOp(op.kind, op.targets, param=op.param, matrix=op.matrix)
+                         for op in run
+                         if op.control_classical is None or all(results[op.control_classical])]
+                next_branches.append((prob, results, qcore.apply_circuit(st, fired)))
+            branches = next_branches
     return branches
 
 

@@ -147,15 +147,6 @@ class Partition:
     def num_qubits(self) -> int:
         return len(self.alice_qubits) + len(self.bob_qubits) + len(self.channel_qubits)
 
-    def owner(self, qubit: int) -> str:
-        if qubit in self.alice_qubits:
-            return "alice"
-        if qubit in self.bob_qubits:
-            return "bob"
-        if qubit in self.channel_qubits:
-            return "channel"
-        raise ValueError(f"qubit {qubit} is outside the partition")
-
     def machine(self, actor: str) -> frozenset:
         if actor == "alice":
             return self.alice_qubits
@@ -195,12 +186,12 @@ _FIXED_GATES = {
 }
 
 
-def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     eye = np.eye(matrix.shape[0])
-    return bool(np.max(np.abs(matrix.conj().T @ matrix - eye)) <= tol)
+    return bool(np.max(np.abs(matrix.conj().T @ matrix - eye)) <= UNITARY_TOL)
 
 
 @dataclass(frozen=True)
@@ -437,12 +428,6 @@ def _entropy_bits(probs) -> float:
     """Shannon entropy in bits; probabilities below 1e-12 contribute zero."""
     probs = probs[probs > ENTROPY_CUTOFF]
     return float(-np.sum(probs * np.log2(probs))) + 0.0  # never -0.0
-
-
-def von_neumann_entropy(rho) -> float:
-    """Entropy in bits; eigenvalues below 1e-12 contribute zero."""
-    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return _entropy_bits(np.linalg.eigvalsh(mat))
 
 
 def mutual_information(state: PureState, a_side) -> float:

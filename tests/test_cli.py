@@ -313,10 +313,10 @@ _NOT_A_FLAG = [{"actor": "alice", "ops": [{"gate": "H", "targets": [0]}],
 
 
 # Documents the parser must refuse, with the field each error names: a
-# register or matrix too wide to build, a non-boolean allow_consecutive, and
-# a section that is present but not a mapping.  Built, the first four would
-# exhaust memory, the fifth would ask for a 64 GiB identity and the sixth for
-# a 1 GiB lift.
+# register or matrix too wide to build, a non-boolean allow_consecutive,
+# projector qubits out of order, and a section that is present but not a
+# mapping.  Built, the first four would exhaust memory, the fifth would ask
+# for a 64 GiB identity and the sixth for a 1 GiB lift.
 @pytest.mark.parametrize("doc, location", [
     (_commitment(qubits={"alice": 10 ** 9, "bob": 1, "channel": 1}), "qubits"),
     (_commitment(ancillas=["alice"] * 100_000), "qubits"),
@@ -328,12 +328,14 @@ _NOT_A_FLAG = [{"actor": "alice", "ops": [{"gate": "H", "targets": [0]}],
      "outcomes.alice"),
     (_commitment(commit_rounds=_TWICE), "commit_rounds[1].allow_consecutive"),
     (_coin(rounds=_NOT_A_FLAG), "rounds[0].allow_consecutive"),
+    (_commitment(verify={"accept_b0": {"qubits": [2, 1], "zero": True}}),
+     "verify.accept_b0.qubits"),
     (_commitment(params=5), "params"),
     (_commitment(verify=[]), "verify"),
     (_coin(initial=False), "initial"),
 ], ids=["commitment-qubits", "commitment-ancillas", "coin-qubits", "coin-ancillas",
         "wide-verify", "wide-coin-rules", "commitment-flag", "coin-flag",
-        "scalar-params", "list-verify", "false-initial"])
+        "unsorted-verify", "scalar-params", "list-verify", "false-initial"])
 def test_refused_documents_exit_2_at_a_field_under_1_gib(tmp_path, cli_under_1_gib,
                                                         doc, location):
     path = tmp_path / "doc.yaml"

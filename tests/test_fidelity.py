@@ -156,7 +156,7 @@ def test_povm_is_the_minimum():
 def test_povm_orthogonal_pure_states():
     value, povm = fidelity_povm(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert value < 1e-8
-    assert povm.num_outcomes == 2
+    assert len(povm.elements) == 2
 
 
 def test_random_povm_is_deterministic():
@@ -177,7 +177,7 @@ def test_povm_validation():
     with pytest.raises(InvariantViolation):
         Povm(())
     povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    assert povm.dim == 2 and povm.num_outcomes == 2
+    assert len(povm.elements) == 2 and povm.elements[0].shape == (2, 2)
 
 
 def test_random_povm_rejects_bad_counts():

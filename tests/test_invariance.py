@@ -15,11 +15,6 @@ from qcheat import cli
 COMMANDS = {"bit-commitment": ("attack", "simulate", "fidelity"),
             "coin-toss": ("cointoss",)}
 NUMBER_TOL = 1e-12
-# The optimal-POVM route keeps rho1's kernel as one outcome and takes the
-# square root of rho1's round-off weight on it (~1e-17), so its figures carry
-# ~1e-9 of noise on rank-deficient reductions.
-POVM_FIELDS = ("fidelity_povm", "gap_povm")
-POVM_TOL = 1e-8
 
 
 def documents(gen, seed):
@@ -44,8 +39,7 @@ def assert_same_report(want, got, where="", tol=NUMBER_TOL):
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
         for key in want:
-            assert_same_report(want[key], got[key], f"{where}.{key}",
-                               POVM_TOL if key in POVM_FIELDS else tol)
+            assert_same_report(want[key], got[key], f"{where}.{key}", tol)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), where
         for i, (w, g) in enumerate(zip(want, got)):

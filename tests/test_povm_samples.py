@@ -18,6 +18,7 @@ import pytest
 
 from qcheat import cli
 from qcheat import fidelity as fid
+from qcheat import protocol as proto
 from qcheat.fidelity import (
     check_povms,
     povm_chunk,
@@ -25,6 +26,7 @@ from qcheat.fidelity import (
     povm_overlaps,
     random_povm,
     random_povms,
+    sample_overlaps,
 )
 from qcheat.qcore import InvariantViolation
 
@@ -139,18 +141,35 @@ def test_stacked_samples_equal_one_sample_calls(monkeypatch, dim):
     gen = np.random.default_rng(11)
     singles = [random_povm(dim, dim + 1, gen) for _ in range(7)]
     assert np.array_equal(stack, np.array([povm.elements for povm in singles]))
-    assert np.array_equal(povm_overlaps(rho0, rho1, stack),
-                          [povm_overlap(rho0, rho1, povm) for povm in singles])
+    overlaps = [povm_overlap(rho0, rho1, povm) for povm in singles]
+    assert np.array_equal(povm_overlaps(rho0, rho1, stack), overlaps)
+    assert np.array_equal(sample_overlaps(rho0, rho1, dim + 1, 7, 11), overlaps)
 
 
-def _planted(monkeypatch):
-    """Five valid 2 x 2 three-outcome samples, checked in chunks of 3."""
-    _chunks_of(monkeypatch, 3, 2, 3)
+def test_a_chunk_boundary_keeps_the_report_bytes(monkeypatch, tmp_path):
+    argv = ["fidelity", "--protocol", "bb84-bc", "--povm-samples", "7", "--seed", "3",
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    whole = (tmp_path / "report.json").read_bytes()
+    p = proto.load_protocol("bb84-bc")
+    dim = 2 ** len(proto.bob_holding(p, proto.commit_custody(p)))
+    _chunks_of(monkeypatch, 3, dim, dim + 1)
+    counts = []
+    real = fid.random_povms
+    monkeypatch.setattr(fid, "random_povms",
+                        lambda d, m, count, rng: counts.append(count) or real(d, m, count, rng))
+    assert cli.main(argv) == 0
+    assert counts == [3, 3, 1]
+    assert (tmp_path / "report.json").read_bytes() == whole
+
+
+def _planted():
+    """Five valid 2 x 2 three-outcome samples."""
     return random_povms(2, 3, 5, np.random.default_rng(5))
 
 
-def test_a_non_psd_element_is_named_by_sample_and_element(monkeypatch):
-    stack = _planted(monkeypatch)
+def test_a_non_psd_element_is_named_by_sample_and_element():
+    stack = _planted()
     # move weight from element 1 to element 0 along its lowest eigenvector:
     # the sum stays the identity and both stay Hermitian
     vals, vecs = np.linalg.eigh(stack[3, 1])
@@ -161,12 +180,12 @@ def test_a_non_psd_element_is_named_by_sample_and_element(monkeypatch):
         check_povms(stack)
 
 
-def test_a_non_hermitian_or_incomplete_sample_is_named(monkeypatch):
-    stack = _planted(monkeypatch)
+def test_a_non_hermitian_or_incomplete_sample_is_named():
+    stack = _planted()
     stack[4, 2, 0, 1] += 1e-6
     with pytest.raises(InvariantViolation, match=r"^sample 4, element 2 is not Hermitian"):
         check_povms(stack)
-    stack = _planted(monkeypatch)
+    stack = _planted()
     stack[4, 2] *= 1 + 1e-6
     with pytest.raises(InvariantViolation, match=r"^sample 4: elements do not sum"):
         check_povms(stack)

@@ -478,12 +478,52 @@ def test_controlled_gate_under_two_bit_record():
             ]},
         ],
         "open_rounds": [{"actor": "bob", "ops": [{"gate": "X", "targets": [2]}]}],
+        # accept exactly when the X fired
+        "verify": {"accept_b1": {"qubits": [3], "accept_states": ["1"]}},
     }
     p = parse_protocol(doc)
     q = purify_protocol(p)
     for b in (0, 1):
         exact = enumerate_acceptance(p, b, 1)
+        assert exact == pytest.approx(0.25, abs=1e-12)
         assert run_open(q, run_commit(q, b), 1) == pytest.approx(exact, abs=1e-10)
+
+
+def bob_measures_doc():
+    """Alice entangles the channel with her bit; Bob measures it, flips his
+    qubit on the result, and the channel goes back to Alice."""
+    return {
+        "name": "bob-measures",
+        "qubits": {"alice": 1, "bob": 1, "channel": 1},
+        "initial": {"alice1": [{"gate": "X", "targets": [0]}]},
+        "commit_rounds": [
+            {"actor": "alice", "ops": [{"gate": "RY", "targets": [2], "angle": 1.1},
+                                       {"gate": "CX", "targets": [0, 2]}]},
+            {"actor": "bob", "ops": [
+                {"gate": "H", "targets": [1]},
+                {"measure": True, "targets": [2], "result_id": "m"},
+                {"gate": "X", "targets": [1], "control_classical": "m"},
+                {"gate": "RY", "targets": [1], "angle": 0.3}]},
+        ],
+        "open_rounds": [{"actor": "alice", "ops": [{"gate": "H", "targets": [2]}]}],
+        "verify": {"accept_b0": {"qubits": [1, 2], "accept_states": ["00", "10"]},
+                   "accept_b1": {"qubits": [1, 2], "accept_states": ["01"]}},
+    }
+
+
+def test_bob_measurement_purifies_onto_a_bob_ancilla(tmp_path, capsys):
+    p = parse_protocol(bob_measures_doc())
+    q = purify_protocol(p)
+    assert q.ancilla_owners == ("bob",)
+    assert q.partition.machine("bob") == frozenset({1, 3})
+    for b in (0, 1):
+        for claim in (0, 1):
+            exact = enumerate_acceptance(p, b, claim)
+            assert run_open(q, run_commit(q, b), claim) == pytest.approx(exact, abs=1e-10)
+    path = tmp_path / "bob-measures.yaml"
+    path.write_text(yaml.safe_dump(bob_measures_doc()), encoding="utf-8")
+    assert cli.main(["purify", "--protocol", str(path)]) == 0
+    assert yaml.safe_load(capsys.readouterr().out)["ancillas"] == ["bob"]
 
 
 def test_controlled_two_qubit_gate_under_two_bit_record_exceeds_budget():
@@ -525,6 +565,20 @@ def test_roundtrip_of_purified_protocol():
     assert q.partition.num_qubits == p.partition.num_qubits
     for b in (0, 1):
         assert run_open(q, run_commit(q, b), b) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_purify_round_trip_keeps_allow_consecutive(tmp_path, capsys):
+    doc = minimal_doc(commit_rounds=[
+        {"actor": "alice", "ops": [{"measure": True, "targets": [0], "result_id": "m"}]},
+        {"actor": "alice", "ops": [{"gate": "X", "targets": [2]}],
+         "allow_consecutive": True},
+    ])
+    path = tmp_path / "consecutive.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert cli.main(["purify", "--protocol", str(path)]) == 0
+    emitted = yaml.safe_load(capsys.readouterr().out)
+    assert [rnd.get("allow_consecutive") for rnd in emitted["commit_rounds"]] == [None, True]
+    assert parse_protocol(emitted).commit_rounds[1].allow_consecutive is True
 
 
 def test_emitted_angles_are_numeric():

@@ -25,7 +25,6 @@ from qcheat.qcore import (
     matrix_sqrt_psd,
     mutual_information,
     partial_trace,
-    von_neumann_entropy,
     zero_state,
 )
 
@@ -135,10 +134,10 @@ def test_partition_must_cover_range():
     with pytest.raises(InvariantViolation):
         Partition(frozenset({0}), frozenset({2}), frozenset({3}))
     part = Partition(frozenset({0}), frozenset({1}), frozenset({2}))
-    assert part.owner(2) == "channel"
+    assert part.channel_qubits == frozenset({2})
     grown = part.add_ancilla("alice")
-    assert grown.owner(3) == "alice"
     assert grown.machine("alice") == frozenset({0, 3})
+    assert grown.machine("bob") == frozenset({1}) and grown.channel_qubits == frozenset({2})
 
 
 # --- gates -------------------------------------------------------------
@@ -383,11 +382,15 @@ def test_matrix_sqrt_psd_rejects_indefinite():
 
 
 def test_entropy_oracles():
-    assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-    assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
-    # -(0.75 log2 0.75 + 0.25 log2 0.25)
-    assert von_neumann_entropy(np.diag([0.75, 0.25])) == pytest.approx(
-        0.8112781244591328, abs=1e-12)
+    # I(A:B) = 2 S(A) for a pure state, with S(A) from the Schmidt spectrum
+    assert mutual_information(zero_state(4), (0, 1)) == pytest.approx(0.0, abs=1e-12)
+    # qubits 0-2 and 1-3 are Bell pairs: side (0, 1) is maximally mixed, S = 2
+    pairs = apply_circuit(zero_state(4), [GateOp("H", (0,)), GateOp("CX", (0, 2)),
+                                          GateOp("H", (1,)), GateOp("CX", (1, 3))])
+    assert mutual_information(pairs, (0, 1)) == pytest.approx(4.0, abs=1e-12)
+    # Schmidt spectrum (0.75, 0.25): S = -(0.75 log2 0.75 + 0.25 log2 0.25)
+    skew = PureState(np.array([math.sqrt(0.75), 0.0, 0.0, math.sqrt(0.25)]))
+    assert mutual_information(skew, (0,)) == pytest.approx(2 * 0.8112781244591328, abs=1e-12)
 
 
 def test_mutual_information_oracles():
