@@ -5,6 +5,10 @@ runs one analysis, and emits a report whose bytes are a pure function of
 the inputs: JSON with insertion-ordered keys and 17-significant-digit
 floats, or CSV flattened from that JSON value.  Exit codes: 0 success,
 2 rejected input (or out of memory), 3 a broken internal invariant.
+
+The argument parser depends on no input, so the first ``main`` call of a
+process builds it and later calls reuse it.  ``main`` dispatches on the
+parsed command when it runs, by looking up ``_cmd_<command>``.
 """
 
 from __future__ import annotations
@@ -194,17 +198,17 @@ def _cmd_simulate(ns) -> Report:
     custody = proto.commit_custody(p, ns.channel_custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
     delta = proto.commit_fidelity(p, custody, states)[0]
-    honest = [proto.run_open(p, states[b], b) for b in (0, 1)]
-    cross01 = proto.run_open(p, states[0], 1)
-    cross10 = proto.run_open(p, states[1], 0)
+    # accept[b][c]: Bob's acceptance of claim c after an honest commit to b
+    accept = [[proj.expectation(opened) for proj in p.verification]
+              for opened in (proto.open_state(p, state) for state in states)]
     value = {
         "command": "simulate",
         "protocol": p.name,
         "channel_custody": custody,
         "ancillas": len(p.ancilla_owners),
         "delta": delta,
-        "honest_accept": {"0": honest[0], "1": honest[1]},
-        "cross_accept": {"commit0_open1": cross01, "commit1_open0": cross10},
+        "honest_accept": {"0": accept[0][0], "1": accept[1][1]},
+        "cross_accept": {"commit0_open1": accept[0][1], "commit1_open0": accept[1][0]},
     }
     return Report(value)
 
@@ -379,12 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run both honest commit/open flows and report "
                          "the hiding defect and acceptance table")
     common(sp)
-    sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser(
         "attack", help="synthesize Alice's cheating unitary and score it")
     common(sp)
-    sp.set_defaults(func=_cmd_attack)
 
     sp = sub.add_parser("sweep", help="run the attack across a parameter grid")
     common(sp)
@@ -392,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inclusive linear grid, e.g. 0:1.5707963267948966:9")
     sp.add_argument("--param", default=None, metavar="NAME",
                     help="parameter to vary (default: the document's only one)")
-    sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser(
         "fidelity", help="compare the trace, purification, and measurement "
@@ -403,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "against the minimizer (default: 0)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"random measurement seed (default: {DEFAULT_SEED})")
-    sp.set_defaults(func=_cmd_fidelity)
 
     sp = sub.add_parser(
         "cointoss", help="backward-induction analysis of a coin-toss document")
@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-mixed-invalid", action="store_true",
                     dest="allow_mixed_invalid",
                     help="permit a mixed conditional state on the invalid outcome")
-    sp.set_defaults(func=_cmd_cointoss)
 
     sp = sub.add_parser(
         "purify", help="compile measurements into ancilla entanglement and "
@@ -423,19 +422,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, custody=False, output=False)
     sp.add_argument("--out", default=None, metavar="PATH",
                     help="write the document to PATH instead of stdout")
-    sp.set_defaults(func=_cmd_purify)
 
     return parser
 
 
+# built by the first main call and reused: the parser depends on no input
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        result = ns.func(ns)
+        # looked up per call, so a rebound _cmd_* is the one that runs
+        result = globals()[f"_cmd_{ns.command}"](ns)
         if isinstance(result, str):
             _write_text(result, ns.out)
         else:

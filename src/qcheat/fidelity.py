@@ -56,8 +56,9 @@ def _as_matrix(rho) -> np.ndarray:
 class Povm:
     """Complete positive-operator-valued measurement.
 
-    Elements must be Hermitian and PSD within 1e-10 and sum to the identity
-    within 1e-8; ``check_povms`` makes the checks, as for a sampled stack.
+    Elements must be finite, Hermitian and PSD within 1e-10 and sum to
+    the identity within 1e-8; ``check_povms`` makes the checks, as for a
+    sampled stack.
     """
 
     elements: tuple
@@ -79,14 +80,29 @@ class Povm:
 def check_povms(stack: np.ndarray) -> None:
     """Check a (count, outcomes, d, d) stack of measurements, one per sample.
 
-    Every element must be Hermitian within POVM_PSD_TOL with its smallest
-    eigenvalue at least -POVM_PSD_TOL, and each sample's elements must sum
-    to the identity within POVM_COMPLETE_TOL.  Raises InvariantViolation
-    naming the first failing sample and element.
+    Every element must be finite, Hermitian within POVM_PSD_TOL and have
+    its smallest eigenvalue at least -POVM_PSD_TOL, and each sample's
+    elements must sum to the identity within POVM_COMPLETE_TOL.  Raises
+    InvariantViolation naming the first failing sample and element.
+
+    The eigenvalue bound is first tried as one batched Cholesky
+    factorization of E + POVM_PSD_TOL * I, which succeeds exactly when
+    every smallest eigenvalue is above -POVM_PSD_TOL.  Only when it fails
+    are the eigenvalues computed, to give the verdict and name the element;
+    an element within rounding of -POVM_PSD_TOL may get either verdict.
     """
+    # NaN fails no comparison below, and factors without an error
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        s, i = (int(k) for k in np.argwhere(~finite)[0])
+        raise InvariantViolation(f"sample {s}, element {i} has a non-finite entry")
     asym = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    lows = np.linalg.eigvalsh(stack)[..., 0]
-    bad = (asym > POVM_PSD_TOL) | (lows < -POVM_PSD_TOL)
+    bad = asym > POVM_PSD_TOL
+    try:
+        np.linalg.cholesky(stack + POVM_PSD_TOL * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        lows = np.linalg.eigvalsh(stack)[..., 0]
+        bad |= lows < -POVM_PSD_TOL
     if bad.any():
         s, i = (int(k) for k in np.argwhere(bad)[0])
         if asym[s, i] > POVM_PSD_TOL:

@@ -172,6 +172,8 @@ def _embed(matrix: np.ndarray, positions, k: int) -> np.ndarray:
 
 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's emitter when PyYAML has it (see document_to_yaml)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def _load_yaml(text: str) -> dict:
@@ -795,13 +797,18 @@ def run_open(p: Protocol, state: PureState, claimed_b: int) -> float:
     """Apply the open rounds, then Bob's acceptance probability for the claim."""
     if claimed_b not in (0, 1):
         raise ValueError(f"claimed bit must be 0 or 1, got {claimed_b!r}")
+    return p.verification[claimed_b].expectation(open_state(p, state))
+
+
+def open_state(p: Protocol, state: PureState) -> PureState:
+    """The joint state after the open rounds, applied once to a commit
+    state; each of Bob's projectors can then be read from it."""
     _require_unitary(p, "run_open")
     if state.num_qubits != p.partition.num_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits, protocol register has "
             f"{p.partition.num_qubits}")
-    state = qcore.apply_circuit(state, *(rnd.ops for rnd in p.open_rounds))
-    return p.verification[claimed_b].expectation(state)
+    return qcore.apply_circuit(state, *(rnd.ops for rnd in p.open_rounds))
 
 
 # ---------------------------------------------------------------------------
@@ -1003,4 +1010,12 @@ def protocol_to_document(p: Protocol) -> dict:
 
 
 def document_to_yaml(doc: dict) -> str:
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=10 ** 6)
+    """``doc`` as YAML, emitted through ``_YAML_DUMPER``.
+
+    libyaml's emitter and PyYAML's wrote the same bytes for every value
+    tried.  They differ on some mapping keys that need quotes, such as
+    ``''`` or one with escapes, which either may write as an explicit
+    ``? key``; every document emitted here has plain field names as keys.
+    """
+    return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False, default_flow_style=None,
+                     width=10 ** 6)

@@ -203,3 +203,57 @@ def test_one_chunk_stays_within_the_byte_budget(monkeypatch, dim):
     finally:
         tracemalloc.stop()
     assert peak <= fid.POVM_BYTE_BUDGET
+
+
+# --- the Cholesky pass -------------------------------------------------------
+
+def _lowest_at(stack, s, i, low):
+    """Move weight from element i to element 0 of sample s along i's lowest
+    eigenvector until i's smallest eigenvalue is ``low``; the sample stays
+    Hermitian and complete."""
+    vals, vecs = np.linalg.eigh(stack[s, i])
+    shift = (vals[0] - low) * np.outer(vecs[:, 0], vecs[:, 0].conj())
+    stack[s, i] -= shift
+    stack[s, 0] += shift
+    assert np.linalg.eigvalsh(stack[s, i])[0] == pytest.approx(low, rel=1e-3)
+    return stack
+
+
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    return calls
+
+
+def test_a_valid_stack_is_checked_without_eigenvalues(monkeypatch):
+    calls = _counting_eigvalsh(monkeypatch)
+    check_povms(random_povms(4, 5, 9, np.random.default_rng(2)))
+    assert calls == []
+
+
+def test_an_eigenvalue_of_half_the_tolerance_below_zero_passes(monkeypatch):
+    stack = _lowest_at(random_povms(4, 5, 9, np.random.default_rng(2)), 4, 2,
+                       -fid.POVM_PSD_TOL / 2)
+    calls = _counting_eigvalsh(monkeypatch)
+    check_povms(stack)
+    assert calls == []
+
+
+def test_an_eigenvalue_of_twice_the_tolerance_below_zero_is_named_in_the_middle():
+    stack = _lowest_at(random_povms(4, 5, 9, np.random.default_rng(2)), 4, 2,
+                       -2 * fid.POVM_PSD_TOL)
+    low = float(np.linalg.eigvalsh(stack)[4, 2, 0])
+    with pytest.raises(InvariantViolation) as info:
+        check_povms(stack)
+    assert str(info.value) == (
+        f"sample 4, element 2 has eigenvalue {low!r} below -{fid.POVM_PSD_TOL}")
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0), (2, 2)], ids=["upper", "lower", "diagonal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_element_is_named(entry, value):
+    stack = random_povms(4, 5, 9, np.random.default_rng(2))
+    stack[6, 3][entry] = value
+    with pytest.raises(InvariantViolation, match=r"^sample 6, element 3 has a non-finite entry$"):
+        check_povms(stack)
