@@ -21,31 +21,33 @@ the last round back: gate applications are linear in the round count.
 Each step runs on coefficient matrices, as the attack does, and takes its
 fidelities by Uhlmann's theorem (Uhlmann 1976; Jozsa, J. Mod. Opt. 41,
 1994).  The sender's rules are isometries V with P = V V^dagger: a document
-rule's V comes from one ``eigh`` when the analysis starts, and every later
-rule from the step before.  For each label, V^dagger contracted into psi_k
-and cut with rows on the receiver's machine gives X with X X^dagger = p rho:
-p = ||X||_F^2 is the label's probability and rho the receiver's conditional
-state.  The pairwise fidelity is ||X_x^dagger X_y||_* / sqrt(p_x p_y),
-clamped at 1.  One thin SVD per present label gives the receiver's new
-rule, the left singular vectors with sigma^2 / p > SUPPORT_CUTOFF; "invalid"
-is the orthogonal complement of the "0" and "1" rules.  No reduced density
-matrix, matrix square root or projector is formed, and the checks those
-made stay at the step: the three probabilities sum to 1 within
-COMPLETENESS_TOL; each new rule is an isometry within PROJECTOR_TOL; the
-supports of "0" and "1" do not overlap, every singular value of [V0 V1]
-being 1 within PROJECTOR_TOL (a ``tol`` loose enough to let them overlap is
-a ValueError); the invalid outcome's purity is sum sigma^4 / p^2; and
-``FidelityTriple`` checks its bounds.  ``fidelity.fidelity_trace`` on the
+rule's V is built by the parser (see ``protocol.Projector``), and every
+later rule's by the step before, so no step takes an ``eigh``.  For each
+label, V^dagger contracted into psi_k and cut with rows on the receiver's
+machine gives X with X X^dagger = p rho: p = ||X||_F^2 is the label's
+probability and rho the receiver's conditional state.  The pairwise
+fidelity is ||X_x^dagger X_y||_* / sqrt(p_x p_y), clamped at 1.  One thin
+SVD per present label gives the receiver's new rule, the left singular
+vectors with sigma^2 / p > SUPPORT_CUTOFF; "invalid" is the orthogonal
+complement of the "0" and "1" rules.  No reduced density matrix, matrix
+square root or projector is formed, and the checks those made stay at the
+step: the three probabilities sum to 1 within COMPLETENESS_TOL; each new
+rule is an isometry within PROJECTOR_TOL; the supports of "0" and "1" do
+not overlap, every singular value of [V0 V1] being 1 within PROJECTOR_TOL
+(a ``tol`` loose enough to let them overlap is a ValueError); the invalid
+outcome's purity is sum sigma^4 / p^2; and ``FidelityTriple`` checks its
+bounds.  ``fidelity.fidelity_trace`` on the
 reduced states stays the independent route the tests compare against.
 
 ``parse_coin_protocol`` checks a document once; ``CoinProtocol`` is a plain
 record.  ``truncate_last_round`` keeps each invariant by construction.
 Deleting the last round leaves the rounds alternating and measurement-free,
 and both actors get rules under the same three labels.  The receiver, who
-sends the new last round, gets Projectors V V^dagger on their machine that
-sum to I (invalid is I - S0 - S1).  The sender, who now receives the
-channel, gets rules on their machine and the channel conjugated by the
-deleted round's unitary: their sum stays I up to rounding.
+sends the new last round, gets rules on their machine whose isometries
+together span it: invalid is the orthogonal complement of [V0 V1].  The
+sender, who now receives the channel, gets U^dagger (V x I) for each rule,
+lifted to their machine and the channel and rotated back through the
+deleted round's unitary U: their sum stays I up to rounding.
 
 ``induction_report`` builds neither a truncated protocol nor a pulled-back
 rule.  The parser requires the rounds to alternate actors, so the receiver
@@ -261,8 +263,8 @@ def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
         if len(space) > qcore.MAX_SIDE_QUBITS:
             raise ProtocolError(f"{actor} outcome rules read {len(space)} qubits; a rule "
                                 f"space is capped at {qcore.MAX_SIDE_QUBITS}", f"outcomes.{actor}")
-        total = sum(rule.lifted_matrix(space) for rule in actor_rules.values())
-        if np.max(np.abs(total - np.eye(2 ** len(space)))) > COMPLETENESS_TOL:
+        w = np.hstack([_lift(rule, space) for rule in actor_rules.values()])
+        if abs(w @ w.conj().T - np.identity(2 ** len(space))).max() > COMPLETENESS_TOL:
             raise ProtocolError(f"{actor} outcome rules do not sum to the identity within "
                                 f"{COMPLETENESS_TOL}", f"outcomes.{actor}")
 
@@ -323,42 +325,30 @@ def _last_sender(p: CoinProtocol) -> str:
     return p.rounds[-1].actor
 
 
-def _isometries(rules: dict) -> dict:
-    """{label: (qubits, V)}: each Projector rule as an isometry, P = V V^dagger.
-
-    V holds the rule's eigenvectors of eigenvalue 1, from one ``eigh``; a
-    zero rule's V has no columns.
-    """
-    isometries = {}
-    for label, rule in rules.items():
-        values, vectors = np.linalg.eigh(rule.matrix)
-        isometries[label] = (rule.qubits, vectors[:, values > 0.5])
-    return isometries
-
-
 def _conditionals(state: PureState, keep: tuple, rules: dict) -> dict:
     """{label: (p, X)} for each label the sender reads with p > PRESENCE_CUTOFF.
 
     X is (V^dagger x I) psi as a matrix with rows on ``keep``, the
     receiver's machine, so X X^dagger = p rho for rho the receiver's state
     conditioned on the label.  The channel still sits with the sender, so
-    it lies among the columns.  ``rules`` maps each label to (qubits, V);
-    V None is the orthogonal complement of the "0" and "1" isometries on
-    the same qubits.  Each label's block is contracted on its own, so the
+    it lies among the columns.  ``rules`` maps each label to a Projector;
+    None is the orthogonal complement of the "0" and "1" rules, on their
+    qubits.  Each label's block is contracted on its own, so the
     probabilities of the three labels must sum to 1.
     """
     dim = 2 ** len(keep)
     blocks, picked = {}, {}
     for label in OUTCOME_LABELS:
-        qubits, v = rules[label]
+        rule = rules[label]
+        qubits = (rules["0"] if rule is None else rule).qubits
         if qubits not in blocks:
             blocks[qubits] = qcore._split(state, keep, lead=qubits)[2].reshape(
                 dim, 2 ** len(qubits), -1)
-        if v is None:
-            picked[label] = (blocks[qubits] - rules["0"][1] @ picked["0"]
-                             - rules["1"][1] @ picked["1"])
+        if rule is None:
+            picked[label] = (blocks[qubits] - rules["0"].isometry @ picked["0"]
+                             - rules["1"].isometry @ picked["1"])
         else:
-            picked[label] = v.conj().T @ blocks[qubits]
+            picked[label] = rule.isometry.conj().T @ blocks[qubits]
     probs = {label: float(np.vdot(x, x).real) for label, x in picked.items()}
     total = sum(probs.values())
     if abs(total - 1.0) > COMPLETENESS_TOL:
@@ -370,7 +360,7 @@ def _conditionals(state: PureState, keep: tuple, rules: dict) -> dict:
 
 def _condition(partition: Partition, sender: str, rules: dict, state: PureState,
                allow_mixed_invalid: bool):
-    """Condition the receiver on the sender's outcome ``rules`` (isometries).
+    """Condition the receiver on the sender's outcome ``rules``.
 
     ``state`` is the honest state after the sender's round.  Returns
     (receiver machine, {label: (p, X, W^dagger, s)}, fidelity triple).  X
@@ -412,8 +402,8 @@ def _condition(partition: Partition, sender: str, rules: dict, state: PureState,
 def last_round_fidelities(p: CoinProtocol, *, allow_mixed_invalid=False) -> FidelityTriple:
     """Pairwise fidelities of the receiver's sender-conditioned states."""
     sender = _last_sender(p)
-    return _condition(p.partition, sender, _isometries(p.outcome_rules[sender]),
-                      run_rounds(p), allow_mixed_invalid)[2]
+    return _condition(p.partition, sender, p.outcome_rules[sender], run_rounds(p),
+                      allow_mixed_invalid)[2]
 
 
 def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
@@ -430,16 +420,16 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
     _check_tol(tol, "tol")
     state = run_rounds(p)
     sender = _last_sender(p)
-    _, rules = _receiver_rules(p, p.num_rounds, _isometries(p.outcome_rules[sender]), state,
-                               tol, allow_mixed_invalid)
-    (keep, v0), (_, v1) = rules["0"], rules["1"]
-    s0, s1 = v0 @ v0.conj().T, v1 @ v1.conj().T
+    _, rules = _receiver_rules(p, p.num_rounds, p.outcome_rules[sender], state, tol,
+                               allow_mixed_invalid)
+    # invalid spans the orthogonal complement of [V0 V1], whose columns are
+    # orthonormal: the trailing left singular vectors
+    stacked = np.hstack([rules["0"].isometry, rules["1"].isometry])
+    invalid = np.linalg.svd(stacked)[0][:, stacked.shape[1]:]
     return replace(p, rounds=p.rounds[:-1],
                    outcome_rules={sender: _pulled_back_rules(p, sender),
                                   other_actor(sender): {
-                                      "0": Projector(keep, s0),
-                                      "1": Projector(keep, s1),
-                                      "invalid": Projector(keep, np.eye(len(s0)) - s0 - s1)}})
+                                      **rules, "invalid": Projector(rules["0"].qubits, invalid)}})
 
 
 def _check_tol(tol, name: str):
@@ -456,14 +446,14 @@ def _receiver_rules(p: CoinProtocol, k: int, rules: dict, state: PureState, tol,
                     allow_mixed_invalid):
     """(fidelity triple, receiver's rules) for deleting round ``k`` of ``p``.
 
-    ``rules`` are the isometries of round k's sender in the k-round
-    truncation of ``p``, and ``state`` is the honest state after round k.
-    The receiver's new rules, on their machine, are the supports of their
-    sender-conditioned states: for "0" and "1" the left singular vectors
-    with s^2 / p > SUPPORT_CUTOFF, each checked to be an isometry; invalid
-    is the complement of both (V None).  Raises ValueError when the two
-    supports overlap, which a loose ``tol`` allows: then some singular
-    value of [V0 V1] is not 1.
+    ``rules`` are the rules of round k's sender in the k-round truncation
+    of ``p``, and ``state`` is the honest state after round k.  The
+    receiver's new rules, on their machine, are the supports of their
+    sender-conditioned states: for "0" and "1" the Projector of the left
+    singular vectors with s^2 / p > SUPPORT_CUTOFF; invalid is the
+    complement of both (None).  Raises ValueError when the two supports
+    overlap, which a loose ``tol`` allows: then some singular value of
+    [V0 V1] is not 1.
     """
     sender = p.rounds[k - 1].actor
     keep, factors, triple = _condition(p.partition, sender, rules, state, allow_mixed_invalid)
@@ -480,35 +470,43 @@ def _receiver_rules(p: CoinProtocol, k: int, rules: dict, state: PureState, tol,
             v = x @ (wh[kept].conj().T / s[kept])
         else:
             v = np.zeros((2 ** len(keep), 0), dtype=complex)
-        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) > PROJECTOR_TOL:
-            raise InvariantViolation(f"support {label!r} is not an isometry within {PROJECTOR_TOL}")
-        supports[label] = v
-    if supports["0"].shape[1] and supports["1"].shape[1]:
-        singular = np.linalg.svd(np.hstack([supports["0"], supports["1"]]), compute_uv=False)
+        supports[label] = Projector(keep, v)
+    v0, v1 = supports["0"].isometry, supports["1"].isometry
+    if v0.shape[1] and v1.shape[1]:
+        singular = np.linalg.svd(np.hstack([v0, v1]), compute_uv=False)
         if np.max(np.abs(singular - 1.0)) > PROJECTOR_TOL:
             cosine = float(np.max(np.abs(singular ** 2 - 1.0)))
             raise ValueError(
                 f"round {k}: the receiver's supports overlap (largest principal cosine "
                 f"{cosine:.6g}); the orthogonality threshold {tol:g} (--ideal-tol) is too "
                 "loose to truncate this round")
-    return triple, {"0": (keep, supports["0"]), "1": (keep, supports["1"]),
-                    "invalid": (keep, None)}
+    return triple, {**supports, "invalid": None}
 
 
 def _pulled_back_rules(p: CoinProtocol, sender: str) -> dict:
     """The last sender's rules conjugated by their deleted round's unitary.
 
     They act on the sender's machine and the channel, which the sender
-    holds again once the round is gone.
+    holds again once the round is gone: U^dagger (V x I) is already an
+    isometry.
     """
     sender_space = p.partition.holding(sender, sender)
     unitary = qcore._circuit_matrix(p.rounds[-1].ops, sender_space)
     rules = p.outcome_rules[sender]
-    return {
-        label: Projector(sender_space,
-                         unitary.conj().T @ rules[label].lifted_matrix(sender_space) @ unitary)
-        for label in OUTCOME_LABELS
-    }
+    return {label: Projector(sender_space, unitary.conj().T @ _lift(rules[label], sender_space))
+            for label in OUTCOME_LABELS}
+
+
+def _lift(rule: Projector, space: tuple) -> np.ndarray:
+    """``rule``'s isometry on ``space``, a sorted superset of its qubits:
+    V x I, with its row axes moved into ``space``'s order."""
+    rest = tuple(q for q in space if q not in rule.qubits)
+    order = rule.qubits + rest
+    eye = np.identity(2 ** len(rest))
+    lifted = rule.isometry[:, None, :, None] * eye[None, :, None, :]
+    rows = lifted.reshape((2,) * len(space) + (-1,)).transpose(
+        [order.index(q) for q in space] + [len(space)])
+    return rows.reshape(2 ** len(space), -1)
 
 
 def _channel_holder(p: CoinProtocol) -> str:
@@ -534,11 +532,11 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     state psi_0 ... psi_N; the verdict's outcome distribution is read off
     psi_N, the step that truncates round k pops psi_k and drops it when
     done, and psi_0 gives the zero-round mutual information.
-    Each step conditions on isometries, not projectors: the last sender's
-    document rules become isometries by one ``eigh`` each, and each step
-    hands its receiver's supports, from one thin SVD per present label, to
-    the next step as that step's sender rules (see the module docstring
-    for the kernel and the checks it keeps at every step).
+    Each step conditions on isometries: the last sender's document rules
+    come from the parser as such, and each step hands its receiver's
+    supports, from one thin SVD per present label, to the next step as
+    that step's sender rules (see the module docstring for the kernel and
+    the checks it keeps at every step).
     Truncation rewrites only outcome rules, never the state before the
     deleted round, so gate applications are linear in N.  The cost is
     memory: up to (N+1) * 2^n * 16 bytes of states at once.
@@ -562,7 +560,7 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
     states = _round_states(p)
     distribution = _distribution(p, states[-1])
     steps = []
-    rules = _isometries(p.outcome_rules[p.rounds[-1].actor]) if p.rounds else None
+    rules = p.outcome_rules[p.rounds[-1].actor] if p.rounds else None
     for k in range(p.num_rounds, 0, -1):
         try:
             triple, rules = _receiver_rules(p, k, rules, states.pop(), tol,
@@ -672,7 +670,7 @@ def validate_walk(trajectory, epsilon) -> WalkResult:
 
 
 def _rule_node(rule: Projector):
-    if not np.any(rule.matrix):
+    if not rule.isometry.shape[1]:
         return {"qubits": list(rule.qubits), "zero": True}
     return proto._projector_node(rule)
 

@@ -77,38 +77,40 @@ class Round:
 
 @dataclass(frozen=True)
 class Projector:
-    """Hermitian idempotent on an explicit, strictly increasing qubit list."""
+    """P = V V^dagger for an isometry V (2^k x rank) on an explicit, strictly
+    increasing list of k qubits; a zero projector's V has no columns."""
 
     qubits: tuple
-    matrix: np.ndarray
+    isometry: np.ndarray
 
     def __post_init__(self):
-        qubits = tuple(int(q) for q in self.qubits)
-        if not qubits or any(a >= b for a, b in zip(qubits, qubits[1:])):
+        qubits = tuple(map(int, self.qubits))
+        if not qubits or list(qubits) != sorted(set(qubits)):
             raise InvariantViolation(f"projector qubits must strictly increase, got {qubits}")
-        mat = np.array(self.matrix, dtype=complex)
-        want = 2 ** len(qubits)
-        if mat.shape != (want, want):
+        v = np.array(self.isometry, dtype=complex)
+        if v.ndim != 2 or v.shape[0] != 2 ** len(qubits):
             raise InvariantViolation(
-                f"projector matrix shape {mat.shape} does not match {len(qubits)} qubits")
-        if np.max(np.abs(mat - mat.conj().T)) > PROJECTOR_TOL:
-            raise InvariantViolation(f"projector is not Hermitian within {PROJECTOR_TOL}")
-        if np.max(np.abs(mat @ mat - mat)) > PROJECTOR_TOL:
-            raise InvariantViolation(f"projector is not idempotent within {PROJECTOR_TOL}")
-        mat.setflags(write=False)
+                f"isometry shape {v.shape} does not match {len(qubits)} qubits")
+        # V^dagger V - I, in place: the induction builds two rules a round
+        gram = v.conj().T @ v
+        gram.flat[::len(gram) + 1] -= 1
+        if abs(gram).max(initial=0.0) > PROJECTOR_TOL:
+            raise InvariantViolation(f"projector is not an isometry within {PROJECTOR_TOL}")
+        v.setflags(write=False)
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "isometry", v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """V V^dagger, formed on each call."""
+        return self.isometry @ self.isometry.conj().T
 
     def expectation(self, state: PureState) -> float:
+        # <psi, (V V^dagger) psi>, not ||V^dagger psi||^2: the two round
+        # differently, and the report bytes are those of this form
         projected = qcore._apply_matrix(
             state.amplitudes, self.matrix, self.qubits, state.num_qubits)
         return float(np.real(np.vdot(state.amplitudes, projected)))
-
-    def lifted_matrix(self, space) -> np.ndarray:
-        """The same operator written on a sorted superset of qubits."""
-        space = tuple(space)
-        positions = tuple(space.index(q) for q in self.qubits)
-        return _embed(self.matrix, positions, len(space))
 
 
 class _Document:
@@ -153,18 +155,6 @@ class Protocol(_Document):
     def has_measurements(self) -> bool:
         return any(
             isinstance(op, MeasureOp) for rnd in self.all_rounds for op in rnd.ops)
-
-
-# ---------------------------------------------------------------------------
-# small matrix helpers
-
-
-def _embed(matrix: np.ndarray, positions, k: int) -> np.ndarray:
-    """Lift an operator on ``positions`` to the full 2^k space."""
-    if len(positions) == k and positions == tuple(range(k)):
-        return np.array(matrix, dtype=complex)
-    full = np.eye(2 ** k, dtype=complex).reshape((2,) * k + (2 ** k,))
-    return qcore._contract(full, matrix, tuple(positions)).reshape(2 ** k, 2 ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -568,34 +558,43 @@ def _parse_projector(spec, scope, loc, *, default_qubits, allowed, allow_zero=Fa
             raise ProtocolError("zero must be the literal true", _loc(loc, "zero"))
         if "gates" in spec:
             raise ProtocolError("zero takes no gates", _loc(loc, "gates"))
-        return Projector(qubits, np.zeros((2 ** k, 2 ** k), dtype=complex))
+        return Projector(qubits, np.zeros((2 ** k, 0), dtype=complex))
 
     if "matrix" in spec:
         if "gates" in spec:
             raise ProtocolError("give either a matrix or a gate list, not both",
                                 _loc(loc, "gates"))
-        matrix = _parse_matrix(spec["matrix"], _loc(loc, "matrix"))
-        try:
-            return Projector(qubits, matrix)
-        except InvariantViolation as exc:
-            raise ProtocolError(str(exc), _loc(loc, "matrix")) from None
+        return Projector(qubits, _literal_isometry(
+            _parse_matrix(spec["matrix"], _loc(loc, "matrix")), k, _loc(loc, "matrix")))
 
     gates = _parse_ops(spec.get("gates", []), scope, _loc(loc, "gates"), qubits,
                        "the projector's qubit list")
-    states = _as_list(spec["accept_states"], _loc(loc, "accept_states"))
-    mask = np.zeros(2 ** k)
-    for s in states:
+    accepted = set()
+    for s in _as_list(spec["accept_states"], _loc(loc, "accept_states")):
         s = _as_str(s, _loc(loc, "accept_states"))
         if len(s) != k or any(ch not in "01" for ch in s):
             raise ProtocolError(
                 f"accept state {s!r} is not a {k}-bit string", _loc(loc, "accept_states"))
-        index = int(s, 2)
-        if mask[index]:
+        if int(s, 2) in accepted:
             raise ProtocolError(f"accept state {s!r} repeats", _loc(loc, "accept_states"))
-        mask[index] = 1.0
-    circuit = qcore._circuit_matrix(gates, qubits)
-    matrix = circuit.conj().T @ (mask[:, None] * circuit)
-    return Projector(qubits, matrix)
+        accepted.add(int(s, 2))
+    # V is C^dagger at the accepted columns; taking C's rows before the
+    # conjugate copies no 2^k x 2^k matrix
+    return Projector(qubits, qcore._circuit_matrix(gates, qubits)[sorted(accepted)].conj().T)
+
+
+def _literal_isometry(matrix, k: int, loc) -> np.ndarray:
+    """V with V V^dagger = ``matrix``, a user's projector literal on k qubits,
+    checked first: its eigenvectors of eigenvalue 1, from one ``eigh``."""
+    if matrix.shape != (2 ** k, 2 ** k):
+        raise ProtocolError(
+            f"projector matrix shape {matrix.shape} does not match {k} qubits", loc)
+    if np.max(np.abs(matrix - matrix.conj().T)) > PROJECTOR_TOL:
+        raise ProtocolError(f"projector is not Hermitian within {PROJECTOR_TOL}", loc)
+    if np.max(np.abs(matrix @ matrix - matrix)) > PROJECTOR_TOL:
+        raise ProtocolError(f"projector is not idempotent within {PROJECTOR_TOL}", loc)
+    values, vectors = np.linalg.eigh(matrix)
+    return vectors[:, values > 0.5]
 
 
 # ---------------------------------------------------------------------------

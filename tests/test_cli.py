@@ -349,7 +349,10 @@ def test_refused_documents_exit_2_at_a_field_under_1_gib(tmp_path, cli_under_1_g
 
 
 def test_out_of_memory_is_input_error_under_1_gib(tmp_path, cli_under_1_gib):
-    # a 12-qubit verify projector: building it takes more than 1 GiB
+    # a rank-1 verify projector on 12 qubits parses to one 4096-row column,
+    # so the commands that only score it run; fidelity writes out Bob's
+    # 12-qubit holding and purify emits the 4096 x 4096 matrix, which take
+    # more than 1 GiB
     doc = _commitment(qubits={"alice": 1, "bob": 11, "channel": 1},
                       verify={"accept_b0": {"accept_states": ["0" * 12]}})
     path = tmp_path / "doc.yaml"
@@ -357,8 +360,11 @@ def test_out_of_memory_is_input_error_under_1_gib(tmp_path, cli_under_1_gib):
     commands = COMMANDS[:4] + COMMANDS[5:]
     runs = cli_under_1_gib([command + ["--protocol", str(path)] for command in commands])
     for command, (code, text) in zip(commands, runs):
-        assert code == 2, (command, text)
-        assert text.startswith("error: out of memory ("), (command, text)
+        if command[0] in ("simulate", "attack", "sweep"):
+            assert code == 0, (command, text)
+        else:
+            assert code == 2, (command, text)
+            assert text.startswith("error: out of memory ("), (command, text)
 
 
 @pytest.mark.parametrize("source", ["leaky-bc(nan)", "leaky-bc(inf)"])

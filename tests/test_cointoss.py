@@ -24,7 +24,7 @@ from qcheat.cointoss import (
     truncate_last_round,
     validate_walk,
 )
-from qcheat.protocol import Projector, ProtocolError, document_to_yaml
+from qcheat.protocol import ProtocolError, document_to_yaml
 from qcheat.qcore import InvariantViolation
 from test_attack import count_calls
 
@@ -201,8 +201,7 @@ def test_guess_ct_last_round_is_clean_but_third_is_not():
     assert triple.f01 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_truncation_preserves_outcome_distribution():
-    p = load_coin_protocol("ideal-ct")
+def _assert_truncations_keep_outcomes(p):
     want = outcome_distribution(p)
     while p.rounds:
         p = truncate_last_round(p)
@@ -212,6 +211,17 @@ def test_truncation_preserves_outcome_distribution():
                 assert got[actor][label] == pytest.approx(
                     want[actor][label], abs=1e-8)
     assert p.num_rounds == 0
+
+
+def test_truncation_preserves_outcome_distribution():
+    _assert_truncations_keep_outcomes(load_coin_protocol("ideal-ct"))
+
+
+def test_truncation_rotates_the_pulled_back_rules(perfbench_gen):
+    # this coin's rounds do not commute with the sender's rules, so the
+    # outcomes hold only if each pulled-back rule is U^dagger (V x I)
+    _assert_truncations_keep_outcomes(
+        parse_coin_protocol(perfbench_gen.coin_documents(1, 16)["coin-r16-fixed"]))
 
 
 def test_truncation_raises_with_witness_fields():
@@ -313,8 +323,8 @@ def test_truncation_lifts_only_the_sender_rules(monkeypatch, perfbench_gen):
     # back, and checks nothing the parser already checked, so no
     # completeness lift; the induction pulls back nothing, so it lifts none
     lifts = []
-    real = Projector.lifted_matrix
-    monkeypatch.setattr(Projector, "lifted_matrix",
+    real = cointoss._lift
+    monkeypatch.setattr(cointoss, "_lift",
                         lambda rule, space: lifts.append(rule) or real(rule, space))
     for name, p in _induction_inputs(perfbench_gen).items():
         lifts.clear()
@@ -659,7 +669,7 @@ def test_induction_conditions_on_a_present_complement():
 
 def test_induction_forms_no_density_matrix(monkeypatch, perfbench_gen):
     # the induction conditions on coefficient matrices: no reduced state,
-    # no matrix square root, and eigh only for the document's own rules
+    # no matrix square root, and no eigh: every rule is an isometry already
     real_init = qcore.DensityMatrix.__post_init__
     for name, doc in perfbench_gen.coin_documents(1, 16).items():
         p = parse_coin_protocol(doc)
@@ -678,7 +688,7 @@ def test_induction_forms_no_density_matrix(monkeypatch, perfbench_gen):
         assert built == [], name
         assert counts["partial_trace"] == counts["fidelity_trace"] == 0, name
         assert counts["matrix_sqrt_psd"] == 0, name
-        assert counts["eigh"] <= len(p.outcome_rules[p.rounds[-1].actor]), name
+        assert counts["eigh"] == 0, name
 
 
 # --- document emission -------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from qcheat import cli
+from qcheat import cli, protocol, qcore
+from qcheat.cointoss import _lift, parse_coin_protocol
 from qcheat.protocol import (
     BUILTIN_NAMES,
     MeasureOp,
@@ -27,7 +28,7 @@ from qcheat.protocol import (
     run_commit,
     run_open,
 )
-from qcheat.qcore import partial_trace
+from qcheat.qcore import InvariantViolation, partial_trace
 
 
 def minimal_doc(**extra):
@@ -591,11 +592,13 @@ def test_emitted_angles_are_numeric():
 def test_projector_expectation_and_lift():
     p = load_protocol("bell-bc")
     state = run_commit(p, 0)
-    proj = Projector((2,), np.diag([1.0, 0.0]))
+    proj = Projector((2,), np.array([[1.0], [0.0]]))
     # the committed channel half of the bell pair is maximally mixed
     assert proj.expectation(state) == pytest.approx(0.5, abs=1e-12)
-    lifted = proj.lifted_matrix((0, 1, 2))
-    np.testing.assert_allclose(lifted, np.kron(np.eye(4), np.diag([1.0, 0.0])), atol=0)
+    lifted = _lift(proj, (0, 1, 2))
+    assert lifted.shape == (8, 4)
+    np.testing.assert_allclose(lifted @ lifted.conj().T,
+                               np.kron(np.eye(4), np.diag([1.0, 0.0])), atol=0)
 
 
 def test_reduced_state_helper_consistency():
@@ -621,7 +624,81 @@ def test_identity_accept_projector_is_built_only_for_a_missing_key(monkeypatch, 
     assert len(p.verification) == 2
     # Bob's qubit and the channel are the default qubits
     for proj in p.verification:
-        np.testing.assert_array_equal(proj.lifted_matrix((1, 2)), np.eye(4))
+        lifted = _lift(proj, (1, 2))
+        np.testing.assert_array_equal(lifted @ lifted.conj().T, np.eye(4))
+
+
+def test_accept_states_rules_form_the_dense_recipe_bit_for_bit(monkeypatch, perfbench_gen):
+    # V V^dagger of the parsed isometry is C^dagger diag(mask) C, in every
+    # bit, on every accept_states rule: purify's matrix rows and Bob's
+    # acceptance values stay those of the dense recipe
+    parsed = []
+    real = protocol._parse_projector
+
+    def spy(spec, scope, loc, **kwargs):
+        rule = real(spec, scope, loc, **kwargs)
+        parsed.append((spec, scope, rule))
+        return rule
+
+    monkeypatch.setattr(protocol, "_parse_projector", spy)
+    docs = [resolve_document(name)[0] for name in BUILTIN_NAMES]
+    docs += [*perfbench_gen.ladder_documents(1).values(),
+             *perfbench_gen.coin_documents(1, 16).values()]
+    for doc in docs:
+        (parse_coin_protocol if doc.get("kind") == "coin-toss" else parse_protocol)(doc)
+    checked = 0
+    for spec, scope, rule in parsed:
+        if "accept_states" not in spec:
+            continue
+        gates = protocol._parse_ops(spec.get("gates", []), scope, "gates", rule.qubits, "")
+        circuit = qcore._circuit_matrix(gates, rule.qubits)
+        mask = np.zeros(len(circuit))
+        mask[[int(state, 2) for state in spec["accept_states"]]] = 1.0
+        assert rule.isometry.shape == (len(circuit), len(spec["accept_states"]))
+        np.testing.assert_array_equal(rule.matrix, circuit.conj().T @ (mask[:, None] * circuit))
+        checked += 1
+    assert checked == 42
+
+
+def test_rank_one_rule_on_twelve_qubits_parses_to_one_column():
+    p = parse_protocol(minimal_doc(
+        qubits={"alice": 1, "bob": 11, "channel": 1},
+        commit_rounds=[{"actor": "alice", "ops": [{"gate": "X", "targets": [12]}]}],
+        open_rounds=[{"actor": "bob", "ops": [{"gate": "X", "targets": [12]}]}],
+        verify={"accept_b0": {"accept_states": ["0" * 12]}}))
+    accept = p.verification[0]
+    assert accept.qubits == tuple(range(1, 13))
+    assert accept.isometry.shape == (4096, 1)
+    assert accept.isometry[0, 0] == 1 and not np.any(accept.isometry[1:])
+    assert p.verification[1].isometry.shape == (2, 2)
+
+
+def test_matrix_literal_takes_its_eigenvectors_of_eigenvalue_one():
+    plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+    p = parse_protocol(minimal_doc(verify={"accept_b0": {"qubits": [2], "matrix": plus}}))
+    accept = p.verification[0]
+    assert accept.isometry.shape == (2, 1)
+    np.testing.assert_allclose(accept.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], "is not idempotent"),
+    ([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "is not Hermitian"),
+    ([[[1.0, 0.0]]], r"matrix shape \(1, 1\) does not match 1 qubits"),
+], ids=["half-identity", "not-hermitian", "shape"])
+def test_matrix_literal_that_is_no_projector_is_refused_at_matrix(matrix, message):
+    doc = minimal_doc(verify={"accept_b0": {"qubits": [2], "matrix": matrix}})
+    with pytest.raises(ProtocolError, match=rf"^verify\.accept_b0\.matrix: projector {message}"):
+        parse_protocol(doc)
+
+
+@pytest.mark.parametrize("isometry, message", [
+    (np.array([[1.0], [1.0]]), "is not an isometry"),
+    (np.eye(4), r"isometry shape \(4, 4\) does not match 1 qubits"),
+], ids=["unnormalised", "shape"])
+def test_projector_refuses_a_matrix_that_is_no_isometry(isometry, message):
+    with pytest.raises(InvariantViolation, match=message):
+        Projector((0,), isometry)
 
 
 # 1 alice + 13 bob + 1 channel qubits and no verify key: Bob's default
