@@ -91,10 +91,11 @@ class Projector:
         if v.ndim != 2 or v.shape[0] != 2 ** len(qubits):
             raise InvariantViolation(
                 f"isometry shape {v.shape} does not match {len(qubits)} qubits")
-        # V^dagger V - I, in place: the induction builds two rules a round
+        # V^dagger V - I, in place: the induction builds two rules a round;
+        # "not <=" refuses NaN
         gram = v.conj().T @ v
         gram.flat[::len(gram) + 1] -= 1
-        if abs(gram).max(initial=0.0) > PROJECTOR_TOL:
+        if not abs(gram).max(initial=0.0) <= PROJECTOR_TOL:
             raise InvariantViolation(f"projector is not an isometry within {PROJECTOR_TOL}")
         v.setflags(write=False)
         object.__setattr__(self, "qubits", qubits)

@@ -12,6 +12,11 @@ Conventions used throughout the package:
 * Gates go through one kernel, ``apply_circuit``.  It fuses each gate list
   (a round) into dense blocks on at most FUSE_QUBITS qubits and checks the
   norm once per call.  ``apply_gate`` is its one-gate case.
+* Every contraction of a matrix into a state tensor (gate blocks, their
+  fusion, ``apply_unitary``, projector expectations) is one ``np.dot`` in
+  ``_contract``: the 2^k x 2^k matrix times the tensor with the block's
+  axes moved to the front, the product transposed back.  These are the
+  operands ``np.tensordot`` passes to BLAS, so the bytes are the same.
 * All values are immutable.  Operations return fresh values and never
   mutate their inputs, so everything here is safe to share across threads.
 * Nothing in this module reads ambient entropy; randomness, where needed,
@@ -106,14 +111,14 @@ class DensityMatrix:
         entries = _frozen_array(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvariantViolation("density matrix must be square")
-        if np.max(np.abs(entries - entries.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(entries - entries.conj().T)) <= HERMITIAN_TOL:
             raise InvariantViolation(
                 f"density matrix is not Hermitian within {HERMITIAN_TOL}")
         trace = entries.trace()
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise InvariantViolation(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL}")
         lo = float(np.linalg.eigvalsh(entries)[0])
-        if lo < -EIGENVALUE_TOL:
+        if not lo >= -EIGENVALUE_TOL:
             raise InvariantViolation(
                 f"smallest eigenvalue {lo!r} is below -{EIGENVALUE_TOL}")
         object.__setattr__(self, "entries", entries)
@@ -285,14 +290,24 @@ def _circuit_matrix(ops, qubits) -> np.ndarray:
 def _contract(psi: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
     """Contract ``matrix`` (2^k x 2^k) into axes ``qubits`` of the state tensor.
 
-    Returns the result with its axes back in register order, as a view
-    that is usually not contiguous.  Does not require unitarity; used for
-    projectors as well as gates.
+    One ``np.dot``: the matrix, reshaped to 2^k x 2^k as given, times
+    ``psi`` with the block's axes moved to the front and flattened to 2^k
+    rows.  ``np.tensordot`` passes BLAS these operands, strides included,
+    so the bytes are its; a C-contiguous copy of a transposed matrix would
+    round differently.  ``psi`` may have axes wider than 2, as
+    ``_circuit_matrix``'s identity does.  Returns the result with its axes
+    back in register order, as a view that is usually not contiguous.
+    Does not require unitarity; used for projectors as well as gates.
     """
     k = len(qubits)
-    op = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
-    out = np.tensordot(op, psi, axes=(tuple(range(k, 2 * k)), qubits))
-    return np.moveaxis(out, tuple(range(k)), qubits)
+    order = [*qubits, *[a for a in range(psi.ndim) if a not in qubits]]
+    inverse = [0] * len(order)
+    for i, a in enumerate(order):
+        inverse[a] = i
+    moved = psi.transpose(order)
+    out = np.dot(np.asarray(matrix, dtype=complex).reshape(2 ** k, 2 ** k),
+                 moved.reshape(2 ** k, -1))
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits) -> np.ndarray:
@@ -413,10 +428,10 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
     mat = matrix.entries if isinstance(matrix, DensityMatrix) else np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(mat - mat.conj().T)) > SQRT_CLAMP_TOL:
+    if not np.max(np.abs(mat - mat.conj().T)) <= SQRT_CLAMP_TOL:
         raise ValueError(f"matrix is not Hermitian within {SQRT_CLAMP_TOL}")
     vals, vecs = np.linalg.eigh(mat)
-    if vals[0] < -SQRT_CLAMP_TOL:
+    if not vals[0] >= -SQRT_CLAMP_TOL:
         raise ValueError(
             f"eigenvalue {vals[0]!r} below -{SQRT_CLAMP_TOL}; matrix is not PSD")
     vals = np.maximum(vals, 0.0)

@@ -46,13 +46,13 @@ class SchmidtDecomposition:
         rank = coeffs.size
         if a_basis.shape[0] != rank or b_basis.shape[0] != rank:
             raise InvariantViolation("basis row count does not match coefficient count")
-        if np.any(coeffs <= 0) or np.any(np.diff(coeffs) > 0):
+        if not (np.all(coeffs > 0) and np.all(np.diff(coeffs) <= 0)):
             raise InvariantViolation("coefficients must be positive and nonincreasing")
-        if abs(float(np.sum(coeffs ** 2)) - 1.0) > WEIGHT_TOL:
+        if not abs(float(np.sum(coeffs ** 2)) - 1.0) <= WEIGHT_TOL:
             raise InvariantViolation(f"squared coefficients must sum to 1 within {WEIGHT_TOL}")
         for name, basis in (("a", a_basis), ("b", b_basis)):
             gram = basis @ basis.conj().T
-            if np.max(np.abs(gram - np.eye(rank))) > BASIS_TOL:
+            if not np.max(np.abs(gram - np.eye(rank))) <= BASIS_TOL:
                 raise InvariantViolation(f"{name}-side basis is not orthonormal within {BASIS_TOL}")
         for arr in (coeffs, a_basis, b_basis):
             arr.setflags(write=False)

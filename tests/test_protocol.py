@@ -695,7 +695,10 @@ def test_matrix_literal_that_is_no_projector_is_refused_at_matrix(matrix, messag
 @pytest.mark.parametrize("isometry, message", [
     (np.array([[1.0], [1.0]]), "is not an isometry"),
     (np.eye(4), r"isometry shape \(4, 4\) does not match 1 qubits"),
-], ids=["unnormalised", "shape"])
+    (np.array([[math.nan], [0.0]]), "is not an isometry"),
+    (np.array([[math.inf], [0.0]]), "is not an isometry"),
+], ids=["unnormalised", "shape", "nan", "inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_projector_refuses_a_matrix_that_is_no_isometry(isometry, message):
     with pytest.raises(InvariantViolation, match=message):
         Projector((0,), isometry)

@@ -130,6 +130,15 @@ def test_density_matrix_invariants():
     assert rho.dim == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_density_matrix_refuses_non_finite_entries(bad):
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        DensityMatrix(np.array([[0.5, bad], [bad, 0.5]]))
+    with pytest.raises(InvariantViolation):
+        DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+
 def test_partition_must_cover_range():
     with pytest.raises(InvariantViolation):
         Partition(frozenset({0}), frozenset({2}), frozenset({3}))
@@ -204,16 +213,21 @@ def test_apply_gate_matches_embedding_oracle():
             apply_gate(state, op).amplitudes, full @ state.amplitudes, atol=1e-12)
 
 
+def tensordot_contract(psi, matrix, qubits):
+    """The generic contraction, tensordot then moveaxis: the reference
+    ``_contract`` must equal to the bit."""
+    k = len(qubits)
+    op = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
+    out = np.tensordot(op, psi, axes=(tuple(range(k, 2 * k)), qubits))
+    return np.moveaxis(out, tuple(range(k)), qubits)
+
+
 def per_gate_oracle(amps, ops, n):
     """The gates applied one at a time, each by its own contraction."""
-    psi = np.asarray(amps, dtype=complex)
+    psi = np.asarray(amps, dtype=complex).reshape((2,) * n)
     for op in ops:
-        k = len(op.targets)
-        mat = gate_matrix(op).reshape((2,) * (2 * k))
-        out = np.tensordot(mat, psi.reshape((2,) * n),
-                           axes=(tuple(range(k, 2 * k)), op.targets))
-        psi = np.moveaxis(out, tuple(range(k)), op.targets).reshape(-1)
-    return psi
+        psi = tensordot_contract(psi, gate_matrix(op), op.targets)
+    return psi.reshape(-1)
 
 
 _ONE_QUBIT = ("H", "X", "Y", "Z", "S", "T")
@@ -274,6 +288,40 @@ def test_apply_circuit_covers_every_target_shape():
     state = random_state(rng, n)
     np.testing.assert_allclose(apply_circuit(state, ops).amplitudes,
                                per_gate_oracle(state.amplitudes, ops, n), rtol=0, atol=1e-12)
+
+
+def assert_same_bytes(psi, matrix, qubits):
+    got = qcore._contract(psi, matrix, qubits)
+    want = tensordot_contract(psi, matrix, qubits)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want), (psi.shape, qubits)
+    return got
+
+
+@pytest.mark.parametrize("n", [4, 7, 13])
+def test_contract_equals_tensordot_bit_for_bit(n):
+    rng = np.random.default_rng([307, n])
+    targets = [(n - 1,), (2,), (n - 1, 0), (3, 1), (0, n - 1, 2), (n - 1, n - 3, 0),
+               (3, 2, 1, 0), (n - 1, 0, n - 2, 1), (1, n - 1, 0, 2)]
+    psi = random_state(rng, n).tensor()
+    for qubits in targets:
+        matrix = random_unitary(rng, 2 ** len(qubits))
+        # a fresh contiguous tensor, then the non-contiguous view the
+        # previous block returned, then a matrix that is not C-ordered
+        assert_same_bytes(random_state(rng, n).tensor(), matrix, qubits)
+        psi = assert_same_bytes(psi, matrix, qubits)
+        assert not psi.flags.c_contiguous or len(qubits) == n
+        assert_same_bytes(psi, matrix.T, qubits)
+
+
+def test_contract_equals_tensordot_on_the_fusion_identity():
+    # _circuit_matrix contracts into the row axes of a (2,)*k + (2^k,) tensor
+    rng = np.random.default_rng(308)
+    for k in range(1, FUSE_QUBITS + 1):
+        mat = np.eye(2 ** k, dtype=complex).reshape((2,) * k + (2 ** k,))
+        for qubits in [(k - 1,), tuple(reversed(range(k))), tuple(range(0, k, 2))]:
+            mat = assert_same_bytes(mat, random_unitary(rng, 2 ** len(qubits)), qubits)
+        assert mat.shape == (2,) * k + (2 ** k,)
 
 
 def test_fused_blocks_stay_within_the_bound():
@@ -379,6 +427,13 @@ def test_matrix_sqrt_psd_exact_on_projectors():
 def test_matrix_sqrt_psd_rejects_indefinite():
     with pytest.raises(ValueError):
         matrix_sqrt_psd(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_matrix_sqrt_psd_refuses_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matrix_sqrt_psd(np.array([[0.5, bad], [bad, 0.5]]))
 
 
 def test_entropy_oracles():

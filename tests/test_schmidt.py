@@ -97,6 +97,15 @@ def test_decomposition_invariants():
                              np.array([[1, 0], [1, 0]], dtype=complex), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decomposition_refuses_non_finite_values(bad):
+    with pytest.raises(InvariantViolation):
+        SchmidtDecomposition((0,), (1,), np.array([bad]), [[1, 0]], [[1, 0]])
+    with pytest.raises(InvariantViolation):
+        SchmidtDecomposition((0,), (1,), np.array([SQ2, SQ2]), np.eye(2), np.eye(2) * bad)
+
+
 def test_split_needs_both_sides():
     state = zero_state(2)
     with pytest.raises(ValueError):

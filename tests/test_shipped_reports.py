@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from qcheat import cli, protocol
@@ -47,6 +48,21 @@ def test_shipped_reports_match_recorded_digests_with_the_python_loader(
     monkeypatch.setattr(protocol, "_YAML_LOADER", yaml.SafeLoader)
     digests = report_digests(perfbench_gen.shipped_ops(), tmp_path / "report.out")
     assert digests == _expected()
+
+
+def test_shipped_reports_take_no_tensordot_or_moveaxis(perfbench_gen, tmp_path, monkeypatch):
+    # every contraction is one np.dot in qcore._contract; the benchmark's
+    # spans cannot see that kernel, so a return to the generic path shows here
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.tensordot or np.moveaxis was called")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    ops = [op for op in perfbench_gen.shipped_ops()
+           if op.kind in ("attack", "simulate", "purify", "cointoss")]
+    assert {op.kind for op in ops} == {"attack", "simulate", "purify", "cointoss"}
+    expected = _expected()
+    assert report_digests(ops, tmp_path / "report.out") == {op.key: expected[op.key] for op in ops}
 
 
 _PRINT_DIGESTS = (
