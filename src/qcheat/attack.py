@@ -17,8 +17,7 @@ import numpy as np
 
 from . import protocol as proto
 from .protocol import Protocol, ProtocolError
-from .qcore import InvariantViolation, apply_unitary
-from .schmidt import uhlmann_unitary
+from .qcore import InvariantViolation
 
 PROBABILITY_DUST = 1e-9
 PROBABILITY_CEILING = 1.0 + 1e-9
@@ -76,9 +75,9 @@ class AttackReport:
 
 
 def epr_attack(p: Protocol, custody=None) -> AttackReport:
-    """Synthesize and score Alice's cheating unitary against ``p``.
+    """Synthesize and score Alice's cheating rotation against ``p``.
 
-    The unitary acts on Alice's machine, her ancillas, and the channel
+    The rotation acts on Alice's machine, her ancillas, and the channel
     when custody assigns it to her; Bob's holding is untouched, so his
     acceptance of the switched bit is the whole story.
     """
@@ -88,13 +87,10 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
     custody = proto.commit_custody(p, custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
 
-    a_side = proto.alice_side(p, custody)
-    delta, fidelity, unitary = proto.commit_fidelity(p, custody, states)
-    if unitary is None:
-        unitary, _ = uhlmann_unitary(*states, a_side)
-    # the overlap is measured on the state the unitary produces, so the
+    delta, fidelity, rotation = proto.commit_fidelity(p, custody, states)
+    # the overlap is measured on the state the rotation produces, so the
     # report's overlap = 1 - delta check holds it against a second number
-    cheat_state = apply_unitary(states[0], unitary, a_side)
+    cheat_state = rotation.cheat_state()
     overlap = float(abs(np.vdot(states[1].amplitudes, cheat_state.amplitudes)))
     honest = tuple(_clamp_probability(proto.run_open(p, states[b], b)) for b in (0, 1))
     cheat = _clamp_probability(proto.run_open(p, cheat_state, 1))

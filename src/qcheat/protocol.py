@@ -23,7 +23,7 @@ import yaml
 from . import qcore
 from .fidelity import fidelity_trace
 from .qcore import GateOp, InvariantViolation, Partition, PureState, zero_state
-from .schmidt import uhlmann_unitary
+from .schmidt import UhlmannRotation
 
 PROJECTOR_TOL = 1e-8
 BRANCH_CUTOFF = 1e-15
@@ -861,26 +861,34 @@ def commit_fidelity(p: Protocol, custody: str, states):
     """Concealment defect and fidelity of Bob's two commit views.
 
     ``states`` is (run_commit(p, 0), run_commit(p, 1)).  Returns (delta, F,
-    unitary).  When Bob's holding is over TRACE_ROUTE_MAX_QUBITS qubits and
-    Alice's side is no larger, F is the nuclear norm of Alice's cross-Gram
-    (Uhlmann's theorem): ``uhlmann_unitary`` takes one SVD of it, which
-    also gives ``unitary``, Alice's cheating rotation, and no 2^|Bob|-wide
-    matrix is formed.  Otherwise F takes the trace route of
-    commit_reductions and ``unitary`` is None.
+    rotation): ``rotation`` is the ``UhlmannRotation`` of the two states on
+    Alice's side, which computes nothing until it is read.  When Bob's
+    holding is over TRACE_ROUTE_MAX_QUBITS qubits and Alice's side is no
+    larger, F is the rotation's fidelity, the nuclear norm of Alice's
+    cross-Gram (Uhlmann's theorem), taken from one SVD, and no
+    2^|Bob|-wide matrix is formed.  Otherwise F takes the trace route of
+    commit_reductions.
+
+    The rotation's Schmidt-rank bound is the channel's qubits times the
+    commit rounds: Alice and Bob interact only through the channel, and
+    each round hands it over once, so the rank across the lab cut grows by
+    at most 2^|channel| a round.  Purified classical control can cross the
+    cut without the channel, so the bound only sizes the sketch;
+    ``UhlmannRotation`` keeps a basis only where its measured residual
+    passes.
     """
     a_side, keep = alice_side(p, custody), bob_holding(p, custody)
+    rotation = UhlmannRotation(*states, a_side,
+                               len(p.partition.channel_qubits) * len(p.commit_rounds))
     # With Alice's side the larger, the trace route's 2^|Bob|-wide kernels
-    # cost far less than the 2^|A|-wide SVD: simulate, which needs no
-    # unitary, ran 16-28x slower on the Gram route there (Alice 10-12
-    # qubits, Bob holding 6-9, 2 cores), and an Alice side over
-    # MAX_SIDE_QUBITS would refuse a document the trace route can score.
-    # attack takes the SVD either way and pays the trace route on top,
-    # 5-12% of its time.
+    # cost far less than the 2^|A|-wide SVD: simulate ran 16-28x slower on
+    # the Gram route there (Alice 10-12 qubits, Bob holding 6-9, 2 cores),
+    # and an Alice side over MAX_SIDE_QUBITS would refuse a document the
+    # trace route can score.
     if len(keep) > TRACE_ROUTE_MAX_QUBITS and len(a_side) <= len(keep):
-        unitary, fidelity = uhlmann_unitary(*states, a_side)
-        return _defect(fidelity), fidelity, unitary
+        return _defect(rotation.fidelity), rotation.fidelity, rotation
     delta, fidelity, _, _ = commit_reductions(p, custody, states)
-    return delta, fidelity, None
+    return delta, fidelity, rotation
 
 
 def commit_delta(p: Protocol, custody=None):

@@ -301,13 +301,18 @@ def _contract(psi: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
     """
     k = len(qubits)
     order = [*qubits, *[a for a in range(psi.ndim) if a not in qubits]]
-    inverse = [0] * len(order)
-    for i, a in enumerate(order):
-        inverse[a] = i
     moved = psi.transpose(order)
     out = np.dot(np.asarray(matrix, dtype=complex).reshape(2 ** k, 2 ** k),
                  moved.reshape(2 ** k, -1))
-    return out.reshape(moved.shape).transpose(inverse)
+    return out.reshape(moved.shape).transpose(_inverse(order))
+
+
+def _inverse(order) -> list:
+    """The permutation that undoes ``transpose(order)``, in Python (no argsort)."""
+    inverse = [0] * len(order)
+    for i, a in enumerate(order):
+        inverse[a] = i
+    return inverse
 
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits) -> np.ndarray:
@@ -408,6 +413,12 @@ def _split(state: PureState, rows, lead=()) -> tuple:
         raise ValueError(
             f"cannot form a {len(rows)}-qubit side; sides are capped at {MAX_SIDE_QUBITS}")
     return rows, cols, state.tensor().transpose(rows + cols).reshape(2 ** len(rows), -1)
+
+
+def _merge(rows, cols, mat: np.ndarray) -> np.ndarray:
+    """The amplitude vector whose ``_split`` across (rows, cols) is ``mat``."""
+    order = rows + cols
+    return mat.reshape((2,) * len(order)).transpose(_inverse(order)).reshape(-1)
 
 
 def partial_trace(state: PureState, keep) -> DensityMatrix:

@@ -7,20 +7,41 @@ rotation, and its best-effort generalisation when the reduced states
 merely overlap: the synthesized local unitary maximises the overlap with
 the target state, and the achieved overlap equals the fidelity of the two
 Bob-side reductions.
+
+The rotation only has to carry one Schmidt support onto the other.  When
+the two states' supports on Alice's side span fewer dimensions than her
+side has, ``UhlmannRotation`` finds a basis of them from a sketch and
+takes its SVD, polar factor and cheat state on that basis; it checks the
+basis's residual first and otherwise works on the full side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import InvariantViolation, PureState, _split, partial_trace
+from .qcore import (
+    UNITARY_TOL,
+    InvariantViolation,
+    PureState,
+    _merge,
+    _split,
+    is_unitary,
+    partial_trace,
+)
 
 COEFF_CUTOFF = 1e-10
 BASIS_TOL = 1e-8
 WEIGHT_TOL = 1e-9
 IDEAL_REDUCTION_TOL = 1e-8
+# _support_basis: sketch columns beyond the rank bound, the sketch's seed,
+# and the residual a basis must meet; F then moves by at most twice it
+SKETCH_OVERSAMPLE = 4
+SKETCH_SEED = 2011
+SUPPORT_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,10 +91,7 @@ class SchmidtDecomposition:
     def reconstruct(self) -> PureState:
         """Reassemble the state on the original qubit ordering."""
         mat = (self.a_basis.T * self.coefficients) @ self.b_basis
-        tensor = mat.reshape((2,) * self.num_qubits)
-        order = self.a_qubits + self.b_qubits
-        inverse = np.argsort(order)
-        return PureState(tensor.transpose(inverse).reshape(-1))
+        return PureState(_merge(self.a_qubits, self.b_qubits, mat))
 
 
 def schmidt_decompose(state: PureState, a_side) -> SchmidtDecomposition:
@@ -94,19 +112,104 @@ def schmidt_decompose(state: PureState, a_side) -> SchmidtDecomposition:
     )
 
 
-def _polar_rotation(state0: PureState, state1: PureState, a_side) -> tuple:
-    """Polar unitary of the A-side cross-Gram matrix M1 M0^dagger.
+def _support_basis(m0: np.ndarray, m1: np.ndarray, rank_qubits: int):
+    """(Q, Q^dagger m0, Q^dagger m1) for an orthonormal basis Q of the joint
+    column space of ``m0`` and ``m1``, or None when none narrower is found.
 
-    Returns (unitary, singular values of the Gram).  The full SVD supplies
-    a deterministic orthonormal completion on the kernel, so the result is
-    always a genuine unitary.
+    ``rank_qubits`` bounds log2 of each matrix's rank.  One QR of the sketch
+    [m0 Omega, m1 Omega], with Omega a fixed-seed Gaussian of 2^rank_qubits
+    + SKETCH_OVERSAMPLE columns, gives Q (the randomized range finder of
+    Halko, Martinsson & Tropp, SIAM Review 53(2), 2011).  Q is kept only
+    when it has fewer columns than the matrices have rows and
+    ||m_b - Q Q^dagger m_b||_F <= SUPPORT_RESIDUAL_TOL for both: the bound
+    is an estimate, and that measured residual is what is trusted.
     """
-    a0, _, m0 = _split(state0, a_side)
-    a1, _, m1 = _split(state1, a_side)
-    if a0 != a1 or state0.num_qubits != state1.num_qubits:
-        raise ValueError("states must live on the same register and bipartition")
-    left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
-    return left @ right, singular
+    rows, cols = m0.shape
+    width = 2 ** min(rank_qubits, rows.bit_length()) + SKETCH_OVERSAMPLE
+    if 2 * width >= rows:
+        return None
+    omega = np.random.default_rng(SKETCH_SEED).standard_normal((cols, width))
+    basis = np.linalg.qr(np.hstack([m0 @ omega, m1 @ omega]))[0]
+    adjoint = basis.conj().T
+    reduced = (adjoint @ m0, adjoint @ m1)
+    residual = np.empty_like(m0)
+    for m, c in zip((m0, m1), reduced):
+        np.dot(basis, c, out=residual)
+        np.subtract(residual, m, out=residual)
+        if not np.linalg.norm(residual) <= SUPPORT_RESIDUAL_TOL:
+            return None
+    return (basis, *reduced)
+
+
+class _Factors(NamedTuple):
+    """``UhlmannRotation``'s cut, basis and SVD of the cross-Gram or core."""
+
+    rows: tuple
+    cols: tuple
+    basis: np.ndarray | None      # Q, or None on the full side
+    reduced: np.ndarray | None    # Q^dagger M0 when there is a basis
+    left: np.ndarray
+    singular: np.ndarray
+    right: np.ndarray
+
+
+class UhlmannRotation:
+    """Alice's best rotation of ``state0`` toward ``state1`` on ``a_side``.
+
+    With M0 and M1 the commit states' coefficient matrices, rows on
+    ``a_side``, the fidelity of the two reductions on the rest is the sum of
+    the singular values of the cross-Gram M1 M0^dagger (Uhlmann's theorem),
+    and the polar factor W of that matrix rotates ``state0`` to the overlap
+    F with ``state1``.  When ``_support_basis`` finds a basis Q of the
+    commit states' Schmidt support on ``a_side``, the same is computed on
+    the core (Q^dagger M1)(Q^dagger M0)^dagger and the cheat state's matrix
+    is Q W (Q^dagger M0); otherwise on the full cross-Gram, and it is W M0.
+    ``rank_qubits`` bounds log2 of the Schmidt rank; None tries no basis.
+
+    The one SVD runs when ``fidelity`` or ``cheat_state`` is first read;
+    the polar factor is formed only by ``cheat_state``.
+    """
+
+    def __init__(self, state0: PureState, state1: PureState, a_side, rank_qubits=None):
+        self._states = (state0, state1)
+        self._a_side = a_side
+        self._rank_qubits = rank_qubits
+
+    @cached_property
+    def _factors(self) -> _Factors:
+        state0, state1 = self._states
+        rows, cols, m0 = _split(state0, self._a_side)
+        a1, _, m1 = _split(state1, self._a_side)
+        if rows != a1 or state0.num_qubits != state1.num_qubits:
+            raise ValueError("states must live on the same register and bipartition")
+        support = None
+        if self._rank_qubits is not None:
+            support = _support_basis(m0, m1, self._rank_qubits)
+        basis, c0, c1 = support or (None, m0, m1)
+        left, singular, right = np.linalg.svd(c1 @ c0.conj().T)
+        return _Factors(rows, cols, basis, None if basis is None else c0, left, singular, right)
+
+    @property
+    def fidelity(self) -> float:
+        return float(np.sum(self._factors.singular))
+
+    def polar_factor(self) -> np.ndarray:
+        """W = left @ right from the SVD: 2^|A| wide, or as wide as the basis."""
+        return self._factors.left @ self._factors.right
+
+    def cheat_state(self) -> PureState:
+        """``state0`` rotated by the polar factor on ``a_side``."""
+        factors = self._factors
+        rotation = self.polar_factor()
+        if not is_unitary(rotation):
+            raise InvariantViolation(f"polar factor is not unitary within {UNITARY_TOL}")
+        if factors.basis is None:
+            # the operands apply_unitary's contraction passes to BLAS, so the
+            # state is the one U applied to the register gives, bit for bit
+            coeffs = np.dot(rotation, _split(self._states[0], self._a_side)[2])
+        else:
+            coeffs = (factors.basis @ rotation) @ factors.reduced
+        return PureState(_merge(factors.rows, factors.cols, coeffs))
 
 
 def _coefficient_fidelity(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -114,7 +217,7 @@ def _coefficient_fidelity(m0: np.ndarray, m1: np.ndarray) -> float:
 
     ``m0`` and ``m1`` are coefficient matrices of two purifications, with
     rows on the system and any number of columns each; then F is the trace
-    norm of m0^dagger m1 (Uhlmann's theorem), as on ``_polar_rotation``'s
+    norm of m0^dagger m1 (Uhlmann's theorem), as on ``UhlmannRotation``'s
     cross-Gram.  Rounding can push it past 1, so it is clamped there.
     """
     return min(1.0, float(np.sum(np.linalg.svd(m0.conj().T @ m1, compute_uv=False))))
@@ -129,10 +232,12 @@ def uhlmann_unitary(state0: PureState, state1: PureState, a_side):
         the two B-side reductions, read off the same SVD as the sum of the
         cross-Gram's singular values (Uhlmann's theorem).  It equals the
         overlap |<state1| (U x I) |state0>| that U achieves.  Applying U
-        never changes the B-side reduction of any state.
+        never changes the B-side reduction of any state.  The full SVD
+        supplies a deterministic orthonormal completion on the kernel, so
+        U is always a genuine unitary.
     """
-    unitary, singular = _polar_rotation(state0, state1, a_side)
-    return unitary, float(np.sum(singular))
+    rotation = UhlmannRotation(state0, state1, a_side)
+    return rotation.polar_factor(), rotation.fidelity
 
 
 def cheating_unitary_ideal(state0: PureState, state1: PureState, a_side) -> np.ndarray:
@@ -151,4 +256,4 @@ def cheating_unitary_ideal(state0: PureState, state1: PureState, a_side) -> np.n
             f"B-side reductions differ by {gap:.3e} entrywise (tolerance "
             f"{IDEAL_REDUCTION_TOL}); the states are not locally equivalent -- "
             "use uhlmann_unitary for the optimal approximate rotation")
-    return _polar_rotation(state0, state1, a)[0]
+    return uhlmann_unitary(state0, state1, a)[0]

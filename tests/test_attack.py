@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from qcheat import cli, fidelity, protocol, qcore, schmidt
+from qcheat import attack, cli, fidelity, protocol, qcore, schmidt
 from qcheat.attack import AttackReport, attack_sweep, epr_attack, sweep_parameter
 from qcheat.protocol import (
     TRACE_ROUTE_MAX_QUBITS,
@@ -174,10 +177,10 @@ def route_documents(gen) -> dict:
     return docs
 
 
-def cli_report(tmp_path, command, doc) -> dict:
+def cli_report(tmp_path, command, doc, *options) -> dict:
     path, out = tmp_path / "doc.yaml", tmp_path / "report.json"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-    assert cli.main([command, "--protocol", str(path), "--out", str(out)]) == 0
+    assert cli.main([command, "--protocol", str(path), "--out", str(out), *options]) == 0
     return json.loads(out.read_text(encoding="utf-8"))
 
 
@@ -202,13 +205,10 @@ def test_gram_route_agrees_with_the_trace_route(perfbench_gen, tmp_path):
 def test_gram_route_overlap_check_is_not_a_tautology(perfbench_gen, monkeypatch):
     doc = perfbench_gen.ladder_documents(1, sizes=(13,))["ladder-n13-verify"]
 
-    def wrong_rotation(state0, state1, a_side):
-        _, _, m0 = qcore._split(state0, a_side)
-        _, _, m1 = qcore._split(state1, a_side)
-        left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
-        return right @ left, singular
+    def wrong_polar_factor(rotation):
+        return rotation._factors.right @ rotation._factors.left
 
-    monkeypatch.setattr(schmidt, "_polar_rotation", wrong_rotation)
+    monkeypatch.setattr(schmidt.UhlmannRotation, "polar_factor", wrong_polar_factor)
     with pytest.raises(InvariantViolation, match="overlap"):
         epr_attack(purify_protocol(parse_protocol(doc)))
 
@@ -304,3 +304,165 @@ def test_bob_side_over_the_cap_takes_the_gram_route(perfbench_gen, tmp_path):
     assert abs(attacked["fidelity"] - want) <= 1e-12
     path = tmp_path / "doc.yaml"
     assert cli.main(["fidelity", "--protocol", str(path), "--out", str(tmp_path / "f")]) == 2
+
+
+# --- the Schmidt support: the rotation on a sketched basis --------------------
+
+def full_gram_attack(p, custody) -> dict:
+    """epr_attack's figures from the full 2^|A|-wide cross-Gram: F from its
+    SVD on the Gram route (trace route otherwise), U = left @ right applied
+    to the register by ``apply_unitary``."""
+    states = [run_commit(p, b) for b in (0, 1)]
+    a_side, keep = alice_side(p, custody), bob_holding(p, custody)
+    _, _, m0 = qcore._split(states[0], a_side)
+    _, _, m1 = qcore._split(states[1], a_side)
+    left, singular, right = np.linalg.svd(m1 @ m0.conj().T)
+    if len(keep) > TRACE_ROUTE_MAX_QUBITS and len(a_side) <= len(keep):
+        fid = float(np.sum(singular))
+    else:
+        fid = fidelity.fidelity_trace(*(partial_trace(s, keep) for s in states))
+    cheat = apply_unitary(states[0], left @ right, a_side)
+    return {"delta": protocol._defect(fid), "fidelity": fid,
+            "achieved_overlap": float(abs(np.vdot(states[1].amplitudes, cheat.amplitudes))),
+            "cheat_accept": attack._clamp_probability(protocol.run_open(p, cheat, 1))}
+
+
+def report_figures(rep) -> dict:
+    return {key: getattr(rep, key) for key in ("delta", "fidelity", "achieved_overlap",
+                                              "cheat_accept")}
+
+
+def sketch_width(p) -> int:
+    """Columns of the sketch [M0 Omega, M1 Omega] for ``p``'s commit states."""
+    rank_qubits = len(p.partition.channel_qubits) * len(p.commit_rounds)
+    return 2 * (2 ** rank_qubits + schmidt.SKETCH_OVERSAMPLE)
+
+
+def svd_widths(monkeypatch) -> list:
+    """The wider dimension of every matrix passed to np.linalg.svd."""
+    widths = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        widths.append(max(np.shape(a)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return widths
+
+
+@pytest.mark.parametrize("custody", ["alice", "bob"])
+def test_ladder_attack_runs_on_the_schmidt_support(perfbench_gen, tmp_path, monkeypatch,
+                                                   custody):
+    for name, doc in perfbench_gen.ladder_documents(1, sizes=(13, 14, 15, 16)).items():
+        p = purify_protocol(parse_protocol(doc))
+        assert 2 ** len(alice_side(p, custody)) > sketch_width(p), name
+        for command in ("attack", "simulate"):
+            widths = svd_widths(monkeypatch)
+            cli_report(tmp_path, command, doc, "--channel-custody", custody)
+            monkeypatch.undo()
+            assert len(widths) == 1 if command == "attack" else len(widths) <= 1, name
+            assert all(width <= sketch_width(p) for width in widths), (name, command)
+        want = full_gram_attack(p, custody)
+        got = report_figures(epr_attack(p, custody))
+        assert all(abs(got[key] - want[key]) <= 1e-12 for key in want), (name, got, want)
+
+
+@pytest.mark.parametrize("name", ["bell-bc", "bb84-bc", "leaky-bc(0.5)", "leaky-bc(1.2)"])
+def test_shipped_attacks_equal_the_full_gram_figures(name):
+    # the shipped sides are too small for a narrower basis, so the shipped
+    # reports keep their bytes; with the other custody bb84-bc's 4-qubit
+    # side does get one, and agrees to rounding
+    p = purify_protocol(load_protocol(name))
+    custody = commit_custody(p)
+    assert report_figures(epr_attack(p, custody)) == full_gram_attack(p, custody)
+    other = "alice" if custody == "bob" else "bob"
+    got, want = report_figures(epr_attack(p, other)), full_gram_attack(p, other)
+    assert all(abs(got[key] - want[key]) <= 1e-12 for key in want), (got, want)
+
+
+def test_full_schmidt_rank_falls_back_to_the_full_gram(monkeypatch):
+    # two Haar-random 13-qubit states have full Schmidt rank 64 on a 6-qubit
+    # side: a rank bound of 2^3 misses it, so the residual check refuses the
+    # basis and the result is the full cross-Gram's, bit for bit
+    rng = np.random.default_rng(13)
+    s0, s1 = (qcore.PureState(v / np.linalg.norm(v)) for v in
+              rng.standard_normal((2, 2 ** 13)) + 1j * rng.standard_normal((2, 2 ** 13)))
+    a_side = (1, 3, 4, 7, 9, 12)
+    unitary, fid = uhlmann_unitary(s0, s1, a_side)
+    widths = svd_widths(monkeypatch)
+    rotation = schmidt.UhlmannRotation(s0, s1, a_side, 3)
+    assert rotation.fidelity == fid
+    assert np.array_equal(rotation.cheat_state().amplitudes,
+                          apply_unitary(s0, unitary, a_side).amplitudes)
+    assert widths == [2 ** len(a_side)]
+
+
+def test_a_basis_missing_a_column_falls_back(perfbench_gen, tmp_path, monkeypatch):
+    # a basis without its first column misses part of M0's range: the
+    # residual check must refuse it, so delta is the full cross-Gram's
+    doc = perfbench_gen.ladder_documents(1, sizes=(13,))["ladder-n13-verify"]
+    p = purify_protocol(parse_protocol(doc))
+    real_qr = np.linalg.qr
+
+    def short_qr(a, *args, **kwargs):
+        q, r = real_qr(a, *args, **kwargs)
+        return q[:, 1:], r[1:]
+
+    monkeypatch.setattr(np.linalg, "qr", short_qr)
+    widths = svd_widths(monkeypatch)
+    reported = cli_report(tmp_path, "attack", doc)
+    assert widths == [2 ** len(alice_side(p, commit_custody(p)))]
+    want = full_gram_attack(p, commit_custody(p))
+    assert reported["delta"] == want["delta"]
+    assert reported["fidelity"] == want["fidelity"]
+
+
+def test_simulate_forms_no_rotation(perfbench_gen, tmp_path, monkeypatch):
+    counts = {"polar_factor": 0, "cheat_state": 0}
+    for attr in counts:
+        def counted(self, _attr=attr, _real=getattr(schmidt.UhlmannRotation, attr)):
+            counts[_attr] += 1
+            return _real(self)
+        monkeypatch.setattr(schmidt.UhlmannRotation, attr, counted)
+    for name, doc in perfbench_gen.ladder_documents(1, sizes=(13, 14)).items():
+        cli_report(tmp_path, "simulate", doc)
+        assert counts == {"polar_factor": 0, "cheat_state": 0}, name
+    cli_report(tmp_path, "attack", doc)
+    assert counts == {"polar_factor": 1, "cheat_state": 1}
+
+
+_LADDER_FIGURES = """
+import json, sys, gen
+from qcheat import cli
+out = sys.argv[1]
+figures = {}
+for name, doc in gen.ladder_documents(1, sizes=(13, 14, 15, 16)).items():
+    path = out + ".yaml"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(gen.to_yaml(doc))
+    for command in ("attack", "simulate"):
+        assert cli.main([command, "--protocol", path, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        figures[f"{command}:{name}"] = [report["delta"], report.get("fidelity")]
+print(json.dumps(figures))
+"""
+
+
+def test_ladder_delta_does_not_depend_on_blas_threads(tmp_path):
+    # delta and F only: the acceptance figures and the overlap still come
+    # from whole-register vdot reductions, which OpenBLAS splits by thread
+    root = Path(__file__).resolve().parent.parent
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            str(root / d) for d in ("src", "perfbench")),
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", _LADDER_FIGURES, str(tmp_path / f"report-{threads}")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[threads] = json.loads(done.stdout)
+    assert len(runs["1"]) == 16
+    assert runs["1"] == runs["2"]
