@@ -79,7 +79,7 @@ from .protocol import (
     Projector,
     other_actor,
 )
-from .qcore import InvariantViolation, Partition, PureState, zero_state
+from .qcore import InvariantViolation, Partition, PureState
 from .schmidt import _coefficient_fidelity
 
 IDEAL_TOL = 1e-8
@@ -283,7 +283,7 @@ def load_coin_protocol(source: str, *, param_overrides=None) -> CoinProtocol:
 
 
 def run_rounds(p: CoinProtocol) -> PureState:
-    return qcore.apply_circuit(zero_state(p.partition.num_qubits), p.initial_alice,
+    return qcore.apply_circuit(p.partition.num_qubits, p.initial_alice,
                                p.initial_bob, *(rnd.ops for rnd in p.rounds))
 
 
@@ -295,7 +295,7 @@ def _round_states(p: CoinProtocol) -> list:
     bit-identical to ``run_rounds`` of the k-round truncation.  The list
     holds (N+1) * 2^n * 16 bytes.
     """
-    states = [qcore.apply_circuit(zero_state(p.partition.num_qubits),
+    states = [qcore.apply_circuit(p.partition.num_qubits,
                                   p.initial_alice, p.initial_bob)]
     for rnd in p.rounds:
         states.append(qcore.apply_circuit(states[-1], rnd.ops))

@@ -22,7 +22,7 @@ import yaml
 
 from . import qcore
 from .fidelity import fidelity_trace
-from .qcore import GateOp, InvariantViolation, Partition, PureState, zero_state
+from .qcore import GateOp, InvariantViolation, Partition, PureState
 from .schmidt import UhlmannRotation
 
 PROJECTOR_TOL = 1e-8
@@ -789,7 +789,7 @@ def run_commit(p: Protocol, b: int) -> PureState:
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
     _require_unitary(p, "run_commit")
-    return qcore.apply_circuit(zero_state(p.partition.num_qubits), p.initial_alice[b],
+    return qcore.apply_circuit(p.partition.num_qubits, p.initial_alice[b],
                                p.initial_bob_channel, *(rnd.ops for rnd in p.commit_rounds))
 
 
@@ -915,7 +915,7 @@ def enumerate_branches(p: Protocol, b: int):
     """
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
-    state = qcore.apply_circuit(zero_state(p.partition.num_qubits), p.initial_alice[b],
+    state = qcore.apply_circuit(p.partition.num_qubits, p.initial_alice[b],
                                 p.initial_bob_channel)
     branches = [(1.0, {}, state)]
     for rnd in p.all_rounds:

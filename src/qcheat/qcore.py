@@ -12,6 +12,11 @@ Conventions used throughout the package:
 * Gates go through one kernel, ``apply_circuit``.  It fuses each gate list
   (a round) into dense blocks on at most FUSE_QUBITS qubits and checks the
   norm once per call.  ``apply_gate`` is its one-gate case.
+* Given a register size in place of a state, ``apply_circuit`` starts from
+  |0...0> without materialising it.  The tensor holds only the qubits
+  blocks have reached (at least MIN_HELD_QUBITS, or the whole register);
+  each joins as a zero-padded axis when a block first needs it.  The
+  amplitudes equal the full register's to the bit.
 * Every contraction of a matrix into a state tensor (gate blocks, their
   fusion, ``apply_unitary``, projector expectations) is one ``np.dot`` in
   ``_contract``: the 2^k x 2^k matrix times the tensor with the block's
@@ -55,6 +60,14 @@ MAX_RAW_TARGETS = 3
 # 3 qubits 1.50-1.66 s, 4 qubits 1.29-1.57 s, 5 qubits 1.27-1.65 s; one
 # gate per contraction, 2.09-2.21 s.
 FUSE_QUBITS = 4
+
+# apply_circuit, started from |0...0>, holds at least this many qubits in
+# its tensor, or the whole register, so every product has at least 2^3
+# columns.  A column's bytes do not depend on the column count only in
+# whole column tiles of the BLAS kernel: OpenBLAS's Haswell zgemm gives
+# other bytes when the count is not a multiple of 4, and numpy sends a
+# single column to gemv.  Registers this small are built whole at once.
+MIN_HELD_QUBITS = FUSE_QUBITS + 3
 
 
 class InvariantViolation(Exception):
@@ -366,9 +379,10 @@ def _fused_blocks(ops, num_qubits) -> list:
             for run, qubits in runs]
 
 
-def apply_circuit(state: PureState, *op_lists) -> PureState:
+def apply_circuit(state: PureState | int, *op_lists) -> PureState:
     """``state`` with each list of GateOps applied in turn.
 
+    ``state`` is a PureState, or a register size to start from |0...0>.
     Every op of every list is checked before any is applied: classical
     controls must have been compiled away, and targets must be distinct
     register indices.  Within a list, runs of consecutive gates whose
@@ -377,16 +391,53 @@ def apply_circuit(state: PureState, *op_lists) -> PureState:
     two lists, so a circuit passed one round per list goes through the same
     blocks whether its rounds are applied in one call or one call each.
     The state is flattened and its norm checked once, in the PureState
-    this returns; with no gates at all, ``state`` itself is returned.
+    this returns; with no gates at all, ``state`` itself (or |0...0>) is
+    returned.
+
+    From |0...0> the tensor holds only the qubits blocks have reached, its
+    axes in register order.  Before each block, qubits join in the order
+    blocks first touch them until the block's own are held, and at least
+    MIN_HELD_QUBITS or the whole register.  Each block sees those
+    columns of the full register's operand where no absent qubit is |1>;
+    the dropped columns are exactly zero, so the amplitudes are the full
+    register's to the bit.
     """
-    n = state.num_qubits
+    fresh = not isinstance(state, PureState)
+    n = _check_register(state) if fresh else state.num_qubits
     blocks = [block for ops in op_lists for block in _fused_blocks(ops, n)]
     if not blocks:
-        return state
-    psi = state.tensor()
+        return zero_state(n) if fresh else state
+    if fresh:
+        arrival = list(dict.fromkeys([*(q for _, qubits in blocks for q in qubits),
+                                      *range(n)]))
+        held, psi = [], np.complex128(1.0)  # |0...0> on no qubits yet
+    else:
+        held, psi = list(range(n)), state.tensor()
     for matrix, qubits in blocks:
-        psi = _contract(psi, matrix, qubits)
+        axes = qubits
+        if len(held) < n:
+            reach = max(arrival.index(q) for q in qubits) + 1
+            held, psi = _join(psi, held, arrival[len(held):max(
+                reach, min(n, MIN_HELD_QUBITS))])
+            axes = [held.index(q) for q in qubits]
+        psi = _contract(psi, matrix, axes)
+    if len(held) < n:
+        _, psi = _join(psi, held, arrival[len(held):])
     return PureState(psi.reshape(-1))
+
+
+def _join(psi: np.ndarray, held, new) -> tuple:
+    """(held + new sorted, ``psi`` with the |0> qubits ``new`` joined as axes).
+
+    One ``np.zeros`` of the grown tensor and one slice write: ``psi`` lands
+    where every new qubit is 0.  ``held`` lists ``psi``'s axes, sorted.
+    """
+    if not new:
+        return held, psi
+    held = sorted([*held, *new])
+    grown = np.zeros((2,) * len(held), dtype=complex)
+    grown[tuple(0 if q in new else slice(None) for q in held)] = psi
+    return held, grown
 
 
 def apply_gate(state: PureState, op: GateOp) -> PureState:
@@ -470,10 +521,14 @@ def mutual_information(state: PureState, a_side) -> float:
     return 2.0 * _entropy_bits(singular ** 2)
 
 
-def zero_state(num_qubits: int) -> PureState:
-    """|0...0> on ``num_qubits`` qubits."""
+def _check_register(num_qubits) -> int:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {num_qubits}")
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
+    return num_qubits
+
+
+def zero_state(num_qubits: int) -> PureState:
+    """|0...0> on ``num_qubits`` qubits."""
+    amps = np.zeros(2 ** _check_register(num_qubits), dtype=complex)
     amps[0] = 1.0
     return PureState(amps)

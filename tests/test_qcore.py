@@ -345,6 +345,25 @@ def test_apply_circuit_lists_equal_one_call_per_list():
     assert apply_circuit(state, (), []) is state
 
 
+def test_apply_circuit_from_a_register_size_equals_the_zero_state():
+    # the tensor holds only the qubits blocks have reached, and at least
+    # MIN_HELD_QUBITS, so no product drops to a BLAS kernel's narrow edge
+    # case; the bytes must be the full register's
+    rng = np.random.default_rng(309)
+    for n in (3, 4, 5, 6, 7, 9, 11):
+        for trial in range(12):
+            lists = [random_circuit(rng, n, int(rng.integers(1, 10))) for _ in range(3)]
+            got = apply_circuit(n, *lists)
+            want = apply_circuit(zero_state(n), *lists)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (n, trial)
+    assert apply_circuit(1, [GateOp("H", (0,))]).amplitudes.tobytes() == \
+        apply_gate(zero_state(1), GateOp("H", (0,))).amplitudes.tobytes()
+    assert np.array_equal(apply_circuit(5, (), []).amplitudes, zero_state(5).amplitudes)
+    for bad in (0, MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match="num_qubits"):
+            apply_circuit(bad, [GateOp("H", (0,))])
+
+
 def test_apply_circuit_checks_every_op_before_applying():
     state = zero_state(3)
     fine = [GateOp("H", (0,)), GateOp("CX", (0, 1))]
