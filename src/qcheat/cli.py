@@ -26,6 +26,7 @@ from . import attack as attacks
 from . import cointoss as coins
 from . import protocol as proto
 from .fidelity import (
+    OVERLAP_BYTES,
     POVM_BYTE_BUDGET,
     fidelity_povm,
     fidelity_purification,
@@ -284,6 +285,11 @@ def _cmd_fidelity(ns) -> Report:
         raise ValueError(
             f"--povm-samples: one random measurement on Bob's {held} qubits needs an "
             f"estimated {need} bytes, over the {POVM_BYTE_BUDGET}-byte sampling budget")
+    if need + OVERLAP_BYTES * samples > POVM_BYTE_BUDGET:
+        raise ValueError(
+            f"--povm-samples: {samples} overlaps take {OVERLAP_BYTES * samples} bytes, which "
+            f"with one measurement's estimated {need} is over the {POVM_BYTE_BUDGET}-byte "
+            "sampling budget")
     delta, f_trace, rho0, rho1 = proto.commit_reductions(
         p, custody, (proto.run_commit(p, b) for b in (0, 1)))
     f_purif, _ = fidelity_purification(rho0, rho1)

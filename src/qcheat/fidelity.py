@@ -15,10 +15,11 @@ minimising one, are sampled as stacks: ``random_povms`` draws, whitens and
 checks (count, outcomes, d, d) elements at once and ``povm_overlaps``
 scores them.  ``sample_overlaps`` is the one loop over chunks: it runs the
 two on ``povm_chunk`` samples at a time, so the peak stays within
-POVM_BYTE_BUDGET.  ``povm_sample_bytes`` is one sample's share, so a caller
-can refuse a dimension where even one sample is over the budget.  The
-single-measurement API (``Povm``, ``random_povm``, ``povm_overlap``) is the
-one-sample case of the same code, bit for bit.
+POVM_BYTE_BUDGET.  ``povm_sample_bytes`` is one sample's share and
+OVERLAP_BYTES each result's, so a caller can refuse a dimension where even
+one sample is over the budget, or a count whose results leave no room for
+one.  The single-measurement API (``Povm``, ``random_povm``,
+``povm_overlap``) is the one-sample case of the same code, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ POVM_BYTE_BUDGET = 1 << 28
 # Gaussian draws and G, G and G^dagger, or the check's two temporaries;
 # the fourth covers the sample's d x d and (outcomes, d) arrays.
 SAMPLE_STACKS = 4
+# Bytes each sampled measurement's overlap holds until ``sample_overlaps``
+# returns: one float64.
+OVERLAP_BYTES = 8
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -230,15 +234,16 @@ def povm_overlaps(rho0, rho1, elements: np.ndarray) -> np.ndarray:
 def sample_overlaps(rho0, rho1, outcomes: int, count: int, rng) -> np.ndarray:
     """``povm_overlaps`` of ``count`` random measurements from ``random_povms``.
 
-    Samples are drawn and scored ``povm_chunk`` at a time, with the budget
-    read at each call, so the peak stays within POVM_BYTE_BUDGET whatever
-    ``count`` is.  The chunks draw from one Gaussian stream in sample
-    order, so where they start changes no bit.
+    Samples are drawn and scored ``povm_chunk`` at a time beside the
+    ``count`` overlaps, with the budget read at each call, so the peak stays
+    within POVM_BYTE_BUDGET whenever the overlaps and one sample fit in it
+    (``qcheat fidelity`` refuses a larger ``count``).  The chunks draw from
+    one Gaussian stream in sample order, so where they start changes no bit.
     """
     dim = _as_matrix(rho0).shape[0]
     gen = np.random.default_rng(rng)
     values = np.empty(count)
-    step = povm_chunk(dim, outcomes)
+    step = povm_chunk(dim, outcomes, count)
     for start in range(0, count, step):
         chunk = values[start:start + step]
         chunk[:] = povm_overlaps(rho0, rho1, random_povms(dim, outcomes, chunk.size, gen))
@@ -251,9 +256,11 @@ def povm_sample_bytes(dim: int, outcomes: int) -> int:
     return SAMPLE_STACKS * outcomes * dim * dim * 16
 
 
-def povm_chunk(dim: int, outcomes: int) -> int:
-    """Samples per chunk: as many as fit in POVM_BYTE_BUDGET, at least one."""
-    return max(1, POVM_BYTE_BUDGET // povm_sample_bytes(dim, outcomes))
+def povm_chunk(dim: int, outcomes: int, count: int = 0) -> int:
+    """Samples per chunk beside ``count`` overlaps: as many as fit in
+    POVM_BYTE_BUDGET, at least one."""
+    room = POVM_BYTE_BUDGET - OVERLAP_BYTES * count
+    return max(1, room // povm_sample_bytes(dim, outcomes))
 
 
 def random_povm(dim: int, num_outcomes: int, rng) -> Povm:

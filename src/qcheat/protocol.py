@@ -14,11 +14,14 @@ from __future__ import annotations
 import ast
 import itertools
 import math
+import re
+import reprlib
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from . import qcore
 from .fidelity import fidelity_trace
@@ -166,23 +169,107 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # libyaml's emitter when PyYAML has it (see document_to_yaml)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
+_TAG = "tag:yaml.org,2002:"
+_STR, _INT, _FLOAT, _BOOL, _SEQ, _MAP = (
+    _TAG + name for name in ("str", "int", "float", "bool", "seq", "map"))
+# spellings on which SafeConstructor's int and float are exactly int() and float()
+_DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
+_POINT_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
+
+
+class _Unbuilt(Exception):
+    """A collection ``_build`` leaves to PyYAML: a set, omap, pairs or wrong-kind tag."""
+
+
+# what _build stops on: _Unbuilt, a delegated scalar's own error, an
+# unhashable key or a wrong-kind node (TypeError), and nesting deeper than
+# its recursion, which PyYAML's generators build without recursing
+_LEFT_TO_PYYAML = (_Unbuilt, yaml.YAMLError, ValueError, LookupError, AttributeError,
+                   TypeError, RecursionError)
+
+
+def _build(loader, node, built: dict):
+    """The value SafeConstructor gives ``node``, built without its generators.
+
+    Strings, bools, plain decimal ints, point floats, sequences and
+    mappings are built here.  ``built`` holds each collection before its
+    items are, so an alias, recursive ones included, is the same object as
+    in PyYAML.  Any other scalar goes to ``loader.construct_object``; any
+    other collection raises _Unbuilt.  Whatever stops it here (a merge key
+    included, which SafeConstructor refuses outside a mapping's flattening)
+    leaves the document to PyYAML in ``_load_yaml``.
+    """
+    tag = node.tag
+    if tag == _FLOAT:
+        if _POINT_FLOAT(node.value):
+            return float(node.value)
+    elif tag == _SEQ:
+        if type(node) is SequenceNode:
+            data = built.get(node)
+            if data is None:
+                data = built[node] = []
+                data.extend([_build(loader, item, built) for item in node.value])
+            return data
+    elif tag == _STR:
+        if type(node) is ScalarNode:
+            return node.value
+    elif tag == _MAP:
+        if type(node) is MappingNode:
+            data = built.get(node)
+            if data is None:
+                data = built[node] = {}
+                data.update({_build(loader, key, built): _build(loader, value, built)
+                             for key, value in node.value})
+            return data
+    elif tag == _INT:
+        if _DECIMAL(node.value):
+            return int(node.value)
+    elif tag == _BOOL:
+        if type(node) is ScalarNode:
+            return loader.bool_values[node.value.lower()]
+    if type(node) is not ScalarNode:
+        raise _Unbuilt(node.tag)
+    return loader.construct_object(node, deep=True)
+
 
 def _load_yaml(text: str) -> dict:
     """The YAML mapping in ``text``; every document is loaded here.
 
     ``_YAML_LOADER`` scans and parses with libyaml's C code when PyYAML was
-    built with it and with PyYAML's pure-Python scanner otherwise.  Both
-    build values with PyYAML's Python ``SafeConstructor``, so a document
-    loads to the same dict, and a syntax error reports the same line and
-    column, either way; only the wording after the location differs (no
-    source excerpt from libyaml).
+    built with it and with PyYAML's pure-Python scanner otherwise; its
+    resolver tags the node graph either way.  ``_build`` makes the values
+    from that graph, and only the scalars it does not spell out itself
+    (null, octal, ``.inf``, timestamps, binary, ...) are built by PyYAML's
+    Python ``SafeConstructor``.  A document ``_build`` cannot finish is
+    built whole by ``construct_document``, as ``yaml.load`` does, so its
+    value or error is PyYAML's own.  A document loads to the same dict,
+    and an error reports the same line and column, with either loader;
+    only the wording after the location differs (no source excerpt from
+    libyaml).
     """
+    loader = _YAML_LOADER(text)
     try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
+        root = loader.get_single_node()
+        try:
+            data = None if root is None else _build(loader, root, {})
+        except _LEFT_TO_PYYAML:
+            # forget what _build's construct_object calls left, deep mode included
+            yaml.constructor.BaseConstructor.__init__(loader)
+            data = loader.construct_document(root)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "document"
         raise ProtocolError(f"YAML syntax error at {where}: {exc}") from exc
+    except (ValueError, KeyError, AttributeError) as exc:
+        # a scalar constructor's own error, which carries no mark: name the
+        # innermost node PyYAML was building
+        node = list(loader.recursive_objects)[-1]
+        mark = node.start_mark
+        raise ProtocolError(
+            f"YAML value error at line {mark.line + 1}, column {mark.column + 1}: cannot "
+            f"read {reprlib.repr(node.value)} as {node.tag.replace(_TAG, '!!')}") from exc
+    finally:
+        loader.dispose()
     if not isinstance(data, dict):
         raise ProtocolError("protocol document must be a mapping")
     return data

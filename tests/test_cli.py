@@ -135,6 +135,33 @@ def test_sampling_over_the_byte_budget_is_refused_before_any_commit(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples", [10 ** 11, fid.POVM_BYTE_BUDGET // fid.OVERLAP_BYTES])
+def test_a_count_whose_overlaps_fill_the_budget_is_refused_before_any_commit(
+        monkeypatch, capsys, samples):
+    # bell-bc: Bob holds 2 qubits, so one 5-outcome sample is 5120 bytes
+    calls = _counted_commits(monkeypatch)
+    assert cli.main(["fidelity", "--protocol", "bell-bc", "--povm-samples", str(samples)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --povm-samples: {samples} overlaps take {fid.OVERLAP_BYTES * samples} bytes, "
+        f"which with one measurement's estimated {fid.povm_sample_bytes(4, 5)} is over the "
+        f"{fid.POVM_BYTE_BUDGET}-byte sampling budget\n")
+    assert calls == []
+
+
+def test_sample_overlaps_hold_their_overlaps_within_the_byte_budget(monkeypatch):
+    # 3 samples' stacks and 40 overlaps fill the budget: chunks of 3, not of 4
+    dim, count = 2, 40
+    monkeypatch.setattr(fid, "POVM_BYTE_BUDGET",
+                        3 * fid.povm_sample_bytes(dim, 3) + fid.OVERLAP_BYTES * count)
+    sizes = []
+    real = fid.random_povms
+    monkeypatch.setattr(fid, "random_povms",
+                        lambda d, m, n, rng: sizes.append(n) or real(d, m, n, rng))
+    rho = np.eye(dim) / dim
+    assert fid.sample_overlaps(rho, rho, 3, count, 1).shape == (count,)
+    assert sizes == [3] * 13 + [1]
+
+
 def test_fidelity_takes_the_trace_route_once(monkeypatch, capsys):
     calls = []
     real = fid.fidelity_trace

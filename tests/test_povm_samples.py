@@ -127,14 +127,16 @@ def _random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-def _chunks_of(monkeypatch, samples, dim, outcomes):
-    monkeypatch.setattr(fid, "POVM_BYTE_BUDGET", samples * fid.povm_sample_bytes(dim, outcomes))
-    assert povm_chunk(dim, outcomes) == samples
+def _chunks_of(monkeypatch, samples, dim, outcomes, count):
+    """Set the budget to ``samples`` measurements beside ``count`` overlaps."""
+    monkeypatch.setattr(fid, "POVM_BYTE_BUDGET", samples * fid.povm_sample_bytes(dim, outcomes)
+                        + fid.OVERLAP_BYTES * count)
+    assert povm_chunk(dim, outcomes, count) == samples
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
 def test_stacked_samples_equal_one_sample_calls(monkeypatch, dim):
-    _chunks_of(monkeypatch, 3, dim, dim + 1)
+    _chunks_of(monkeypatch, 3, dim, dim + 1, 7)
     rng = np.random.default_rng(dim)
     rho0, rho1 = _random_density(rng, dim), _random_density(rng, dim)
     stack = random_povms(dim, dim + 1, 7, np.random.default_rng(11))
@@ -153,7 +155,7 @@ def test_a_chunk_boundary_keeps_the_report_bytes(monkeypatch, tmp_path):
     whole = (tmp_path / "report.json").read_bytes()
     p = proto.load_protocol("bb84-bc")
     dim = 2 ** len(proto.bob_holding(p, proto.commit_custody(p)))
-    _chunks_of(monkeypatch, 3, dim, dim + 1)
+    _chunks_of(monkeypatch, 3, dim, dim + 1, 7)
     counts = []
     real = fid.random_povms
     monkeypatch.setattr(fid, "random_povms",
