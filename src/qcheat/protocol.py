@@ -21,6 +21,9 @@ from importlib import resources
 
 import numpy as np
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import SafeConstructor
+from yaml.error import Mark
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from . import qcore
@@ -175,61 +178,89 @@ _STR, _INT, _FLOAT, _BOOL, _SEQ, _MAP = (
 # spellings on which SafeConstructor's int and float are exactly int() and float()
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
 _POINT_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
+_BOOLS = SafeConstructor.bool_values
+
+# Deepest node a document may hold, the root being level 1.  A valid
+# document's deepest node is at level 9: a number in a RAW matrix's pair.
+# Both composers recurse once per level: PyYAML's hits Python's recursion
+# limit within a few hundred levels and libyaml's overflows the C stack
+# within some tens of thousands, so 64 leaves room for any hand-written
+# document and keeps both far from their limits.
+_MAX_DEPTH = 64
+
+
+def _cap_depth(loader):
+    """Make ``loader`` refuse a node nested deeper than ``_MAX_DEPTH``.
+
+    Both composers call the resolver's descend and ascend hooks once per
+    node.  The safe loaders declare no path resolvers, so the hooks have
+    nothing else to do.  They are closures set on the instance: methods
+    counting in an attribute made composing about 7% slower.
+    """
+    depth = 0
+
+    def descend_resolver(parent, index):
+        nonlocal depth
+        depth += 1
+        if depth > _MAX_DEPTH:
+            # a mark without source, as libyaml's, so both loaders say the same
+            at = parent.start_mark
+            raise ComposerError(
+                None, None, f"found a node nested deeper than {_MAX_DEPTH} levels",
+                Mark(at.name, at.index, at.line, at.column, None, None))
+
+    def ascend_resolver():
+        nonlocal depth
+        depth -= 1
+
+    loader.descend_resolver, loader.ascend_resolver = descend_resolver, ascend_resolver
+    return loader
 
 
 class _Unbuilt(Exception):
-    """A collection ``_build`` leaves to PyYAML: a set, omap, pairs or wrong-kind tag."""
+    """A node ``_build`` leaves to PyYAML."""
 
 
-# what _build stops on: _Unbuilt, a delegated scalar's own error, an
-# unhashable key or a wrong-kind node (TypeError), and nesting deeper than
-# its recursion, which PyYAML's generators build without recursing
-_LEFT_TO_PYYAML = (_Unbuilt, yaml.YAMLError, ValueError, LookupError, AttributeError,
-                   TypeError, RecursionError)
-
-
-def _build(loader, node, built: dict):
+def _build(node, built: dict):
     """The value SafeConstructor gives ``node``, built without its generators.
 
-    Strings, bools, plain decimal ints, point floats, sequences and
-    mappings are built here.  ``built`` holds each collection before its
-    items are, so an alias, recursive ones included, is the same object as
-    in PyYAML.  Any other scalar goes to ``loader.construct_object``; any
-    other collection raises _Unbuilt.  Whatever stops it here (a merge key
-    included, which SafeConstructor refuses outside a mapping's flattening)
-    leaves the document to PyYAML in ``_load_yaml``.
+    Strings, bools, plain decimal ints, point floats, sequences and mappings
+    whose keys are scalars are built here.  Any other node (null, octal,
+    ``.inf``, timestamps, sets, merge and ``=`` keys, a wrong-kind tag, ...)
+    raises _Unbuilt, and ``_load_yaml`` then hands the whole document to
+    PyYAML.  ``built`` holds each collection before its items are, so an
+    alias, recursive ones included, is the same object as in PyYAML.
     """
     tag = node.tag
-    if tag == _FLOAT:
-        if _POINT_FLOAT(node.value):
-            return float(node.value)
-    elif tag == _SEQ:
-        if type(node) is SequenceNode:
-            data = built.get(node)
-            if data is None:
-                data = built[node] = []
-                data.extend([_build(loader, item, built) for item in node.value])
-            return data
-    elif tag == _STR:
-        if type(node) is ScalarNode:
-            return node.value
-    elif tag == _MAP:
-        if type(node) is MappingNode:
-            data = built.get(node)
-            if data is None:
-                data = built[node] = {}
-                data.update({_build(loader, key, built): _build(loader, value, built)
-                             for key, value in node.value})
-            return data
-    elif tag == _INT:
-        if _DECIMAL(node.value):
-            return int(node.value)
-    elif tag == _BOOL:
-        if type(node) is ScalarNode:
-            return loader.bool_values[node.value.lower()]
-    if type(node) is not ScalarNode:
-        raise _Unbuilt(node.tag)
-    return loader.construct_object(node, deep=True)
+    if type(node) is ScalarNode:
+        value = node.value
+        if tag == _FLOAT:
+            if _POINT_FLOAT(value):
+                return float(value)
+        elif tag == _STR:
+            return value
+        elif tag == _INT:
+            if _DECIMAL(value):
+                return int(value)
+        elif tag == _BOOL:
+            if value.lower() in _BOOLS:
+                return _BOOLS[value.lower()]
+    elif tag == _SEQ and type(node) is SequenceNode:
+        data = built.get(node)
+        if data is None:
+            data = built[node] = []
+            data.extend([_build(item, built) for item in node.value])
+        return data
+    elif tag == _MAP and type(node) is MappingNode:
+        data = built.get(node)
+        if data is None:
+            data = built[node] = {}
+            for key, value in node.value:
+                if type(key) is not ScalarNode:
+                    raise _Unbuilt(key.tag)
+                data[_build(key, built)] = _build(value, built)
+        return data
+    raise _Unbuilt(tag)
 
 
 def _load_yaml(text: str) -> dict:
@@ -237,24 +268,24 @@ def _load_yaml(text: str) -> dict:
 
     ``_YAML_LOADER`` scans and parses with libyaml's C code when PyYAML was
     built with it and with PyYAML's pure-Python scanner otherwise; its
-    resolver tags the node graph either way.  ``_build`` makes the values
-    from that graph, and only the scalars it does not spell out itself
-    (null, octal, ``.inf``, timestamps, binary, ...) are built by PyYAML's
-    Python ``SafeConstructor``.  A document ``_build`` cannot finish is
-    built whole by ``construct_document``, as ``yaml.load`` does, so its
-    value or error is PyYAML's own.  A document loads to the same dict,
-    and an error reports the same line and column, with either loader;
-    only the wording after the location differs (no source excerpt from
-    libyaml).
+    resolver tags the node graph either way, and a node nested deeper than
+    ``_MAX_DEPTH`` is refused while composing.  A document is then built
+    whole by ``_build`` or, on the first node ``_build`` leaves, whole by
+    PyYAML's ``construct_document`` on the same loader, as ``yaml.load``
+    does, so its value or error is PyYAML's own.  A document loads to the
+    same dict, and an error reports the same line and column, with either
+    loader; only the wording after the location differs (no source excerpt
+    from libyaml).  One form loads under the pure-Python scanner only: a
+    flow entry with a space before an empty value (``a: {b :}``), which
+    libyaml refuses.
     """
-    loader = _YAML_LOADER(text)
+    loader = _cap_depth(_YAML_LOADER(text))
     try:
         root = loader.get_single_node()
         try:
-            data = None if root is None else _build(loader, root, {})
-        except _LEFT_TO_PYYAML:
-            # forget what _build's construct_object calls left, deep mode included
-            yaml.constructor.BaseConstructor.__init__(loader)
+            data = None if root is None else _build(root, {})
+        except _Unbuilt:
+            # no constructor has run on this loader yet
             data = loader.construct_document(root)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
@@ -439,10 +470,12 @@ def _parse_angle(value, env, loc):
     if isinstance(value, str):
         try:
             tree = ast.parse(value, mode="eval")
+            angle = _eval_expr(tree.body, env, loc, value)
         except SyntaxError:
             raise ProtocolError(f"malformed angle expression {value!r}", loc) from None
-        try:
-            angle = _eval_expr(tree.body, env, loc, value)
+        except RecursionError:
+            raise ProtocolError(f"angle expression {reprlib.repr(value)} nests too deeply "
+                                "to evaluate", loc) from None
         except OverflowError:
             angle = math.inf
         return _as_number(angle, loc)
@@ -734,6 +767,9 @@ def _front_matter(document, kind, top_keys, overrides):
 
     params = {}
     for key, value in _section(data, "params").items():
+        if str(key) == "pi":
+            raise ProtocolError("pi names the constant in angles and cannot be declared",
+                                "params.pi")
         params[str(key)] = _as_number(value, f"params.{key}")
     if overrides:
         unknown = [k for k in overrides if k not in params]

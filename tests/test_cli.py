@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qcheat import attack as attacks
 from qcheat import cli
@@ -15,6 +19,8 @@ from qcheat import protocol as proto
 from qcheat.cointoss import parse_coin_protocol
 from qcheat.protocol import parse_protocol
 from qcheat.qcore import InvariantViolation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_to_file(tmp_path, args, name="out.txt"):
@@ -392,6 +398,60 @@ def test_out_of_memory_is_input_error_under_1_gib(tmp_path, cli_under_1_gib):
         else:
             assert code == 2, (command, text)
             assert text.startswith("error: out of memory ("), (command, text)
+
+
+_CLI_WITH_LOADER = ("import sys, yaml; from qcheat import cli, protocol; "
+                    "protocol._YAML_LOADER = getattr(yaml, sys.argv[1]); "
+                    "sys.exit(cli.main(sys.argv[2:]))")
+_LOADER_NAMES = ["SafeLoader"] + (["CSafeLoader"] if yaml.__with_libyaml__ else [])
+
+
+def _long_angle(terms):
+    return _commitment(initial={"alice0": [{"gate": "RY", "targets": [0],
+                                            "angle": "+".join(["1"] * terms)}]})
+
+
+# read as a parameter, pi = 0 would make RY(pi) the identity and hide the bit
+_PI_PARAMETER = """\
+name: pi-parameter
+qubits: {alice: 1, bob: 1, channel: 1}
+params: {pi: 0}
+initial:
+  alice1: [{gate: RY, targets: [0], angle: pi}]
+commit_rounds:
+  - {actor: alice, ops: [{gate: SWAP, targets: [0, 2]}]}
+open_rounds: []
+verify:
+  accept_b0: {accept_states: ["00"]}
+  accept_b1: {accept_states: ["01"]}
+"""
+_TOO_DEEP_ANGLE = ("error: initial.alice0[0].angle: angle expression "
+                   "'1+1+1+1+1+1+...1+1+1+1+1+1+1' nests too deeply to evaluate\n")
+
+
+# Documents that once ended in a crash or a traceback: nesting that overflows
+# libyaml's recursive composer (SIGSEGV) or PyYAML's (RecursionError), angle
+# sums too long for the evaluator or for ast.parse, and a parameter that
+# would shadow pi.  Each runs in its own child so a crash shows as its exit.
+@pytest.mark.parametrize("text, command, err", [
+    ("a: " + "[" * 30_000 + "]" * 30_000, ["simulate"],
+     "error: YAML syntax error at line 1, column 66: found a node nested deeper than "
+     "64 levels\n  in \"<unicode string>\", line 1, column 66\n"),
+    (json.dumps(_long_angle(1_500)), ["simulate"], _TOO_DEEP_ANGLE),
+    (json.dumps(_long_angle(5_000)), ["simulate"], _TOO_DEEP_ANGLE),
+    (_PI_PARAMETER, ["sweep", "--grid", "0:1:2"],
+     "error: params.pi: pi names the constant in angles and cannot be declared\n"),
+], ids=["deep-nesting", "angle-1500-terms", "angle-5000-terms", "pi-parameter"])
+@pytest.mark.parametrize("loader", _LOADER_NAMES)
+def test_hostile_documents_exit_2_at_a_location_in_a_child(tmp_path, loader, text,
+                                                          command, err):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _CLI_WITH_LOADER, loader, *command,
+                           "--protocol", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
 
 
 @pytest.mark.parametrize("source", ["leaky-bc(nan)", "leaky-bc(inf)"])

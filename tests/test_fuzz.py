@@ -26,7 +26,8 @@ COMMANDS = {
                        ["sweep", "--grid", "0:1:2"], ["purify"]),
     "coin-toss": (["cointoss"],),
 }
-TOKENS = ("nan", "1e308", "10**400", "[]", "null", "-1", "RAW")
+# "1+1+...+1" is an angle sum too long to evaluate
+TOKENS = ("nan", "1e308", "10**400", "[]", "null", "-1", "RAW", "+".join(["1"] * 1500))
 # a run of characters that is neither YAML punctuation nor space: a key or a scalar
 SCALAR = re.compile(r"[^\s:,\[\]{}#]+")
 

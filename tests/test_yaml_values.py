@@ -209,9 +209,12 @@ def test_shipped_and_workload_documents_never_reach_safeconstructor(
                         lambda self, node, deep=False: calls.append(node) or real(
                             self, node, deep))
     monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
-    # the counter sees a delegated scalar and a document PyYAML builds whole
+    # the counter sees a document PyYAML builds whole: a null is not built
+    # by _build, so its whole document is PyYAML's, the root first
     protocol._load_yaml("a: ~\n")
-    assert len(calls) == 1
+    assert [node.tag.replace("tag:yaml.org,2002:", "!!") for node in calls] == [
+        "!!map", "!!str", "!!null"]
+    calls.clear()
     protocol._load_yaml("a: !!set {x}\n")
     assert len(calls) > 1
     calls.clear()
@@ -221,3 +224,21 @@ def test_shipped_and_workload_documents_never_reach_safeconstructor(
     for doc in docs.values():
         protocol._load_yaml(perfbench_gen.to_yaml(doc))
     assert calls == []
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+def test_nesting_is_capped_with_one_message_under_both_loaders(monkeypatch, loader):
+    monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
+    # the root is level 1 and "a: " puts the first "[" at column 4
+    levels = protocol._MAX_DEPTH
+    assert protocol._load_yaml("a: " + "[" * (levels - 1) + "]" * (levels - 1))
+    for deeper in (levels, 2 * levels):
+        with pytest.raises(ProtocolError) as info:
+            protocol._load_yaml("a: " + "[" * deeper + "]" * deeper)
+        column = levels + 2
+        assert str(info.value) == (
+            f"YAML syntax error at line 1, column {column}: found a node nested deeper "
+            f"than {levels} levels\n  in \"<unicode string>\", line 1, column {column}")
+    # the count goes back down as composing climbs out: many shallow lists load
+    wide = "\n".join(f"k{i}: " + "[" * 40 + "]" * 40 for i in range(levels))
+    assert len(protocol._load_yaml(wide)) == levels
