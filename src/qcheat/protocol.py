@@ -226,7 +226,8 @@ def _build(node, built: dict):
 
     Strings, bools, plain decimal ints, point floats, sequences and mappings
     whose keys are scalars are built here.  Any other node (null, octal,
-    ``.inf``, timestamps, sets, merge and ``=`` keys, a wrong-kind tag, ...)
+    ``.inf``, an int too long for ``int()``, timestamps, sets, merge and
+    ``=`` keys, a wrong-kind tag, ...)
     raises _Unbuilt, and ``_load_yaml`` then hands the whole document to
     PyYAML.  ``built`` holds each collection before its items are, so an
     alias, recursive ones included, is the same object as in PyYAML.
@@ -241,7 +242,10 @@ def _build(node, built: dict):
             return value
         elif tag == _INT:
             if _DECIMAL(value):
-                return int(value)
+                try:
+                    return int(value)
+                except ValueError:
+                    pass  # more digits than int() converts: PyYAML reports it
         elif tag == _BOOL:
             if value.lower() in _BOOLS:
                 return _BOOLS[value.lower()]
@@ -437,6 +441,10 @@ _BIN_OPS = {
     ast.Div: lambda a, b: a / b,
     ast.Pow: lambda a, b: a ** b,
 }
+# Longest angle string read.  An expression's syntax tree is at most one
+# level deep per character, so within the cap ast.parse and _eval_expr stay
+# far below Python's recursion limit whichever command parses the angle.
+_MAX_ANGLE_CHARS = 500
 
 
 def _eval_expr(node, env, loc, source):
@@ -468,12 +476,16 @@ def _parse_angle(value, env, loc):
     if isinstance(value, (int, float)):
         return _as_number(value, loc)
     if isinstance(value, str):
+        if len(value) > _MAX_ANGLE_CHARS:
+            raise ProtocolError(f"angle expression {reprlib.repr(value)} is longer than "
+                                f"{_MAX_ANGLE_CHARS} characters", loc)
         try:
             tree = ast.parse(value, mode="eval")
             angle = _eval_expr(tree.body, env, loc, value)
         except SyntaxError:
-            raise ProtocolError(f"malformed angle expression {value!r}", loc) from None
-        except RecursionError:
+            raise ProtocolError(f"malformed angle expression {reprlib.repr(value)}",
+                                loc) from None
+        except RecursionError:  # under a caller's lowered recursion limit
             raise ProtocolError(f"angle expression {reprlib.repr(value)} nests too deeply "
                                 "to evaluate", loc) from None
         except OverflowError:

@@ -425,23 +425,28 @@ verify:
   accept_b0: {accept_states: ["00"]}
   accept_b1: {accept_states: ["01"]}
 """
-_TOO_DEEP_ANGLE = ("error: initial.alice0[0].angle: angle expression "
-                   "'1+1+1+1+1+1+...1+1+1+1+1+1+1' nests too deeply to evaluate\n")
+_LONG_ANGLE = ("error: initial.alice0[0].angle: angle expression "
+               "'1+1+1+1+1+1+...1+1+1+1+1+1+1' is longer than 500 characters\n")
 
 
 # Documents that once ended in a crash or a traceback: nesting that overflows
 # libyaml's recursive composer (SIGSEGV) or PyYAML's (RecursionError), angle
-# sums too long for the evaluator or for ast.parse, and a parameter that
-# would shadow pi.  Each runs in its own child so a crash shows as its exit.
+# sums too long for the evaluator or for ast.parse, an int with more digits
+# than int() converts, and a parameter that would shadow pi.  Each runs in
+# its own child so a crash shows as its exit.
 @pytest.mark.parametrize("text, command, err", [
     ("a: " + "[" * 30_000 + "]" * 30_000, ["simulate"],
      "error: YAML syntax error at line 1, column 66: found a node nested deeper than "
      "64 levels\n  in \"<unicode string>\", line 1, column 66\n"),
-    (json.dumps(_long_angle(1_500)), ["simulate"], _TOO_DEEP_ANGLE),
-    (json.dumps(_long_angle(5_000)), ["simulate"], _TOO_DEEP_ANGLE),
+    (json.dumps(_long_angle(1_500)), ["simulate"], _LONG_ANGLE),
+    (json.dumps(_long_angle(5_000)), ["simulate"], _LONG_ANGLE),
+    ("a: " + "1" * 5_000, ["simulate"],
+     "error: YAML value error at line 1, column 4: cannot read "
+     "'111111111111...1111111111111' as !!int\n"),
     (_PI_PARAMETER, ["sweep", "--grid", "0:1:2"],
      "error: params.pi: pi names the constant in angles and cannot be declared\n"),
-], ids=["deep-nesting", "angle-1500-terms", "angle-5000-terms", "pi-parameter"])
+], ids=["deep-nesting", "angle-1500-terms", "angle-5000-terms", "int-5000-digits",
+        "pi-parameter"])
 @pytest.mark.parametrize("loader", _LOADER_NAMES)
 def test_hostile_documents_exit_2_at_a_location_in_a_child(tmp_path, loader, text,
                                                           command, err):

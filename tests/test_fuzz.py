@@ -26,10 +26,12 @@ COMMANDS = {
                        ["sweep", "--grid", "0:1:2"], ["purify"]),
     "coin-toss": (["cointoss"],),
 }
-# "1+1+...+1" is an angle sum too long to evaluate
-TOKENS = ("nan", "1e308", "10**400", "[]", "null", "-1", "RAW", "+".join(["1"] * 1500))
+# "1+1+...+1" is an angle sum longer than an angle may be
+TOKENS = ("nan", "1e308", "10**400", "[]", "null", "-1", "RAW", "+".join(["1"] * 5000))
 # a run of characters that is neither YAML punctuation nor space: a key or a scalar
 SCALAR = re.compile(r"[^\s:,\[\]{}#]+")
+# an angle's value, drawn on its own: few of SCALAR's matches are angles
+ANGLE = re.compile(r"(?<=angle: )[^\s,}]+")
 
 
 @st.composite
@@ -42,7 +44,10 @@ def mutated_documents(draw):
             del lines[draw(st.integers(0, len(lines) - 1))]
             text = "".join(lines)
         else:
-            start, end = draw(st.sampled_from([m.span() for m in SCALAR.finditer(text)]))
+            spans = [m.span() for m in ANGLE.finditer(text)]
+            if not spans or draw(st.booleans()):
+                spans = [m.span() for m in SCALAR.finditer(text)]
+            start, end = draw(st.sampled_from(spans))
             text = text[:start] + draw(st.sampled_from(TOKENS)) + text[end:]
     return name, text
 

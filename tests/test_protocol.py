@@ -211,6 +211,16 @@ def test_angle_division_by_zero():
         parse_protocol(doc)
 
 
+def test_angle_longer_than_500_characters():
+    # one unary minus a character: the deepest tree a string of its length can have
+    doc = minimal_doc()
+    doc["commit_rounds"][0]["ops"] = [{"gate": "RY", "targets": [2], "angle": "-" * 499 + "1"}]
+    assert parse_protocol(doc).commit_rounds[0].ops[0].param == -1.0
+    doc["commit_rounds"][0]["ops"][0]["angle"] = "-" * 500 + "1"
+    with pytest.raises(ProtocolError, match=r"\.angle: .* is longer than 500 characters$"):
+        parse_protocol(doc)
+
+
 @pytest.mark.parametrize("angle", [
     "10**400", "2**2**2**2**2", "1e308*10", "1e308*10 - 1e308*10", "(-8)**0.5",
     pytest.param("1" + "0" * 400, id="400-digit-literal"), float("nan"), float("inf"),
