@@ -165,8 +165,8 @@ _KINDS = {
         lambda data, ov: proto.purify_protocol(proto.parse_protocol(data, param_overrides=ov)),
         proto.protocol_to_document, "simulate, attack, sweep, or fidelity"),
     proto.KIND_COIN: (
-        lambda data, ov: coins.parse_coin_protocol(data, param_overrides=ov),
-        coins.coin_to_document, "the cointoss command"),
+        lambda data, ov: proto.parse_coin_protocol(data, param_overrides=ov),
+        proto.coin_to_document, "the cointoss command"),
 }
 
 

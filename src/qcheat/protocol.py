@@ -1,12 +1,16 @@
-"""Protocol documents: parsing, validation, purification, honest execution.
+"""Protocol documents of both kinds, and bit commitment's honest execution.
 
-A protocol document is YAML describing a two-party commitment protocol in
-the two-machines-plus-channel register model: qubit counts, Alice's two
-initial preparations (one per committed bit), Bob's preparation, the
-commit and open round lists, and Bob's per-bit acceptance projectors.
-Measurements inside rounds are legal in documents; ``purify_protocol``
-compiles them away into ancilla entanglement so every analysis runs on a
-closed unitary circuit.
+A document is YAML describing a two-party protocol in the
+two-machines-plus-channel register model.  A bit-commitment document gives
+Alice's two initial preparations (one per committed bit), Bob's, the commit
+and open rounds, and Bob's per-bit acceptance projectors; a coin-toss
+document gives each party's preparation, rounds that alternate actors, and
+each party's outcome rules "0", "1" and "invalid".  Every check on a
+document runs once, in ``parse_protocol`` or ``parse_coin_protocol``;
+``Protocol`` and ``CoinProtocol`` are plain records built from checked
+parts.  Measurements inside rounds are legal in documents; the coin parser
+and ``purify_protocol`` compile them away into ancilla entanglement so every
+analysis runs on a closed unitary circuit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .qcore import GateOp, InvariantViolation, Partition, PureState
 from .schmidt import UhlmannRotation
 
 PROJECTOR_TOL = 1e-8
+COMPLETENESS_TOL = 1e-8
 BRANCH_CUTOFF = 1e-15
 # Bob's holdings up to this many qubits take the trace route to F in
 # commit_fidelity, which costs under 0.5 ms at this size.  The Gram route
@@ -44,6 +49,7 @@ BUILTIN_NAMES = ("bell-bc", "bb84-bc", "leaky-bc", "ideal-ct", "guess-ct")
 
 KIND_COMMITMENT = "bit-commitment"
 KIND_COIN = "coin-toss"
+OUTCOME_LABELS = ("0", "1", "invalid")
 _PARSER_OF = {KIND_COMMITMENT: "parse_protocol", KIND_COIN: "parse_coin_protocol"}
 
 
@@ -119,6 +125,17 @@ class Projector:
             state.amplitudes, self.matrix, self.qubits, state.num_qubits)
         return float(np.real(np.vdot(state.amplitudes, projected)))
 
+    def lifted(self, space: tuple) -> np.ndarray:
+        """V x I on ``space``, a sorted superset of ``qubits``, with its row
+        axes moved into ``space``'s order."""
+        rest = tuple(q for q in space if q not in self.qubits)
+        order = self.qubits + rest
+        eye = np.identity(2 ** len(rest))
+        lifted = self.isometry[:, None, :, None] * eye[None, :, None, :]
+        rows = lifted.reshape((2,) * len(space) + (-1,)).transpose(
+            [order.index(q) for q in space] + [len(space)])
+        return rows.reshape(2 ** len(space), -1)
+
 
 class _Document:
     """The register and document frame shared by both protocol kinds."""
@@ -162,6 +179,31 @@ class Protocol(_Document):
     def has_measurements(self) -> bool:
         return any(
             isinstance(op, MeasureOp) for rnd in self.all_rounds for op in rnd.ops)
+
+
+@dataclass(frozen=True)
+class CoinProtocol(_Document):
+    """Alternating-round coin protocol with three-way outcome rules.
+
+    ``outcome_rules`` maps each actor to projectors labeled "0", "1" and
+    "invalid" that partition the actor's end-of-protocol holding: the last
+    sender reads only their machine, the other party may also read the
+    channel they just received.  The record checks nothing: the parser checks
+    this once, and truncation keeps it (see the ``cointoss`` module docstring).
+    """
+
+    name: str
+    partition: Partition
+    initial_alice: tuple
+    initial_bob: tuple
+    rounds: tuple
+    outcome_rules: dict
+    ancilla_owners: tuple = ()
+    params: dict = field(default_factory=dict)
+
+    @property
+    def num_rounds(self) -> int:
+        return len(self.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +883,81 @@ def load_protocol(source: str, *, param_overrides=None) -> Protocol:
     return _load_with(parse_protocol, source, param_overrides)
 
 
+_COIN_TOP_KEYS = ("name", "kind", "qubits", "params", "initial", "rounds",
+                  "outcomes", "ancillas")
+
+
+def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
+    """Parse a coin-toss document; measurements are compiled away on entry."""
+    data, name, scope, owners, declared, params = _front_matter(
+        document, KIND_COIN, _COIN_TOP_KEYS, param_overrides)
+
+    initial = _section(data, "initial")
+    _check_keys(initial, ACTORS, "initial")
+    prep_a, prep_b = (
+        _parse_ops(initial.get(actor, []), scope, f"initial.{actor}", allowed,
+                   f"{actor}'s declared qubits")
+        for actor, allowed in zip(ACTORS, declared))
+
+    rounds, _ = _parse_rounds(_req(data, "rounds", ""), scope, "rounds", strict_alternation=True)
+    owners = list(owners)
+    partition, rounds = _purify_round_list(scope.partition, owners, {}, rounds)
+    # outcome rules read the purified register, ancillas included
+    scope = replace(scope, partition=partition)
+
+    outcomes = _as_dict(_req(data, "outcomes", ""), "outcomes")
+    _check_keys(outcomes, ACTORS, "outcomes")
+    rules = {}
+    for actor in ACTORS:
+        section = _as_dict(_req(outcomes, actor, "outcomes"), f"outcomes.{actor}")
+        labeled = {str(key): value for key, value in section.items()}
+        if len(labeled) != len(section):
+            raise ProtocolError("outcome labels repeat", f"outcomes.{actor}")
+        unknown = [k for k in labeled if k not in OUTCOME_LABELS]
+        if unknown:
+            raise ProtocolError(
+                f"outcome label must be 0, 1 or invalid, got {unknown[0]!r}",
+                f"outcomes.{actor}")
+        missing = [k for k in OUTCOME_LABELS if k not in labeled]
+        if missing:
+            raise ProtocolError(f"missing outcome label {missing[0]!r}", f"outcomes.{actor}")
+        rules[actor] = {
+            label: _parse_projector(
+                labeled[label], scope, f"outcomes.{actor}.{label}",
+                default_qubits=partition.holding(actor, None),
+                allowed=partition.holding(actor, actor), allow_zero=True)
+            for label in OUTCOME_LABELS
+        }
+
+    # each rule reads the actor's machine or the channel, and the channel
+    # only when the actor did not send the last round
+    sender = rounds[-1].actor if rounds else None
+    for actor, actor_rules in rules.items():
+        for label, rule in actor_rules.items():
+            read = partition.channel_qubits.intersection(rule.qubits)
+            if actor == sender and read:
+                raise ProtocolError(f"{actor} outcome rule {label!r} reads qubit {min(read)} "
+                                    "outside their holding", f"outcomes.{actor}.{label}")
+        space = tuple(sorted({q for rule in actor_rules.values() for q in rule.qubits}))
+        if len(space) > qcore.MAX_SIDE_QUBITS:
+            raise ProtocolError(f"{actor} outcome rules read {len(space)} qubits; a rule "
+                                f"space is capped at {qcore.MAX_SIDE_QUBITS}", f"outcomes.{actor}")
+        w = np.hstack([rule.lifted(space) for rule in actor_rules.values()])
+        if abs(w @ w.conj().T - np.identity(2 ** len(space))).max() > COMPLETENESS_TOL:
+            raise ProtocolError(f"{actor} outcome rules do not sum to the identity within "
+                                f"{COMPLETENESS_TOL}", f"outcomes.{actor}")
+
+    return CoinProtocol(
+        name=name, partition=partition, initial_alice=prep_a,
+        initial_bob=prep_b, rounds=rounds, outcome_rules=rules,
+        ancilla_owners=tuple(owners), params=params)
+
+
+def load_coin_protocol(source: str, *, param_overrides=None) -> CoinProtocol:
+    """Resolve a builtin name or file path and parse it as a coin toss."""
+    return _load_with(parse_coin_protocol, source, param_overrides)
+
+
 # ---------------------------------------------------------------------------
 # purification: compile measurements into ancilla entanglement
 
@@ -1135,6 +1252,12 @@ def _projector_node(proj: Projector):
     return {"qubits": list(proj.qubits), "matrix": _matrix_rows(proj.matrix)}
 
 
+def _rule_node(rule: Projector):
+    if not rule.isometry.shape[1]:
+        return {"qubits": list(rule.qubits), "zero": True}
+    return _projector_node(rule)
+
+
 def protocol_to_document(p: Protocol) -> dict:
     """Serialize back to document form; angles appear fully evaluated."""
     return p._document(
@@ -1149,6 +1272,21 @@ def protocol_to_document(p: Protocol) -> dict:
         verify={
             "accept_b0": _projector_node(p.verification[0]),
             "accept_b1": _projector_node(p.verification[1]),
+        })
+
+
+def coin_to_document(p: CoinProtocol) -> dict:
+    return p._document(
+        KIND_COIN,
+        initial={
+            "alice": [_op_node(op) for op in p.initial_alice],
+            "bob": [_op_node(op) for op in p.initial_bob],
+        },
+        rounds=[_round_node(r) for r in p.rounds],
+        outcomes={
+            actor: {label: _rule_node(p.outcome_rules[actor][label])
+                    for label in OUTCOME_LABELS}
+            for actor in ACTORS
         })
 
 

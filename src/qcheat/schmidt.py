@@ -212,17 +212,6 @@ class UhlmannRotation:
         return PureState(_merge(factors.rows, factors.cols, coeffs))
 
 
-def _coefficient_fidelity(m0: np.ndarray, m1: np.ndarray) -> float:
-    """Fidelity of the unit-trace states m0 m0^dagger and m1 m1^dagger.
-
-    ``m0`` and ``m1`` are coefficient matrices of two purifications, with
-    rows on the system and any number of columns each; then F is the trace
-    norm of m0^dagger m1 (Uhlmann's theorem), as on ``UhlmannRotation``'s
-    cross-Gram.  Rounding can push it past 1, so it is clamped there.
-    """
-    return min(1.0, float(np.sum(np.linalg.svd(m0.conj().T @ m1, compute_uv=False))))
-
-
 def uhlmann_unitary(state0: PureState, state1: PureState, a_side):
     """Best A-side rotation of ``state0`` toward ``state1``.
 

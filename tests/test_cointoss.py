@@ -10,21 +10,24 @@ import pytest
 
 from qcheat import cli, cointoss, fidelity, qcore
 from qcheat.cointoss import (
-    CoinProtocol,
     FidelityTriple,
     NotIdealError,
-    coin_to_document,
     induction_report,
     last_round_fidelities,
-    load_coin_protocol,
     min_rounds,
     outcome_distribution,
-    parse_coin_protocol,
     run_rounds,
     truncate_last_round,
     validate_walk,
 )
-from qcheat.protocol import ProtocolError, document_to_yaml
+from qcheat.protocol import (
+    Projector,
+    ProtocolError,
+    coin_to_document,
+    document_to_yaml,
+    load_coin_protocol,
+    parse_coin_protocol,
+)
 from qcheat.qcore import InvariantViolation
 from test_attack import count_calls
 
@@ -323,8 +326,8 @@ def test_truncation_lifts_only_the_sender_rules(monkeypatch, perfbench_gen):
     # back, and checks nothing the parser already checked, so no
     # completeness lift; the induction pulls back nothing, so it lifts none
     lifts = []
-    real = cointoss._lift
-    monkeypatch.setattr(cointoss, "_lift",
+    real = Projector.lifted
+    monkeypatch.setattr(Projector, "lifted",
                         lambda rule, space: lifts.append(rule) or real(rule, space))
     for name, p in _induction_inputs(perfbench_gen).items():
         lifts.clear()

@@ -7,7 +7,6 @@ import pytest
 import yaml
 
 from qcheat import cli, protocol, qcore
-from qcheat.cointoss import _lift, parse_coin_protocol
 from qcheat.protocol import (
     BUILTIN_NAMES,
     MeasureOp,
@@ -20,7 +19,9 @@ from qcheat.protocol import (
     document_to_yaml,
     enumerate_acceptance,
     enumerate_branches,
+    load_coin_protocol,
     load_protocol,
+    parse_coin_protocol,
     parse_protocol,
     protocol_to_document,
     purify_protocol,
@@ -168,6 +169,27 @@ def test_duplicate_result_id_rejected():
 def test_coin_document_directed_to_other_parser():
     with pytest.raises(ProtocolError, match="parse_coin_protocol"):
         parse_protocol(minimal_doc(kind="coin-toss"))
+
+
+def _relabeled(name, kind):
+    return {**resolve_document(name)[0], "kind": kind}
+
+
+@pytest.mark.parametrize("call, message, location", [
+    (lambda: parse_protocol(_relabeled("bell-bc", "coin-toss")),
+     "kind: document kind 'coin-toss' is not bit-commitment; coin-toss documents go "
+     "through parse_coin_protocol", "kind"),
+    (lambda: parse_coin_protocol(_relabeled("ideal-ct", "bit-commitment")),
+     "kind: document kind 'bit-commitment' is not coin-toss; bit-commitment documents "
+     "go through parse_protocol", "kind"),
+    # a whole document of the other kind trips the key check first
+    (lambda: load_protocol("ideal-ct"), "unknown field 'rounds'", ""),
+    (lambda: load_coin_protocol("bell-bc"), "unknown field 'commit_rounds'", ""),
+], ids=["coin-as-commitment", "commitment-as-coin", "load-ideal-ct", "load-bell-bc"])
+def test_wrong_kind_messages_are_pinned(call, message, location):
+    with pytest.raises(ProtocolError) as info:
+        call()
+    assert (str(info.value), info.value.location) == (message, location)
 
 
 def test_yaml_syntax_error_is_wrapped():
@@ -605,7 +627,7 @@ def test_projector_expectation_and_lift():
     proj = Projector((2,), np.array([[1.0], [0.0]]))
     # the committed channel half of the bell pair is maximally mixed
     assert proj.expectation(state) == pytest.approx(0.5, abs=1e-12)
-    lifted = _lift(proj, (0, 1, 2))
+    lifted = proj.lifted((0, 1, 2))
     assert lifted.shape == (8, 4)
     np.testing.assert_allclose(lifted @ lifted.conj().T,
                                np.kron(np.eye(4), np.diag([1.0, 0.0])), atol=0)
@@ -634,7 +656,7 @@ def test_identity_accept_projector_is_built_only_for_a_missing_key(monkeypatch, 
     assert len(p.verification) == 2
     # Bob's qubit and the channel are the default qubits
     for proj in p.verification:
-        lifted = _lift(proj, (1, 2))
+        lifted = proj.lifted((1, 2))
         np.testing.assert_array_equal(lifted @ lifted.conj().T, np.eye(4))
 
 

@@ -1,4 +1,5 @@
-"""The names ``perfbench/spans.py`` traces must exist in the package.
+"""The names ``perfbench/spans.py`` traces must exist in the package, and
+a CLI op's calls must reach them.
 
 The per-layer benchmark rebinds functions and methods by name, so a rename
 or move in ``src/`` breaks only the traced run.  These checks catch it in
@@ -10,6 +11,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from qcheat import cli
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,3 +45,31 @@ def test_traced_methods_exist(method):
 def test_protocol_loads_yaml_through_a_module_attribute():
     # the tracer swaps qcheat.protocol.yaml for a proxy
     assert hasattr(importlib.import_module("qcheat.protocol"), "yaml")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["cointoss", "--protocol", "ideal-ct"],
+     {"protocol.resolve_document": 1, "cointoss.parse_coin_protocol": 1,
+      "cointoss.induction_report": 1, "protocol.Projector.expectation": 6,
+      "qcore.mutual_information": 1}),
+    (["attack", "--protocol", "bb84-bc"],
+     {"protocol.resolve_document": 1, "protocol.parse_protocol": 1,
+      "protocol.purify_protocol": 1, "protocol.run_commit": 2, "protocol.run_open": 3,
+      "protocol.Projector.expectation": 3}),
+    (["purify", "--protocol", "guess-ct"],
+     {"protocol.resolve_document": 1, "cointoss.parse_coin_protocol": 1}),
+], ids=["cointoss", "attack", "purify"])
+def test_traced_functions_see_the_calls_of_a_cli_op(tmp_path, argv, expected):
+    # every call must reach a traced name through a module attribute: a
+    # function kept in a table would bypass the wrapper and count 0
+    tracer = _SPANS.Tracer()
+    tracer.install()
+    try:
+        span = tracer.open_op(0, 0.0)
+        code = cli.main(argv + ["--out", str(tmp_path / "report")])
+        tracer.close_op(span, 0.0)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = tracer.take_pass(0)["counts"]
+    assert {name: counts[f"{name}.calls"] for name in expected} == expected
