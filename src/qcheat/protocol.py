@@ -28,7 +28,8 @@ import yaml
 from yaml.composer import ComposerError
 from yaml.constructor import SafeConstructor
 from yaml.error import Mark
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.events import (AliasEvent, DocumentEndEvent, DocumentStartEvent, MappingEndEvent,
+                         MappingStartEvent, ScalarEvent, SequenceEndEvent, StreamEndEvent)
 
 from . import qcore
 from .fidelity import fidelity_trace
@@ -215,12 +216,16 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 _TAG = "tag:yaml.org,2002:"
-_STR, _INT, _FLOAT, _BOOL, _SEQ, _MAP = (
-    _TAG + name for name in ("str", "int", "float", "bool", "seq", "map"))
 # spellings on which SafeConstructor's int and float are exactly int() and float()
 _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
 _POINT_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
-_BOOLS = SafeConstructor.bool_values
+# the bool spellings Resolver tags; any other plain scalar is a str unless it
+# starts with one of _NON_STR_START or is a null, the forms Resolver may tag
+# int, float, null, timestamp, merge or value
+_BOOLS = {spelling: value for word, value in SafeConstructor.bool_values.items()
+          for spelling in (word, word.capitalize(), word.upper())}
+_NON_STR_START = frozenset("~.-+<=0123456789")
+_NULLS = frozenset(("", "null", "Null", "NULL"))
 
 # Deepest node a document may hold, the root being level 1.  A valid
 # document's deepest node is at level 9: a number in a RAW matrix's pair.
@@ -259,94 +264,113 @@ def _cap_depth(loader):
     return loader
 
 
-class _Unbuilt(Exception):
-    """A node ``_build`` leaves to PyYAML."""
+def _built(text: str):
+    """The value SafeLoader gives ``text``, built from the parser's events.
 
-
-def _build(node, built: dict):
-    """The value SafeConstructor gives ``node``, built without its generators.
-
-    Strings, bools, plain decimal ints, point floats, sequences and mappings
-    whose keys are scalars are built here.  Any other node (null, octal,
-    ``.inf``, an int too long for ``int()``, timestamps, sets, merge and
-    ``=`` keys, a wrong-kind tag, ...)
-    raises _Unbuilt, and ``_load_yaml`` then hands the whole document to
-    PyYAML.  ``built`` holds each collection before its items are, so an
-    alias, recursive ones included, is the same object as in PyYAML.
+    Untagged strings, bools, plain decimal ints, point floats, sequences and
+    mappings are built here, each anchor registered before its collection's
+    items, so an alias, recursive ones included, is the same object as in
+    PyYAML.  Anything else returns None: a tag, a null, any other implicit
+    scalar form (octal, ``.inf``, timestamps, merge and ``=`` keys, ...), a
+    duplicate anchor or key, a second document or a node deeper than
+    ``_MAX_DEPTH``.  A syntax error, an undefined alias, an unhashable key
+    or an int too long for ``int()`` raises.  None is never a built value,
+    so it also marks "no key yet".
     """
-    tag = node.tag
-    if type(node) is ScalarNode:
-        value = node.value
-        if tag == _FLOAT:
-            if _POINT_FLOAT(value):
-                return float(value)
-        elif tag == _STR:
-            return value
-        elif tag == _INT:
-            if _DECIMAL(value):
-                try:
-                    return int(value)
-                except ValueError:
-                    pass  # more digits than int() converts: PyYAML reports it
-        elif tag == _BOOL:
-            if value.lower() in _BOOLS:
-                return _BOOLS[value.lower()]
-    elif tag == _SEQ and type(node) is SequenceNode:
-        data = built.get(node)
-        if data is None:
-            data = built[node] = []
-            data.extend([_build(item, built) for item in node.value])
-        return data
-    elif tag == _MAP and type(node) is MappingNode:
-        data = built.get(node)
-        if data is None:
-            data = built[node] = {}
-            for key, value in node.value:
-                if type(key) is not ScalarNode:
-                    raise _Unbuilt(key.tag)
-                data[_build(key, built)] = _build(value, built)
-        return data
-    raise _Unbuilt(tag)
+    loader = _YAML_LOADER(text)
+    try:
+        event = loader.get_event
+        event()  # the stream's start
+        if type(event()) is not DocumentStartEvent:  # an empty stream
+            return None
+        anchors = {}
+        # (collection, pending key) of each enclosing collection; a new
+        # node's level, the root's being 1, is one more than its length
+        parents = []
+        node, key = [], None  # the document holds its root as a list's item
+        while True:
+            e = event()
+            kind = type(e)
+            if kind is AliasEvent:
+                value = anchors[e.anchor]
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                value = node
+                node, key = parents.pop()
+            elif kind is DocumentEndEvent:
+                break
+            elif e.tag is not None or e.anchor in anchors or len(parents) >= _MAX_DEPTH:
+                return None
+            elif kind is ScalarEvent:
+                value = e.value
+                if e.implicit[0]:  # plain; a quoted or block scalar is a str
+                    if value[:1] in _NON_STR_START or value in _NULLS:
+                        if _POINT_FLOAT(value):
+                            value = float(value)
+                        elif _DECIMAL(value):
+                            value = int(value)
+                        else:
+                            return None
+                    else:
+                        value = _BOOLS.get(value, value)
+                if e.anchor is not None:
+                    anchors[e.anchor] = value
+            else:  # a collection's start
+                parents.append((node, key))
+                node, key = {} if kind is MappingStartEvent else [], None
+                if e.anchor is not None:
+                    anchors[e.anchor] = node
+                continue
+            if type(node) is list:
+                node.append(value)
+            elif key is None:
+                key = value
+            elif key in node:
+                return None
+            else:
+                node[key] = value
+                key = None
+        return node[0] if type(event()) is StreamEndEvent else None
+    finally:
+        loader.dispose()
 
 
 def _load_yaml(text: str) -> dict:
     """The YAML mapping in ``text``; every document is loaded here.
 
     ``_YAML_LOADER`` scans and parses with libyaml's C code when PyYAML was
-    built with it and with PyYAML's pure-Python scanner otherwise; its
-    resolver tags the node graph either way, and a node nested deeper than
-    ``_MAX_DEPTH`` is refused while composing.  A document is then built
-    whole by ``_build`` or, on the first node ``_build`` leaves, whole by
-    PyYAML's ``construct_document`` on the same loader, as ``yaml.load``
-    does, so its value or error is PyYAML's own.  A document loads to the
-    same dict, and an error reports the same line and column, with either
-    loader; only the wording after the location differs (no source excerpt
-    from libyaml).  One form loads under the pure-Python scanner only: a
-    flow entry with a space before an empty value (``a: {b :}``), which
-    libyaml refuses.
+    built with it and with PyYAML's pure-Python scanner otherwise.  A
+    document is built whole by ``_built`` from the parser's events or, on
+    anything ``_built`` leaves or any error it meets, loaded again whole from
+    the text by PyYAML (``get_single_data``, as ``yaml.load`` does, with a
+    node nested deeper than ``_MAX_DEPTH`` refused while composing), so its
+    value or error is PyYAML's own.  A document loads to the same dict, and
+    an error reports the same line and column, with either loader; only the
+    wording after the location differs (no source excerpt from libyaml).
+    One form loads under the pure-Python scanner only: a flow entry with a
+    space before an empty value (``a: {b :}``), which libyaml refuses.
     """
-    loader = _cap_depth(_YAML_LOADER(text))
     try:
-        root = loader.get_single_node()
+        data = _built(text)
+    except Exception:  # PyYAML's own load below reports any error itself
+        data = None
+    if data is None:
+        loader = _cap_depth(_YAML_LOADER(text))
         try:
-            data = None if root is None else _build(root, {})
-        except _Unbuilt:
-            # no constructor has run on this loader yet
-            data = loader.construct_document(root)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "document"
-        raise ProtocolError(f"YAML syntax error at {where}: {exc}") from exc
-    except (ValueError, KeyError, AttributeError) as exc:
-        # a scalar constructor's own error, which carries no mark: name the
-        # innermost node PyYAML was building
-        node = list(loader.recursive_objects)[-1]
-        mark = node.start_mark
-        raise ProtocolError(
-            f"YAML value error at line {mark.line + 1}, column {mark.column + 1}: cannot "
-            f"read {reprlib.repr(node.value)} as {node.tag.replace(_TAG, '!!')}") from exc
-    finally:
-        loader.dispose()
+            data = loader.get_single_data()
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "document"
+            raise ProtocolError(f"YAML syntax error at {where}: {exc}") from exc
+        except (ValueError, KeyError, AttributeError) as exc:
+            # a scalar constructor's own error, which carries no mark: name the
+            # innermost node PyYAML was building
+            node = list(loader.recursive_objects)[-1]
+            mark = node.start_mark
+            raise ProtocolError(
+                f"YAML value error at line {mark.line + 1}, column {mark.column + 1}: cannot "
+                f"read {reprlib.repr(node.value)} as {node.tag.replace(_TAG, '!!')}") from exc
+        finally:
+            loader.dispose()
     if not isinstance(data, dict):
         raise ProtocolError("protocol document must be a mapping")
     return data
@@ -780,18 +804,18 @@ _TOP_KEYS = ("name", "kind", "qubits", "params", "initial",
 
 
 def _front_matter(document, kind, top_keys, overrides):
-    """Keys, kind, header and params of a document of either kind.
+    """Kind, keys, header and params of a document of either kind.
 
     Returns (data, name, the document's ``_Scope``, ancilla owners,
     declared (alice, bob, channel) ranges, params).
     """
     data = _load_yaml(document) if isinstance(document, str) else document
     data = _as_dict(data, "")
-    _check_keys(data, top_keys, "")
     found = document_kind(data)
     if found != kind:
         raise ProtocolError(f"document kind {found!r} is not {kind}; {found} "
                             f"documents go through {_PARSER_OF[found]}", "kind")
+    _check_keys(data, top_keys, "")
 
     name = _as_str(_req(data, "name", ""), "name")
     counts = _as_dict(_req(data, "qubits", ""), "qubits")

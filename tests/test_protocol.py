@@ -182,9 +182,14 @@ def _relabeled(name, kind):
     (lambda: parse_coin_protocol(_relabeled("ideal-ct", "bit-commitment")),
      "kind: document kind 'bit-commitment' is not coin-toss; bit-commitment documents "
      "go through parse_protocol", "kind"),
-    # a whole document of the other kind trips the key check first
-    (lambda: load_protocol("ideal-ct"), "unknown field 'rounds'", ""),
-    (lambda: load_coin_protocol("bell-bc"), "unknown field 'commit_rounds'", ""),
+    # the kind is checked before the keys, so a whole document of the other
+    # kind is sent to its parser too
+    (lambda: load_protocol("ideal-ct"),
+     "kind: document kind 'coin-toss' is not bit-commitment; coin-toss documents go "
+     "through parse_coin_protocol", "kind"),
+    (lambda: load_coin_protocol("bell-bc"),
+     "kind: document kind 'bit-commitment' is not coin-toss; bit-commitment documents "
+     "go through parse_protocol", "kind"),
 ], ids=["coin-as-commitment", "commitment-as-coin", "load-ideal-ct", "load-bell-bc"])
 def test_wrong_kind_messages_are_pinned(call, message, location):
     with pytest.raises(ProtocolError) as info:

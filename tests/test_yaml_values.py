@@ -1,10 +1,10 @@
 """Document values: ``_load_yaml`` builds what PyYAML's SafeConstructor builds.
 
-``protocol._build`` makes strings, bools, plain ints, point floats, lists
-and dicts from the composed node graph and leaves everything else to
-PyYAML.  These tests hold it to ``yaml.load(text, Loader=yaml.SafeLoader)``
+``protocol._built`` makes strings, bools, plain ints, point floats, lists
+and dicts from the parser's events and leaves every other document whole
+to PyYAML.  These tests hold it to ``yaml.load(text, Loader=yaml.SafeLoader)``
 type for type (``True == 1 == 1.0`` in Python, so ``==`` alone would pass
-a wrong ``_build``), error location for error location, under both loaders.
+a wrong ``_built``), error location for error location, under both loaders.
 """
 
 import re
@@ -14,7 +14,7 @@ import pytest
 import yaml
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from yaml.constructor import SafeConstructor
+from yaml.constructor import BaseConstructor, SafeConstructor
 
 from qcheat import cli, protocol
 from qcheat.protocol import BUILTIN_NAMES, ProtocolError
@@ -242,3 +242,68 @@ def test_nesting_is_capped_with_one_message_under_both_loaders(monkeypatch, load
     # the count goes back down as composing climbs out: many shallow lists load
     wide = "\n".join(f"k{i}: " + "[" * 40 + "]" * 40 for i in range(levels))
     assert len(protocol._load_yaml(wide)) == levels
+
+
+# Spellings whose type PyYAML's resolver decides, each as a mapping's value,
+# and whole documents of anchors and aliases: a regression in any of them
+# fails here without waiting for Hypothesis to draw it
+EDGE_VALUES = ("yes", "On", "OFF", "y", "n", "~", "", ".inf", "0o17", "017", "1_000", "+1",
+               "-0", "1e5", "1.", ".5", "1" * 5000, "! 12")
+EDGE_DOCUMENTS = {
+    "anchored-scalar-key": "&k a: 1\nb: *k\n",
+    "alias-key": "x: &k a\n*k : 2\n",
+    "recursive-list": "a: &r [1, *r]\n",
+    "recursive-map": "a: &m {b: *m}\n",
+    "duplicate-anchor": "a: &x 1\nb: &x 2\n",
+}
+
+
+def _edge_text(case: str) -> str:
+    return EDGE_DOCUMENTS.get(case, f"a: {case}\n")
+
+
+def _edge_id(case: str) -> str:
+    return "empty" if not case else case if len(case) < 20 else f"{len(case)}-digit-int"
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("case", EDGE_VALUES + tuple(EDGE_DOCUMENTS), ids=_edge_id)
+def test_edge_forms_load_as_pyyaml_loads_them(monkeypatch, loader, case):
+    text = _edge_text(case)
+    value, error = pyyaml_load(text)
+    monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
+    if error is None:
+        assert same(protocol._load_yaml(text), value, {}), text
+        return
+    with pytest.raises(ProtocolError) as info:
+        protocol._load_yaml(text)
+    found = re.match(r"YAML (syntax|value) error at (line \d+, column \d+): ", str(info.value))
+    assert found is not None and (found[1], found[2]) == error, str(info.value)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+def test_event_builder_falls_back_only_where_it_must(monkeypatch, perfbench_gen, loader):
+    """PyYAML's whole load runs once for each document the builder leaves,
+    and never for a shipped or workload document."""
+    loads = []
+    real = BaseConstructor.get_single_data
+    monkeypatch.setattr(BaseConstructor, "get_single_data",
+                        lambda self: loads.append(self) or real(self))
+    monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
+    for name in BUILTIN_NAMES:
+        protocol.resolve_document(name)
+    docs = {**perfbench_gen.coin_documents(1, 128), **perfbench_gen.ladder_documents(1)}
+    for doc in docs.values():
+        protocol._load_yaml(perfbench_gen.to_yaml(doc))
+    assert loads == []
+    deep = protocol._MAX_DEPTH + 1
+    left = {"a: ~\n": True, "a: !!set {x}\n": True, "a: 1\n---\nb: 2\n": False,
+            "a: 1\na: 2\n": True, "a: " + "[" * deep + "]" * deep: False}
+    for text, loads_whole in left.items():
+        loads.clear()
+        if loads_whole:
+            protocol._load_yaml(text)
+        else:
+            with pytest.raises(ProtocolError):
+                protocol._load_yaml(text)
+        assert len(loads) == 1, text
