@@ -81,9 +81,6 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
     when custody assigns it to her; Bob's holding is untouched, so his
     acceptance of the switched bit is the whole story.
     """
-    if p.has_measurements:
-        raise ValueError(
-            "epr_attack needs a measurement-free protocol; run purify_protocol first")
     custody = proto.commit_custody(p, custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
 
@@ -141,6 +138,6 @@ def attack_sweep(source, grid, *, param=None, custody=None):
             p = proto.purify_protocol(p)
             report = epr_attack(p, custody=custody)
             points.append(SweepPoint(param, value, report, None))
-        except (ProtocolError, ValueError, InvariantViolation) as exc:
+        except (ValueError, InvariantViolation) as exc:
             points.append(SweepPoint(param, value, None, str(exc)))
     return points

@@ -271,7 +271,7 @@ def _cmd_sweep(ns) -> Report:
 
 
 def _cmd_fidelity(ns) -> Report:
-    samples = int(ns.povm_samples)
+    samples = ns.povm_samples
     if samples < 0:
         raise ValueError("--povm-samples must be nonnegative")
     if samples and ns.seed < 0:
@@ -312,7 +312,7 @@ def _cmd_fidelity(ns) -> Report:
         "fidelity_povm": f_povm,
         "gap_purification": abs(f_trace - f_purif),
         "gap_povm": abs(f_trace - f_povm),
-        "seed": int(ns.seed),
+        "seed": ns.seed,
         "povm_samples": samples,
         "povm_sample_min": sample_min,
         "povm_samples_ok": samples_ok,
@@ -452,9 +452,6 @@ def main(argv=None) -> int:
         else:
             emit_report(result, ns.output, ns.out)
         return EXIT_OK
-    except proto.ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -104,11 +104,7 @@ class Projector:
         if v.ndim != 2 or v.shape[0] != 2 ** len(qubits):
             raise InvariantViolation(
                 f"isometry shape {v.shape} does not match {len(qubits)} qubits")
-        # V^dagger V - I, in place: the induction builds two rules a round;
-        # "not <=" refuses NaN
-        gram = v.conj().T @ v
-        gram.flat[::len(gram) + 1] -= 1
-        if not abs(gram).max(initial=0.0) <= PROJECTOR_TOL:
+        if not qcore._isometry_residual(v) <= PROJECTOR_TOL:
             raise InvariantViolation(f"projector is not an isometry within {PROJECTOR_TOL}")
         v.setflags(write=False)
         object.__setattr__(self, "qubits", qubits)
@@ -467,6 +463,13 @@ def _as_str(value, loc):
     return value
 
 
+def _as_actor(value, loc, what):
+    actor = _as_str(value, loc)
+    if actor not in ACTORS:
+        raise ProtocolError(f"{what} must be alice or bob, got {actor!r}", loc)
+    return actor
+
+
 def _as_count(value, loc):
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ProtocolError("expected a positive integer", loc)
@@ -601,19 +604,19 @@ _OP_KEYS = ("gate", "targets", "angle", "matrix", "control_classical")
 _MEASURE_KEYS = ("measure", "targets", "result_id")
 
 
-def _parse_targets(node, allowed, num_qubits, loc, describe):
-    targets = _as_list(_req(node, "targets", loc), _loc(loc, "targets"))
+def _parse_qubits(node, key, num_qubits, loc, allowed, describe):
+    """The qubit list ``node[key]`` (``targets`` or ``qubits``): integers of
+    the ``num_qubits``-qubit register within ``allowed``, in the order given."""
+    at, word = _loc(loc, key), key[:-1]
     out = []
-    for t in targets:
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise ProtocolError("targets must be integers", _loc(loc, "targets"))
-        if not 0 <= t < num_qubits:
-            raise ProtocolError(
-                f"target {t} outside the {num_qubits}-qubit register", _loc(loc, "targets"))
-        if t not in allowed:
-            raise ProtocolError(
-                f"target {t} is outside {describe}", _loc(loc, "targets"))
-        out.append(t)
+    for q in _as_list(_req(node, key, loc), at):
+        if isinstance(q, bool) or not isinstance(q, int):
+            raise ProtocolError(f"{key} must be integers", at)
+        if not 0 <= q < num_qubits:
+            raise ProtocolError(f"{word} {q} outside the {num_qubits}-qubit register", at)
+        if q not in allowed:
+            raise ProtocolError(f"{word} {q} is outside {describe}", at)
+        out.append(q)
     return tuple(out)
 
 
@@ -636,7 +639,7 @@ def _parse_op(node, scope, loc, allowed, describe, actor):
         _check_keys(node, _MEASURE_KEYS, loc)
         if node["measure"] is not True:
             raise ProtocolError("measure must be the literal true", _loc(loc, "measure"))
-        targets = _parse_targets(node, allowed, num_qubits, loc, describe)
+        targets = _parse_qubits(node, "targets", num_qubits, loc, allowed, describe)
         if not targets:
             raise ProtocolError("measurement needs at least one target", loc)
         result_id = _as_str(_req(node, "result_id", loc), _loc(loc, "result_id"))
@@ -649,7 +652,7 @@ def _parse_op(node, scope, loc, allowed, describe, actor):
     name = _as_str(_req(node, "gate", loc), _loc(loc, "gate"))
     if name not in qcore.GATE_NAMES:
         raise ProtocolError(f"unknown gate name {name!r}", _loc(loc, "gate"))
-    targets = _parse_targets(node, allowed, num_qubits, loc, describe)
+    targets = _parse_qubits(node, "targets", num_qubits, loc, allowed, describe)
     angle = None
     if "angle" in node:
         angle = _parse_angle(node["angle"], scope.env, _loc(loc, "angle"))
@@ -693,10 +696,7 @@ def _parse_rounds(nodes, scope, loc, *, strict_alternation, prev_actor=None):
         rloc = f"{loc}[{i}]"
         node = _as_dict(node, rloc)
         _check_keys(node, ("actor", "ops", "allow_consecutive"), rloc)
-        actor = _as_str(_req(node, "actor", rloc), _loc(rloc, "actor"))
-        if actor not in ACTORS:
-            raise ProtocolError(f"actor must be alice or bob, got {actor!r}",
-                                _loc(rloc, "actor"))
+        actor = _as_actor(_req(node, "actor", rloc), _loc(rloc, "actor"), "actor")
         allow_consecutive = node.get("allow_consecutive", False)
         if not isinstance(allow_consecutive, bool):
             raise ProtocolError("expected true or false", _loc(rloc, "allow_consecutive"))
@@ -725,18 +725,10 @@ def _parse_projector(spec, scope, loc, *, default_qubits, allowed, allow_zero=Fa
     spec = _as_dict(spec, loc)
     _check_keys(spec, _PROJECTOR_KEYS, loc)
     if "qubits" in spec:
-        qubits = []
-        for q in _as_list(spec["qubits"], _loc(loc, "qubits")):
-            if isinstance(q, bool) or not isinstance(q, int):
-                raise ProtocolError("qubits must be integers", _loc(loc, "qubits"))
-            qubits.append(q)
-        qubits = tuple(qubits)
+        qubits = _parse_qubits(spec, "qubits", scope.partition.num_qubits, loc, allowed,
+                               "the allowed holding")
         if any(a >= b for a, b in zip(qubits, qubits[1:])) or not qubits:
             raise ProtocolError("qubits must be strictly increasing", _loc(loc, "qubits"))
-        bad = [q for q in qubits if q not in allowed]
-        if bad:
-            raise ProtocolError(f"qubit {bad[0]} is outside the allowed holding",
-                                _loc(loc, "qubits"))
     else:
         qubits = tuple(default_qubits)
         if not qubits:
@@ -824,13 +816,8 @@ def _front_matter(document, kind, top_keys, overrides):
     nb = _as_count(_req(counts, "bob", "qubits"), "qubits.bob")
     nc = _as_count(_req(counts, "channel", "qubits"), "qubits.channel")
 
-    owners = []
-    for i, owner in enumerate(_as_list(data.get("ancillas", []), "ancillas")):
-        owner = _as_str(owner, f"ancillas[{i}]")
-        if owner not in ACTORS:
-            raise ProtocolError(f"ancilla owner must be alice or bob, got {owner!r}",
-                                f"ancillas[{i}]")
-        owners.append(owner)
+    owners = [_as_actor(owner, f"ancillas[{i}]", "ancilla owner")
+              for i, owner in enumerate(_as_list(data.get("ancillas", []), "ancillas"))]
     # refused before any qubit set is built: a count may be in the billions
     total = na + nb + nc + len(owners)
     if total > qcore.MAX_QUBITS:
@@ -966,8 +953,9 @@ def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
         if len(space) > qcore.MAX_SIDE_QUBITS:
             raise ProtocolError(f"{actor} outcome rules read {len(space)} qubits; a rule "
                                 f"space is capped at {qcore.MAX_SIDE_QUBITS}", f"outcomes.{actor}")
+        # the rules' sum is W W^dagger, the identity exactly when W^dagger is an isometry
         w = np.hstack([rule.lifted(space) for rule in actor_rules.values()])
-        if abs(w @ w.conj().T - np.identity(2 ** len(space))).max() > COMPLETENESS_TOL:
+        if not qcore._isometry_residual(w.conj().T) <= COMPLETENESS_TOL:
             raise ProtocolError(f"{actor} outcome rules do not sum to the identity within "
                                 f"{COMPLETENESS_TOL}", f"outcomes.{actor}")
 

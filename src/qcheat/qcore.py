@@ -9,9 +9,10 @@ Conventions used throughout the package:
 * Registers are capped at 24 qubits.  Every bipartite quantity reads the
   2^a x 2^b coefficient matrix of one split, ``_split``, whose row side,
   the side square matrices are formed on, stays at or below 12 qubits.
-* Gates go through one kernel, ``apply_circuit``.  It fuses each gate list
-  (a round) into dense blocks on at most FUSE_QUBITS qubits and checks the
-  norm once per call.  ``apply_gate`` is its one-gate case.
+* Gates go through one kernel, ``apply_circuit``.  It refuses any op but a
+  GateOp free of classical control, fuses each gate list (a round) into
+  dense blocks on at most FUSE_QUBITS qubits and checks the norm once per
+  call.  ``apply_gate`` is its one-gate case.
 * Given a register size in place of a state, ``apply_circuit`` starts from
   |0...0> without materialising it.  The tensor holds only the qubits
   blocks have reached (at least MIN_HELD_QUBITS, or the whole register);
@@ -204,12 +205,20 @@ _FIXED_GATES = {
 }
 
 
+def _isometry_residual(v: np.ndarray) -> float:
+    """max |V^dagger V - I|: 0 for no columns, NaN or inf for a NaN or inf in
+    ``v``, which ``not residual <= tol`` refuses.  The Gram is formed once and
+    the identity subtracted in place, with no identity or second temporary."""
+    gram = v.conj().T @ v
+    gram.flat[::len(gram) + 1] -= 1
+    return float(np.abs(gram).max(initial=0.0))
+
+
 def is_unitary(matrix: np.ndarray) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    eye = np.eye(matrix.shape[0])
-    return bool(np.max(np.abs(matrix.conj().T @ matrix - eye)) <= UNITARY_TOL)
+    return _isometry_residual(matrix) <= UNITARY_TOL
 
 
 @dataclass(frozen=True)
@@ -362,10 +371,10 @@ def _fused_blocks(ops, num_qubits) -> list:
     """
     runs = []
     for op in ops:
-        if op.control_classical is not None:
+        if not isinstance(op, GateOp) or op.control_classical is not None:
             raise ValueError(
-                f"gate still carries classical control {op.control_classical!r}; "
-                "compile the protocol to unitary form first")
+                f"{type(op).__name__} on {op.targets} is not a gate free of classical "
+                "control; compile the protocol to unitary form first")
         targets = _check_targets(op.targets, num_qubits)
         if runs:
             run, qubits = runs[-1]
@@ -383,9 +392,9 @@ def apply_circuit(state: PureState | int, *op_lists) -> PureState:
     """``state`` with each list of GateOps applied in turn.
 
     ``state`` is a PureState, or a register size to start from |0...0>.
-    Every op of every list is checked before any is applied: classical
-    controls must have been compiled away, and targets must be distinct
-    register indices.  Within a list, runs of consecutive gates whose
+    Every op of every list is checked before any is applied: it must be a
+    GateOp free of classical control, with distinct targets in the
+    register.  Within a list, runs of consecutive gates whose
     targets span at most FUSE_QUBITS qubits are multiplied into one dense
     block, applied by one contraction of the state tensor.  No block spans
     two lists, so a circuit passed one round per list goes through the same

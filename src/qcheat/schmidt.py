@@ -27,6 +27,7 @@ from .qcore import (
     UNITARY_TOL,
     InvariantViolation,
     PureState,
+    _isometry_residual,
     _merge,
     _split,
     is_unitary,
@@ -72,8 +73,7 @@ class SchmidtDecomposition:
         if not abs(float(np.sum(coeffs ** 2)) - 1.0) <= WEIGHT_TOL:
             raise InvariantViolation(f"squared coefficients must sum to 1 within {WEIGHT_TOL}")
         for name, basis in (("a", a_basis), ("b", b_basis)):
-            gram = basis @ basis.conj().T
-            if not np.max(np.abs(gram - np.eye(rank))) <= BASIS_TOL:
+            if not _isometry_residual(basis.conj().T) <= BASIS_TOL:
                 raise InvariantViolation(f"{name}-side basis is not orthonormal within {BASIS_TOL}")
         for arr in (coeffs, a_basis, b_basis):
             arr.setflags(write=False)

@@ -276,6 +276,21 @@ def test_commitment_document_to_cointoss_is_input_error():
     assert cli.main(["cointoss", "--protocol", "bell-bc"]) == 2
 
 
+@pytest.mark.parametrize("command, name, message", [
+    (["simulate"], "ideal-ct", "is a coin-toss document; use the cointoss command"),
+    (["fidelity"], "ideal-ct", "is a coin-toss document; use the cointoss command"),
+    (["sweep", "--grid", "0:1:2"], "guess-ct",
+     "is a coin-toss document; use the cointoss command"),
+    (["cointoss"], "bell-bc",
+     "is a bit-commitment document; use simulate, attack, sweep, or fidelity"),
+], ids=["simulate", "fidelity", "sweep", "cointoss"])
+def test_wrong_kind_refusals_are_pinned(capsys, command, name, message):
+    assert cli.main(command + ["--protocol", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name!r} {message}\n"
+
+
 QUBITS = {"alice": 1, "bob": 1, "channel": 1}
 COMMANDS = [
     ["simulate"], ["attack"], ["fidelity"], ["sweep", "--grid", "0:1:2"],

@@ -21,6 +21,7 @@ from qcheat.cointoss import (
     validate_walk,
 )
 from qcheat.protocol import (
+    MeasureOp,
     Projector,
     ProtocolError,
     coin_to_document,
@@ -457,6 +458,18 @@ def test_induction_refuses_rounds_that_repeat_an_actor():
     twice = replace(p, rounds=p.rounds[:2] + p.rounds[1:])
     with pytest.raises(ValueError, match="rounds 2 and 3 are both bob's"):
         induction_report(twice)
+
+
+def test_rounds_holding_a_measurement_are_refused_by_the_kernel():
+    # the parser compiles measurements away; a hand-built record that keeps
+    # one is refused by qcore.apply_circuit, not met by an AttributeError
+    p = load_coin_protocol("ideal-ct")
+    first = p.rounds[0]
+    measured = replace(p, rounds=(replace(first, ops=(MeasureOp((0,), "m"), *first.ops)),
+                                  *p.rounds[1:]))
+    for run in (run_rounds, induction_report):
+        with pytest.raises(ValueError, match="^MeasureOp on .* classical control"):
+            run(measured)
 
 
 def test_cointoss_command_runs_the_rounds_once(monkeypatch, perfbench_gen, tmp_path):

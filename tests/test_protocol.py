@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from qcheat import cli, protocol, qcore
+from qcheat.attack import epr_attack
 from qcheat.protocol import (
     BUILTIN_NAMES,
     MeasureOp,
@@ -777,3 +778,82 @@ def test_purify_round_trip_without_verify_keeps_the_simulate_report(perfbench_ge
             assert cli.main(["simulate", "--protocol", str(path), "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+# --- the one qubit-list and actor readers ---------------------------------
+
+def five_qubit_doc(**extra):
+    """Alice 0, Bob 1-2, the channel 3 and Alice's declared ancilla 4."""
+    doc = {
+        "name": "five",
+        "qubits": {"alice": 1, "bob": 2, "channel": 1},
+        "ancillas": ["alice"],
+        "commit_rounds": [{"actor": "alice", "ops": [{"gate": "X", "targets": [3]}]}],
+        "open_rounds": [{"actor": "bob", "ops": [{"gate": "X", "targets": [3]}]}],
+    }
+    doc.update(extra)
+    return doc
+
+
+def _accept(qubits):
+    return {"verify": {"accept_b0": {"qubits": qubits, "accept_states": ["0"]}}}
+
+
+def _alice_round(targets=(3,), actor="alice"):
+    return {"commit_rounds": [{"actor": actor, "ops": [{"gate": "X", "targets": targets}]}]}
+
+
+@pytest.mark.parametrize("extra, message", [
+    (_accept(["1"]), "verify.accept_b0.qubits: qubits must be integers"),
+    (_accept([True]), "verify.accept_b0.qubits: qubits must be integers"),
+    (_accept([9]), "verify.accept_b0.qubits: qubit 9 outside the 5-qubit register"),
+    (_accept([-1]), "verify.accept_b0.qubits: qubit -1 outside the 5-qubit register"),
+    (_accept([0]), "verify.accept_b0.qubits: qubit 0 is outside the allowed holding"),
+    (_accept([4]), "verify.accept_b0.qubits: qubit 4 is outside the allowed holding"),
+    (_accept([2, 1]), "verify.accept_b0.qubits: qubits must be strictly increasing"),
+    (_accept([1, 1]), "verify.accept_b0.qubits: qubits must be strictly increasing"),
+    (_accept([]), "verify.accept_b0.qubits: qubits must be strictly increasing"),
+    (_alice_round(["3"]), "commit_rounds[0].ops[0].targets: targets must be integers"),
+    (_alice_round([7]),
+     "commit_rounds[0].ops[0].targets: target 7 outside the 5-qubit register"),
+    (_alice_round([1]), "commit_rounds[0].ops[0].targets: target 1 is outside "
+                        "alice's machine or the channel"),
+    (_alice_round(actor="carol"),
+     "commit_rounds[0].actor: actor must be alice or bob, got 'carol'"),
+    (_alice_round(actor=3), "commit_rounds[0].actor: expected a string"),
+    ({"ancillas": ["alice", "carol"]},
+     "ancillas[1]: ancilla owner must be alice or bob, got 'carol'"),
+    ({"ancillas": [None]}, "ancillas[0]: expected a string"),
+], ids=["qubit-str", "qubit-bool", "qubit-past-register", "qubit-negative",
+        "qubit-alices", "qubit-alices-ancilla", "qubits-decreasing", "qubits-repeat",
+        "qubits-empty", "target-str", "target-past-register", "target-not-allowed",
+        "actor-unknown", "actor-not-str", "owner-unknown", "owner-not-str"])
+def test_qubit_list_and_actor_messages_are_pinned(extra, message):
+    parse_protocol(five_qubit_doc())
+    with pytest.raises(ProtocolError) as refused:
+        parse_protocol(five_qubit_doc(**extra))
+    assert str(refused.value) == message
+
+
+def test_coin_rules_and_rounds_read_through_the_same_readers():
+    data, _ = resolve_document("ideal-ct")
+    rule = {"qubits": [5], "accept_states": ["0"]}
+    outcomes = {**data["outcomes"], "bob": {**data["outcomes"]["bob"], "0": rule}}
+    with pytest.raises(ProtocolError) as refused:
+        parse_coin_protocol({**data, "outcomes": outcomes})
+    assert str(refused.value) == "outcomes.bob.0.qubits: qubit 5 outside the 3-qubit register"
+    rounds = [{**data["rounds"][0], "actor": "Alice"}, *data["rounds"][1:]]
+    with pytest.raises(ProtocolError) as refused:
+        parse_coin_protocol({**data, "rounds": rounds})
+    assert str(refused.value) == "rounds[0].actor: actor must be alice or bob, got 'Alice'"
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: run_commit(p, 0),
+    lambda p: protocol.open_state(p, qcore.zero_state(p.partition.num_qubits)),
+    lambda p: epr_attack(p),
+], ids=["run_commit", "open_state", "epr_attack"])
+def test_unpurified_protocol_is_refused_naming_purify_protocol(run):
+    with pytest.raises(ValueError, match="needs a measurement-free protocol; run "
+                                         "purify_protocol first$"):
+        run(load_protocol("bb84-bc"))

@@ -27,6 +27,8 @@ from qcheat.qcore import (
     partial_trace,
     zero_state,
 )
+from qcheat.protocol import MeasureOp
+from qcheat.schmidt import schmidt_decompose
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -375,6 +377,17 @@ def test_apply_circuit_checks_every_op_before_applying():
         apply_gate(state, GateOp("X", (-1,)))
 
 
+def test_apply_circuit_refuses_a_measurement_before_applying():
+    # a MeasureOp has no classical control to read; the kernel refuses it
+    # with the ValueError it gives a controlled gate, not an AttributeError
+    state = zero_state(3)
+    with pytest.raises(ValueError, match=r"^MeasureOp on \(1,\) is not a gate free of "
+                                         "classical control"):
+        apply_circuit(state, [GateOp("H", (0,))], [MeasureOp((1,), "m")])
+    with pytest.raises(ValueError, match="classical control"):
+        apply_circuit(3, [MeasureOp((0,), "m")])
+
+
 def test_apply_unitary_composition():
     rng = np.random.default_rng(7)
     state = random_state(rng, 3)
@@ -482,3 +495,65 @@ def test_mutual_information_nonnegative_and_unsigned_zero():
 def test_is_unitary():
     assert is_unitary(np.eye(4))
     assert not is_unitary(np.diag([1.0, 1.0 + 1e-6]))
+
+
+# --- the one isometry residual --------------------------------------------
+
+def _unitary_formula(m, tol=qcore.UNITARY_TOL):
+    """is_unitary's verdict before it read the shared residual."""
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+
+
+def _projector_formula(v, tol=1e-8):
+    """Projector's isometry check before it read the shared residual."""
+    gram = v.conj().T @ v
+    gram.flat[::len(gram) + 1] -= 1
+    return bool(abs(gram).max(initial=0.0) <= tol)
+
+
+def _rows_formula(basis, tol=1e-8):
+    """SchmidtDecomposition's row check before it read the shared residual."""
+    return bool(np.max(np.abs(basis @ basis.conj().T - np.eye(len(basis)))) <= tol)
+
+
+SQUARE_CASES = {
+    "unitary": random_unitary(np.random.default_rng(3), 8),
+    "off-by-1e-6": np.diag([1.0, 1.0 + 1e-6]).astype(complex),
+    "nan": np.array([[math.nan, 0.0], [0.0, 1.0]], dtype=complex),
+    "inf": np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_CASES)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_isometry_residual_gives_each_replaced_formulas_verdict(name):
+    m = SQUARE_CASES[name]
+    verdict = qcore._isometry_residual(m) <= 1e-8
+    assert verdict == _unitary_formula(m) == _projector_formula(m) == _rows_formula(m.conj().T)
+    assert is_unitary(m) == verdict
+    assert verdict == (name == "unitary")
+    if name in ("nan", "inf"):
+        assert math.isnan(qcore._isometry_residual(m))
+        assert not qcore._isometry_residual(m[:1, :1]) <= 1e-8
+
+
+def test_isometry_residual_of_schmidt_rows_and_of_no_columns():
+    ghz = apply_circuit(3, [GateOp("H", (0,)), GateOp("CX", (0, 1)), GateOp("CX", (0, 2))])
+    rows = schmidt_decompose(ghz, (0, 1)).a_basis
+    assert rows.shape == (2, 4)
+    assert qcore._isometry_residual(rows.conj().T) <= 1e-15
+    assert _rows_formula(rows) and _projector_formula(rows.conj().T)
+    skewed = rows.copy()
+    skewed[1] = (rows[0] + rows[1]) / math.sqrt(2)
+    assert not qcore._isometry_residual(skewed.conj().T) <= 1e-8
+    assert not _rows_formula(skewed)
+    empty = np.zeros((4, 0), dtype=complex)
+    assert qcore._isometry_residual(empty) == 0.0 and _projector_formula(empty)
+
+
+def test_isometry_residual_reads_the_completeness_of_outcome_rules():
+    # the coin parser's rules, stacked as W, sum to I when W^dagger is an isometry
+    u = SQUARE_CASES["unitary"]
+    for w, complete in ((u, True), (u[:, :5], False), (np.hstack([u[:, :5], u[:, 4:]]), False)):
+        formula = not abs(w @ w.conj().T - np.identity(len(w))).max() > 1e-8
+        assert formula == (qcore._isometry_residual(w.conj().T) <= 1e-8) == complete

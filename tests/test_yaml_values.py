@@ -210,7 +210,7 @@ def test_shipped_and_workload_documents_never_reach_safeconstructor(
                             self, node, deep))
     monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
     # the counter sees a document PyYAML builds whole: a null is not built
-    # by _build, so its whole document is PyYAML's, the root first
+    # by _built, so its whole document is PyYAML's, the root first
     protocol._load_yaml("a: ~\n")
     assert [node.tag.replace("tag:yaml.org,2002:", "!!") for node in calls] == [
         "!!map", "!!str", "!!null"]
