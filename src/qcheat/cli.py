@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -41,6 +42,8 @@ EXIT_INTERNAL = 3
 
 DEFAULT_SEED = 7
 POVM_SAMPLE_TOL = 1e-8
+# sweep runs one attack per grid point
+MAX_GRID_POINTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -80,23 +83,57 @@ def _json_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def _render_json(value, level=0) -> str:
-    # json.dumps formats floats with repr; reports pin them to %.17g instead,
-    # so the tree is rendered by hand.
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(key))}: {_render_json(item, level + 1)}"
-                 for key, item in value.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_render_json(item, level + 1)}" for item in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return _json_scalar(value)
+def _render_json(value) -> str:
+    """``value`` as indented JSON with floats pinned to %.17g.
+
+    json.dumps formats floats with repr, so the tree is rendered by hand, in
+    one pass that appends to a single list of fragments.  Scalars dispatch
+    on their exact type; any other type (a numpy scalar, a subclass) takes
+    ``_json_scalar``.  Each key's text is cached by key and type.
+    """
+    out = []
+    _render_into(value, "\n", out)
+    return "".join(out)
+
+
+def _render_into(value, newline: str, out: list):
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out += (sep, _key_text(key), ": ")
+            _render_into(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render_into(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]" if value else "[]")
+    else:
+        out.append(_json_scalar(value))
+
+
+# exact types only: a bool is no int here, and a numpy scalar goes to _json_scalar
+_SCALAR_TEXT = {
+    float: _format_float,
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+# typed: True and 1.0 are equal keys with different text
+@functools.lru_cache(maxsize=1024, typed=True)
+def _key_text(key) -> str:
+    return json.dumps(str(key))
 
 
 def _csv_cells(record: dict) -> dict:
@@ -242,6 +279,9 @@ def _parse_grid(text: str):
         raise ValueError(f"grid must be start:stop:count, got {text!r}") from None
     if count < 1:
         raise ValueError("grid count must be at least 1")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"--grid: count {count} is over the cap of {MAX_GRID_POINTS} points")
     if not math.isfinite(stop - start):
         raise ValueError(f"grid bounds and their span must be finite, got {text!r}")
     return [float(x) for x in np.linspace(start, stop, count)]

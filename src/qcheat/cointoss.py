@@ -28,16 +28,26 @@ machine gives X with X X^dagger = p rho: p = ||X||_F^2 is the label's
 probability and rho the receiver's conditional state.  The pairwise
 fidelity is ||X_x^dagger X_y||_* / sqrt(p_x p_y), clamped at 1.  One thin
 SVD per present label gives the receiver's new rule, the left singular
-vectors with sigma^2 / p > SUPPORT_CUTOFF; "invalid" is the orthogonal
-complement of the "0" and "1" rules.  No reduced density matrix, matrix
-square root or projector is formed, and the checks those made stay at the
-step: the three probabilities sum to 1 within COMPLETENESS_TOL; each new
-rule is an isometry within PROJECTOR_TOL; the supports of "0" and "1" do
-not overlap, every singular value of [V0 V1] being 1 within PROJECTOR_TOL
-(a ``tol`` loose enough to let them overlap is a ValueError); the invalid
-outcome's purity is sum sigma^4 / p^2; and ``FidelityTriple`` checks its
-bounds.  ``fidelity.fidelity_trace`` on the
-reduced states stays the independent route the tests compare against.
+vectors with sigma^2 / p > SUPPORT_CUTOFF; a label that never occurs gets
+no rule, and "invalid" is the orthogonal complement of the "0" and "1"
+rules.  No reduced density matrix, matrix square root or projector is
+formed, and the checks those made stay at every step:
+
+* ``_conditionals``: the three probabilities sum to 1 within
+  COMPLETENESS_TOL;
+* ``_condition``: the invalid outcome's purity, sum sigma^4 / p^2, is 1
+  within PURITY_TOL (unless ``allow_mixed_invalid``), and
+  ``FidelityTriple`` checks its bounds;
+* ``_receiver_rules``: each new rule is an isometry within PROJECTOR_TOL,
+  checked by ``Projector._of``, which skips only the copy of V and the
+  check of the qubit list, the receiver's sorted holding; and the supports
+  of "0" and "1" do not overlap, every singular value of [V0 V1] being 1
+  within PROJECTOR_TOL (a ``tol`` loose enough to let them overlap is a
+  ValueError).
+
+``fidelity.fidelity_trace`` on the reduced states stays the independent
+route the tests compare against.  The cut of psi_k is a transpose order
+checked once per register size, receiver and rule qubits (``_cut_order``).
 
 ``protocol.parse_coin_protocol`` checks each invariant of a document once,
 and ``truncate_last_round`` keeps each by construction.
@@ -64,6 +74,7 @@ ceil(1/epsilon) rounds to walk from (0,0) to (1,1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -222,28 +233,44 @@ def _last_sender(p: CoinProtocol) -> str:
     return p.rounds[-1].actor
 
 
-def _conditionals(state: PureState, keep: tuple, rules: dict) -> dict:
+@functools.lru_cache(maxsize=256)
+def _cut_order(num_qubits: int, keep: tuple, lead: tuple) -> tuple:
+    """``qcore._split``'s transpose order for rows ``keep`` and columns led
+    by ``lead``, with its checks run once per cut rather than once per step."""
+    rows, cols = qcore._cut(num_qubits, keep, lead)
+    return rows + cols
+
+
+def _conditionals(state: PureState, keep: tuple, rules: dict, space: tuple) -> dict:
     """{label: (p, X)} for each label the sender reads with p > PRESENCE_CUTOFF.
 
     X is (V^dagger x I) psi as a matrix with rows on ``keep``, the
     receiver's machine, so X X^dagger = p rho for rho the receiver's state
     conditioned on the label.  The channel still sits with the sender, so
-    it lies among the columns.  ``rules`` maps each label to a Projector;
-    None is the orthogonal complement of the "0" and "1" rules, on their
-    qubits.  Each label's block is contracted on its own, so the
-    probabilities of the three labels must sum to 1.
+    it lies among the columns.  ``rules`` maps labels to Projectors: a "0"
+    or "1" it lacks is the zero rule, and an "invalid" of None is the
+    orthogonal complement of the "0" and "1" rules on ``space``.  Each
+    label's block is contracted on its own, so the probabilities of the
+    three labels must sum to 1.
     """
     dim = 2 ** len(keep)
+    tensor = state.tensor()
     blocks, picked = {}, {}
     for label in OUTCOME_LABELS:
+        if label not in rules:
+            continue
         rule = rules[label]
-        qubits = (rules["0"] if rule is None else rule).qubits
+        qubits = space if rule is None else rule.qubits
         if qubits not in blocks:
-            blocks[qubits] = qcore._split(state, keep, lead=qubits)[2].reshape(
+            order = _cut_order(state.num_qubits, keep, qubits)
+            blocks[qubits] = tensor.transpose(order).reshape(dim, -1).reshape(
                 dim, 2 ** len(qubits), -1)
         if rule is None:
-            picked[label] = (blocks[qubits] - rules["0"].isometry @ picked["0"]
-                             - rules["1"].isometry @ picked["1"])
+            x = blocks[qubits]
+            for other in ("0", "1"):
+                if other in picked:
+                    x = x - rules[other].isometry @ picked[other]
+            picked[label] = x
         else:
             picked[label] = rule.isometry.conj().T @ blocks[qubits]
     probs = {label: float(np.vdot(x, x).real) for label, x in picked.items()}
@@ -251,8 +278,8 @@ def _conditionals(state: PureState, keep: tuple, rules: dict) -> dict:
     if abs(total - 1.0) > COMPLETENESS_TOL:
         raise InvariantViolation(
             f"outcome probabilities sum to {total!r}, not 1 within {COMPLETENESS_TOL}")
-    return {label: (probs[label], picked[label].reshape(dim, -1))
-            for label in OUTCOME_LABELS if probs[label] > PRESENCE_CUTOFF}
+    return {label: (probs[label], x.reshape(dim, -1))
+            for label, x in picked.items() if probs[label] > PRESENCE_CUTOFF}
 
 
 def _coefficient_fidelity(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -281,8 +308,9 @@ def _condition(partition: Partition, sender: str, rules: dict, state: PureState,
     the X / sqrt(p).
     """
     keep = partition.holding(other_actor(sender), sender)
+    space = partition.holding(sender, other_actor(sender))
     factors = {}
-    for label, (prob, x) in _conditionals(state, keep, rules).items():
+    for label, (prob, x) in _conditionals(state, keep, rules, space).items():
         if x.shape[1] > x.shape[0]:
             x = np.linalg.qr(x.conj().T, mode="r").conj().T
         _, s, wh = np.linalg.svd(x, full_matrices=False)
@@ -329,8 +357,12 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
     _check_tol(tol, "tol")
     state = run_rounds(p)
     sender = _last_sender(p)
-    _, rules = _receiver_rules(p, p.num_rounds, p.outcome_rules[sender], state, tol,
-                               allow_mixed_invalid)
+    _, supports = _receiver_rules(p, p.num_rounds, p.outcome_rules[sender], state, tol,
+                                  allow_mixed_invalid)
+    keep = p.partition.holding(other_actor(sender), sender)
+    rules = {label: supports[label] if label in supports
+             else Projector(keep, np.zeros((2 ** len(keep), 0), dtype=complex))
+             for label in ("0", "1")}
     # invalid spans the orthogonal complement of [V0 V1], whose columns are
     # orthonormal: the trailing left singular vectors
     stacked = np.hstack([rules["0"].isometry, rules["1"].isometry])
@@ -338,7 +370,7 @@ def truncate_last_round(p: CoinProtocol, *, tol=IDEAL_TOL,
     return replace(p, rounds=p.rounds[:-1],
                    outcome_rules={sender: _pulled_back_rules(p, sender),
                                   other_actor(sender): {
-                                      **rules, "invalid": Projector(rules["0"].qubits, invalid)}})
+                                      **rules, "invalid": Projector(keep, invalid)}})
 
 
 def _check_tol(tol, name: str):
@@ -359,10 +391,11 @@ def _receiver_rules(p: CoinProtocol, k: int, rules: dict, state: PureState, tol,
     of ``p``, and ``state`` is the honest state after round k.  The
     receiver's new rules, on their machine, are the supports of their
     sender-conditioned states: for "0" and "1" the Projector of the left
-    singular vectors with s^2 / p > SUPPORT_CUTOFF; invalid is the
-    complement of both (None).  Raises ValueError when the two supports
-    overlap, which a loose ``tol`` allows: then some singular value of
-    [V0 V1] is not 1.
+    singular vectors with s^2 / p > SUPPORT_CUTOFF, none for a label that
+    never occurs (the zero rule); invalid is the complement of both (None).
+    Each Projector takes its V as built, with only the isometry check.
+    Raises ValueError when the two supports overlap, which a loose ``tol``
+    allows: then some singular value of [V0 V1] is not 1.
     """
     sender = p.rounds[k - 1].actor
     keep, factors, triple = _condition(p.partition, sender, rules, state, allow_mixed_invalid)
@@ -376,13 +409,10 @@ def _receiver_rules(p: CoinProtocol, k: int, rules: dict, state: PureState, tol,
             # zero rows, so orthogonal supports give fidelities of exactly 0
             prob, x, wh, s = factors[label]
             kept = s ** 2 > SUPPORT_CUTOFF * prob
-            v = x @ (wh[kept].conj().T / s[kept])
-        else:
-            v = np.zeros((2 ** len(keep), 0), dtype=complex)
-        supports[label] = Projector(keep, v)
-    v0, v1 = supports["0"].isometry, supports["1"].isometry
-    if v0.shape[1] and v1.shape[1]:
-        singular = np.linalg.svd(np.hstack([v0, v1]), compute_uv=False)
+            supports[label] = Projector._of(keep, x @ (wh[kept].conj().T / s[kept]))
+    if len(supports) == 2:
+        stacked = np.hstack([supports["0"].isometry, supports["1"].isometry])
+        singular = np.linalg.svd(stacked, compute_uv=False)
         if np.max(np.abs(singular - 1.0)) > PROJECTOR_TOL:
             cosine = float(np.max(np.abs(singular ** 2 - 1.0)))
             raise ValueError(

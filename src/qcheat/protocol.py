@@ -104,6 +104,18 @@ class Projector:
         if v.ndim != 2 or v.shape[0] != 2 ** len(qubits):
             raise InvariantViolation(
                 f"isometry shape {v.shape} does not match {len(qubits)} qubits")
+        self._own(qubits, v)
+
+    @classmethod
+    def _of(cls, qubits: tuple, v: np.ndarray) -> "Projector":
+        """A Projector that takes ``v`` as it is, for a caller holding a fresh
+        complex V of the right shape on an already sorted tuple of ints.  Only
+        the isometry check runs; ``v`` becomes read-only."""
+        rule = object.__new__(cls)
+        rule._own(qubits, v)
+        return rule
+
+    def _own(self, qubits: tuple, v: np.ndarray):
         if not qcore._isometry_residual(v) <= PROJECTOR_TOL:
             raise InvariantViolation(f"projector is not an isometry within {PROJECTOR_TOL}")
         v.setflags(write=False)

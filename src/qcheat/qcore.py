@@ -25,12 +25,16 @@ Conventions used throughout the package:
   operands ``np.tensordot`` passes to BLAS, so the bytes are the same.
 * All values are immutable.  Operations return fresh values and never
   mutate their inputs, so everything here is safe to share across threads.
+  The module's caches hold only tuples (``_contract``'s axis orders, keyed
+  by tensor rank and block axes) and read-only arrays (``_circuit_matrix``'s
+  identities), so what one caller is handed no other can change.
 * Nothing in this module reads ambient entropy; randomness, where needed,
   always arrives as an explicit generator or seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -297,13 +301,19 @@ def _check_targets(qubits, num_qubits, what="target") -> tuple:
     return qubits
 
 
+# read-only identities for _circuit_matrix, one per fused-block width
+_IDENTITIES = tuple(_frozen_array(np.eye(2 ** k)) for k in range(FUSE_QUBITS + 1))
+
+
 def _circuit_matrix(ops, qubits) -> np.ndarray:
     """Matrix of a gate list on the subspace spanned by ``qubits``, in that order.
 
-    The gates are contracted into the row axes of the identity, one by one.
+    The gates are contracted into the row axes of the identity, one by one;
+    with no gates the result may be a read-only view of that identity.
     """
     k = len(qubits)
-    mat = np.eye(2 ** k, dtype=complex).reshape((2,) * k + (2 ** k,))
+    eye = _IDENTITIES[k] if k < len(_IDENTITIES) else np.eye(2 ** k, dtype=complex)
+    mat = eye.reshape((2,) * k + (2 ** k,))
     for op in ops:
         mat = _contract(mat, gate_matrix(op), tuple(qubits.index(t) for t in op.targets))
     return mat.reshape(2 ** k, 2 ** k)
@@ -322,11 +332,19 @@ def _contract(psi: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
     Does not require unitarity; used for projectors as well as gates.
     """
     k = len(qubits)
-    order = [*qubits, *[a for a in range(psi.ndim) if a not in qubits]]
+    order, inverse = _axis_orders(psi.ndim, tuple(qubits))
     moved = psi.transpose(order)
     out = np.dot(np.asarray(matrix, dtype=complex).reshape(2 ** k, 2 ** k),
                  moved.reshape(2 ** k, -1))
-    return out.reshape(moved.shape).transpose(_inverse(order))
+    return out.reshape(moved.shape).transpose(inverse)
+
+
+@functools.lru_cache(maxsize=4096)
+def _axis_orders(ndim: int, qubits: tuple) -> tuple:
+    """(order, inverse): ``qubits`` moved to the front of ``ndim`` axes, and
+    the permutation that undoes it, as tuples built once per key."""
+    order = (*qubits, *[a for a in range(ndim) if a not in qubits])
+    return order, tuple(_inverse(order))
 
 
 def _inverse(order) -> list:
@@ -463,7 +481,12 @@ def _split(state: PureState, rows, lead=()) -> tuple:
     Only the row side is capped at MAX_SIDE_QUBITS: every caller puts there
     the side it forms square matrices on.
     """
-    n = state.num_qubits
+    rows, cols = _cut(state.num_qubits, rows, lead)
+    return rows, cols, state.tensor().transpose(rows + cols).reshape(2 ** len(rows), -1)
+
+
+def _cut(n: int, rows, lead=()) -> tuple:
+    """(rows, cols) of ``_split`` on an ``n``-qubit register, checked."""
     rows = tuple(sorted(_check_targets(rows, n, "side")))
     lead = _check_targets(lead, n, "side")
     cols = lead + tuple(q for q in range(n) if q not in rows and q not in lead)
@@ -472,7 +495,7 @@ def _split(state: PureState, rows, lead=()) -> tuple:
     if len(rows) > MAX_SIDE_QUBITS:
         raise ValueError(
             f"cannot form a {len(rows)}-qubit side; sides are capped at {MAX_SIDE_QUBITS}")
-    return rows, cols, state.tensor().transpose(rows + cols).reshape(2 ** len(rows), -1)
+    return rows, cols
 
 
 def _merge(rows, cols, mat: np.ndarray) -> np.ndarray:

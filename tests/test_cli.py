@@ -43,6 +43,82 @@ def test_json_rendering_matches_stdlib_semantics():
     assert json.loads(text) == {"a": 1, "b": [0.5, None, True], "c": 'x"y'}
 
 
+def recursive_render_json(value, level=0) -> str:
+    """The renderer as it was before the flat pass: the byte reference."""
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(key))}: {recursive_render_json(item, level + 1)}"
+                 for key, item in value.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [f"{inner}{recursive_render_json(item, level + 1)}" for item in value]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    return cli._json_scalar(value)
+
+
+_WORDS = ("", "a", "delta", "f0_invalid", "é", "Ωmega", "日本", "tab\there", 'q"uote',
+          "back\\slash", " ", "😀")
+
+
+def random_report_value(rng, depth=0):
+    """A seeded nested value of every type a report may hold."""
+    pick = int(rng.integers(13 if depth < 4 else 8))
+    if pick == 0:
+        return None
+    if pick == 1:
+        return bool(rng.integers(2))
+    if pick == 2:
+        return int(rng.integers(-10 ** 9, 10 ** 9))
+    if pick == 3:
+        return float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
+    if pick == 4:
+        return np.float64(rng.standard_normal())
+    if pick == 5:
+        return np.int64(rng.integers(-10 ** 12, 10 ** 12))
+    if pick == 6:
+        return str(rng.choice(_WORDS))
+    if pick == 7:
+        return [-0.0, 0.0, 1e-320, 2 ** 60, -1][int(rng.integers(5))]
+    size = int(rng.integers(4))
+    if pick in (8, 9):
+        return {str(rng.choice(_WORDS)) + str(i): random_report_value(rng, depth + 1)
+                for i in range(size)}
+    if pick == 10:
+        keys = [0, 1, 2, True, False, 0.0, 1.0, 2.5, None]
+        return {keys[int(rng.integers(len(keys)))]: random_report_value(rng, depth + 1)
+                for _ in range(size)}
+    items = [random_report_value(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if pick == 11 else items
+
+
+def test_flat_renderer_matches_the_recursive_one_on_seeded_values():
+    rng = np.random.default_rng(511)
+    for _ in range(400):
+        value = {"root": random_report_value(rng), "empty": [{}, [], ()]}
+        assert cli._render_json(value) == recursive_render_json(value)
+
+
+def test_flat_renderer_matches_the_recursive_one_on_every_command(monkeypatch, perfbench_gen):
+    # every report command on every shipped document it takes
+    reports = []
+    real_emit = cli.emit_report
+    monkeypatch.setattr(cli, "emit_report", lambda report, fmt, path: (
+        reports.append(report.value), real_emit(report, fmt, os.devnull))[1])
+    argvs = [op.argv for op in perfbench_gen.shipped_ops() if op.fmt == "json"]
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    assert {value["command"] for value in reports} == {
+        "simulate", "attack", "sweep", "fidelity", "cointoss"}
+    assert len(reports) == len(argvs)
+    for value in reports:
+        assert cli._render_json(value) == recursive_render_json(value), value["command"]
+
+
 # --- stdout reports ----------------------------------------------------------
 
 def test_simulate_json_fields(tmp_path, capsys):
@@ -523,6 +599,23 @@ def test_malformed_grid_is_input_error(capsys):
     assert cli.main(["sweep", "--protocol", "leaky-bc", "--grid", "0:1:0"]) == 2
     assert cli.main(["sweep", "--protocol", "leaky-bc", "--grid", "a:b:c"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("count", [cli.MAX_GRID_POINTS + 1, 10 ** 8, 10 ** 11])
+def test_grid_count_over_the_cap_is_refused_before_the_grid(monkeypatch, capsys, count):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    assert cli.main(["sweep", "--protocol", "leaky-bc", "--grid", f"0:1:{count}"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: --grid: count {count} is over the cap of "
+                   f"{cli.MAX_GRID_POINTS} points\n")
+
+
+def test_grid_count_at_the_cap_is_taken():
+    grid = cli._parse_grid(f"0:1:{cli.MAX_GRID_POINTS}")
+    assert len(grid) == cli.MAX_GRID_POINTS
+    assert (grid[0], grid[-1]) == (0.0, 1.0)
 
 
 def test_sweep_on_a_numeric_parameter_key(tmp_path, capsys):

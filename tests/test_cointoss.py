@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from qcheat.cointoss import (
     validate_walk,
 )
 from qcheat.protocol import (
+    COMPLETENESS_TOL,
+    PROJECTOR_TOL,
     MeasureOp,
     Projector,
     ProtocolError,
@@ -705,6 +708,66 @@ def test_induction_forms_no_density_matrix(monkeypatch, perfbench_gen):
         assert counts["partial_trace"] == counts["fidelity_trace"] == 0, name
         assert counts["matrix_sqrt_psd"] == 0, name
         assert counts["eigh"] == 0, name
+
+
+def test_induction_builds_rules_only_for_present_labels(monkeypatch, perfbench_gen):
+    # the parser's rules take Projector's full construction; the induction's
+    # take Projector._of, which keeps only the isometry check, and a "0" or
+    # "1" that never occurs gets no rule at all
+    real_init, real_of = Projector.__post_init__, Projector._of.__func__
+    absent = 0
+    for name, doc in perfbench_gen.coin_documents(1, 128).items():
+        inits, widths = [], []
+        monkeypatch.setattr(Projector, "__post_init__",
+                            lambda rule: inits.append(rule) or real_init(rule))
+        p = parse_coin_protocol(doc)
+        parsed = len(inits)
+        monkeypatch.setattr(Projector, "_of", classmethod(
+            lambda cls, qubits, v: widths.append(v.shape[1]) or real_of(cls, qubits, v)))
+        rep = induction_report(p)
+        monkeypatch.undo()
+        assert len(rep.steps) >= 127, name
+        assert parsed > 0 and len(inits) == parsed, name
+        present = [label for step in rep.steps for label in step.triple.present
+                   if label != "invalid"]
+        assert len(widths) == len(present), name
+        assert all(width > 0 for width in widths), name
+        absent += 2 * len(rep.steps) - len(present)
+    assert absent > 0
+
+
+def _scaled_supports(monkeypatch, factor, *, checked):
+    """Scale every rule the induction builds by ``factor``, before the
+    isometry check when ``checked`` and after it otherwise."""
+    real_of = Projector._of.__func__
+
+    def scaled(cls, qubits, v):
+        if checked:
+            return real_of(cls, qubits, v * factor)
+        rule = real_of(cls, qubits, v)
+        object.__setattr__(rule, "isometry", rule.isometry * factor)
+        return rule
+    monkeypatch.setattr(Projector, "_of", classmethod(scaled))
+
+
+def test_induction_keeps_the_isometry_check_on_its_rules(monkeypatch, perfbench_gen):
+    protocols = [parse_coin_protocol(doc)
+                 for doc in perfbench_gen.coin_documents(1, 128).values()]
+    _scaled_supports(monkeypatch, 1 + 1e-6, checked=True)
+    message = f"projector is not an isometry within {PROJECTOR_TOL}"
+    for p in protocols:
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            induction_report(p)
+
+
+def test_induction_keeps_the_completeness_check(monkeypatch, perfbench_gen):
+    # a rule that passed its check but is not an isometry breaks the next
+    # step's sum of probabilities
+    p = parse_coin_protocol(perfbench_gen.coin_documents(1, 128)["coin-r128-fixed"])
+    _scaled_supports(monkeypatch, 1 + 1e-4, checked=False)
+    with pytest.raises(InvariantViolation,
+                       match=f"^outcome probabilities sum to .*, not 1 within {COMPLETENESS_TOL}$"):
+        induction_report(p)
 
 
 # --- document emission -------------------------------------------------------

@@ -326,6 +326,36 @@ def test_contract_equals_tensordot_on_the_fusion_identity():
         assert mat.shape == (2,) * k + (2 ** k,)
 
 
+def test_a_warm_order_cache_never_hands_a_register_the_wrong_order():
+    # _contract's orders are cached by (ndim, qubits): fill the cache on one
+    # register size, then contract the same and other qubit tuples on other
+    # sizes, and on _circuit_matrix's (2,)*k + (2^k,) tensors
+    rng = np.random.default_rng(309)
+    targets = [(0,), (2,), (1, 0), (0, 2), (2, 1, 0), (3, 0, 2, 1), (0, 1, 2, 3)]
+    qcore._axis_orders.cache_clear()
+    psi = random_state(rng, 7).tensor()
+    for qubits in targets:
+        psi = qcore._contract(psi, random_unitary(rng, 2 ** len(qubits)), qubits)
+    warm = qcore._axis_orders.cache_info()
+    tensors = [random_state(rng, n).tensor() for n in (4, 5, 8, 9)]
+    tensors += [np.eye(2 ** k, dtype=complex).reshape((2,) * k + (2 ** k,))
+                for k in range(1, FUSE_QUBITS + 1)]
+    for psi in tensors:
+        for qubits in targets:
+            if max(qubits) >= psi.ndim or psi.shape[max(qubits)] != 2:
+                continue
+            matrix = random_unitary(rng, 2 ** len(qubits))
+            got = qcore._contract(psi, matrix, qubits)
+            want = tensordot_contract(psi, matrix, qubits)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (psi.shape, qubits)
+    assert qcore._axis_orders.cache_info().hits > warm.hits
+    # the cached orders are tuples and the shared identities read-only, so no
+    # caller can change what another is handed
+    assert all(type(order) is tuple for order in qcore._axis_orders(9, (3, 0, 2, 1)))
+    assert all(not eye.flags.writeable for eye in qcore._IDENTITIES)
+
+
 def test_fused_blocks_stay_within_the_bound():
     assert FUSE_QUBITS >= MAX_RAW_TARGETS
     chain = [GateOp("CX", (q, q + 1)) for q in range(5)]
