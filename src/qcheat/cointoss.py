@@ -46,8 +46,8 @@ formed, and the checks those made stay at every step:
   ValueError).
 
 ``fidelity.fidelity_trace`` on the reduced states stays the independent
-route the tests compare against.  The cut of psi_k is a transpose order
-checked once per register size, receiver and rule qubits (``_cut_order``).
+route the tests compare against.  psi_k is cut by ``qcore._split``, with
+rows on the receiver and the rule qubits leading the columns.
 
 ``protocol.parse_coin_protocol`` checks each invariant of a document once,
 and ``truncate_last_round`` keeps each by construction.
@@ -74,8 +74,8 @@ ceil(1/epsilon) rounds to walk from (0,0) to (1,1).
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -233,14 +233,6 @@ def _last_sender(p: CoinProtocol) -> str:
     return p.rounds[-1].actor
 
 
-@functools.lru_cache(maxsize=256)
-def _cut_order(num_qubits: int, keep: tuple, lead: tuple) -> tuple:
-    """``qcore._split``'s transpose order for rows ``keep`` and columns led
-    by ``lead``, with its checks run once per cut rather than once per step."""
-    rows, cols = qcore._cut(num_qubits, keep, lead)
-    return rows + cols
-
-
 def _conditionals(state: PureState, keep: tuple, rules: dict, space: tuple) -> dict:
     """{label: (p, X)} for each label the sender reads with p > PRESENCE_CUTOFF.
 
@@ -254,7 +246,6 @@ def _conditionals(state: PureState, keep: tuple, rules: dict, space: tuple) -> d
     three labels must sum to 1.
     """
     dim = 2 ** len(keep)
-    tensor = state.tensor()
     blocks, picked = {}, {}
     for label in OUTCOME_LABELS:
         if label not in rules:
@@ -262,8 +253,7 @@ def _conditionals(state: PureState, keep: tuple, rules: dict, space: tuple) -> d
         rule = rules[label]
         qubits = space if rule is None else rule.qubits
         if qubits not in blocks:
-            order = _cut_order(state.num_qubits, keep, qubits)
-            blocks[qubits] = tensor.transpose(order).reshape(dim, -1).reshape(
+            blocks[qubits] = qcore._split(state, keep, qubits)[2].reshape(
                 dim, 2 ** len(qubits), -1)
         if rule is None:
             x = blocks[qubits]
@@ -518,11 +508,14 @@ def induction_report(p: CoinProtocol, *, tol=IDEAL_TOL,
 
 
 def _as_fraction(value, what: str) -> Fraction:
+    """A ``numbers.Rational`` exactly, any other finite ``numbers.Real`` snapped as
+    a float, or a rational literal; numpy's numbers included, bools refused."""
     if isinstance(value, bool):
         raise TypeError(f"{what} must be a number, not a bool")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    if isinstance(value, numbers.Real):
+        value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"{what} must be finite")
         return Fraction(value).limit_denominator(FLOAT_DENOMINATOR_CAP)

@@ -19,14 +19,16 @@ Conventions used throughout the package:
   each joins as a zero-padded axis when a block first needs it.  The
   amplitudes equal the full register's to the bit.
 * Every contraction of a matrix into a state tensor (gate blocks, their
-  fusion, ``apply_unitary``, projector expectations) is one ``np.dot`` in
-  ``_contract``: the 2^k x 2^k matrix times the tensor with the block's
-  axes moved to the front, the product transposed back.  These are the
-  operands ``np.tensordot`` passes to BLAS, so the bytes are the same.
+  fusion, ``apply_unitary``, projector expectations, the attack's
+  full-side cheat state) is one ``np.dot`` in ``_contract``: the 2^k x 2^k
+  matrix times the tensor with the block's axes moved to the front, the
+  product transposed back.  These are the operands ``np.tensordot``
+  passes to BLAS, so the bytes are the same.
 * All values are immutable.  Operations return fresh values and never
   mutate their inputs, so everything here is safe to share across threads.
   The module's caches hold only tuples (``_contract``'s axis orders, keyed
-  by tensor rank and block axes) and read-only arrays (``_circuit_matrix``'s
+  by tensor rank and block axes, and ``_split``'s checked cuts, keyed by
+  register size, rows and lead) and read-only arrays (``_circuit_matrix``'s
   identities), so what one caller is handed no other can change.
 * Nothing in this module reads ambient entropy; randomness, where needed,
   always arrives as an explicit generator or seed.
@@ -344,15 +346,10 @@ def _axis_orders(ndim: int, qubits: tuple) -> tuple:
     """(order, inverse): ``qubits`` moved to the front of ``ndim`` axes, and
     the permutation that undoes it, as tuples built once per key."""
     order = (*qubits, *[a for a in range(ndim) if a not in qubits])
-    return order, tuple(_inverse(order))
-
-
-def _inverse(order) -> list:
-    """The permutation that undoes ``transpose(order)``, in Python (no argsort)."""
-    inverse = [0] * len(order)
+    inverse = [0] * ndim
     for i, a in enumerate(order):
         inverse[a] = i
-    return inverse
+    return order, tuple(inverse)
 
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits) -> np.ndarray:
@@ -481,12 +478,14 @@ def _split(state: PureState, rows, lead=()) -> tuple:
     Only the row side is capped at MAX_SIDE_QUBITS: every caller puts there
     the side it forms square matrices on.
     """
-    rows, cols = _cut(state.num_qubits, rows, lead)
+    rows, cols = _cut(state.num_qubits, tuple(rows), tuple(lead))
     return rows, cols, state.tensor().transpose(rows + cols).reshape(2 ** len(rows), -1)
 
 
-def _cut(n: int, rows, lead=()) -> tuple:
-    """(rows, cols) of ``_split`` on an ``n``-qubit register, checked."""
+@functools.lru_cache(maxsize=256)
+def _cut(n: int, rows: tuple, lead: tuple = ()) -> tuple:
+    """(rows, cols) of ``_split`` on an ``n``-qubit register, checked once
+    per key; a bad side is not cached and raises on every call."""
     rows = tuple(sorted(_check_targets(rows, n, "side")))
     lead = _check_targets(lead, n, "side")
     cols = lead + tuple(q for q in range(n) if q not in rows and q not in lead)
@@ -500,8 +499,8 @@ def _cut(n: int, rows, lead=()) -> tuple:
 
 def _merge(rows, cols, mat: np.ndarray) -> np.ndarray:
     """The amplitude vector whose ``_split`` across (rows, cols) is ``mat``."""
-    order = rows + cols
-    return mat.reshape((2,) * len(order)).transpose(_inverse(order)).reshape(-1)
+    _, inverse = _axis_orders(len(rows) + len(cols), rows + cols)
+    return mat.reshape((2,) * len(inverse)).transpose(inverse).reshape(-1)
 
 
 def partial_trace(state: PureState, keep) -> DensityMatrix:

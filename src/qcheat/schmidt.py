@@ -27,6 +27,8 @@ from .qcore import (
     UNITARY_TOL,
     InvariantViolation,
     PureState,
+    _apply_matrix,
+    _cut,
     _isometry_residual,
     _merge,
     _split,
@@ -204,11 +206,11 @@ class UhlmannRotation:
         if not is_unitary(rotation):
             raise InvariantViolation(f"polar factor is not unitary within {UNITARY_TOL}")
         if factors.basis is None:
-            # the operands apply_unitary's contraction passes to BLAS, so the
-            # state is the one U applied to the register gives, bit for bit
-            coeffs = np.dot(rotation, _split(self._states[0], self._a_side)[2])
-        else:
-            coeffs = (factors.basis @ rotation) @ factors.reduced
+            # apply_unitary's contraction: the state U on the register gives, bit for bit
+            state0 = self._states[0]
+            return PureState(_apply_matrix(state0.amplitudes, rotation, factors.rows,
+                                           state0.num_qubits))
+        coeffs = (factors.basis @ rotation) @ factors.reduced
         return PureState(_merge(factors.rows, factors.cols, coeffs))
 
 
@@ -236,7 +238,7 @@ def cheating_unitary_ideal(state0: PureState, state1: PureState, a_side) -> np.n
     within 1e-8; when they merely overlap, use ``uhlmann_unitary`` for the
     optimal approximate rotation instead.
     """
-    a, b, _ = _split(state0, a_side)
+    a, b = _cut(state0.num_qubits, tuple(a_side))
     red0 = partial_trace(state0, b).entries
     red1 = partial_trace(state1, b).entries
     gap = float(np.max(np.abs(red0 - red1)))

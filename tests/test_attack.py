@@ -398,6 +398,50 @@ def test_full_schmidt_rank_falls_back_to_the_full_gram(monkeypatch):
     assert widths == [2 ** len(a_side)]
 
 
+def test_full_side_cheat_state_goes_through_the_kernel(monkeypatch):
+    # W is contracted into the register by qcore._contract, as apply_unitary's
+    # matrix is, not by a product of its own
+    rng = np.random.default_rng(29)
+    s0, s1 = (qcore.PureState(v / np.linalg.norm(v)) for v in
+              rng.standard_normal((2, 2 ** 9)) + 1j * rng.standard_normal((2, 2 ** 9)))
+    a_side = (0, 4, 5, 8)
+    rotation = schmidt.UhlmannRotation(s0, s1, a_side)
+    counts = count_calls(monkeypatch, {"_contract": qcore._contract})
+    cheat = rotation.cheat_state()
+    assert counts == {"_contract": 1}
+    monkeypatch.undo()
+    assert np.array_equal(cheat.amplitudes,
+                          apply_unitary(s0, rotation.polar_factor(), a_side).amplitudes)
+
+
+def test_ideal_cheating_unitary_cuts_the_register_only_to_trace_and_rotate(monkeypatch):
+    # the qubit lists come from qcore._cut with no copy of the register:
+    # outside the rotation, the only cuts are the two partial traces'
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal(2 ** 6) + 1j * rng.standard_normal(2 ** 6)
+    s0 = qcore.PureState(v / np.linalg.norm(v))
+    a_side = [4, 1]
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    s1 = apply_unitary(s0, np.linalg.qr(g)[0], a_side)
+    counts = count_calls(monkeypatch, {"_split": qcore._split,
+                                       "partial_trace": qcore.partial_trace})
+    inside = []
+
+    def rotation(*args, _original=schmidt.uhlmann_unitary):
+        before = counts["_split"]
+        result = _original(*args)
+        inside.append(counts["_split"] - before)
+        return result
+
+    monkeypatch.setattr(schmidt, "uhlmann_unitary", rotation)
+    unitary = schmidt.cheating_unitary_ideal(s0, s1, a_side)
+    assert inside == [2]
+    assert counts == {"_split": 2 + 2, "partial_trace": 2}
+    monkeypatch.undo()
+    moved = apply_unitary(s0, unitary, (1, 4))
+    assert abs(abs(np.vdot(s1.amplitudes, moved.amplitudes)) - 1.0) <= 1e-10
+
+
 def test_a_basis_missing_a_column_falls_back(perfbench_gen, tmp_path, monkeypatch):
     # a basis without its first column misses part of M0's range: the
     # residual check must refuse it, so delta is the full cross-Gram's

@@ -710,6 +710,23 @@ def test_induction_forms_no_density_matrix(monkeypatch, perfbench_gen):
         assert counts["eigh"] == 0, name
 
 
+def test_induction_cuts_each_state_through_qcore_split(monkeypatch, perfbench_gen):
+    # every step cuts psi_k with qcore._split, once per distinct qubit set of
+    # the rules it conditions on: the document's at the first step, the
+    # receiver's machine at every later one; the zero-round mutual
+    # information takes one more cut
+    for name, doc in perfbench_gen.coin_documents(1, 128).items():
+        p = parse_coin_protocol(doc)
+        first = {rule.qubits for rule in p.outcome_rules[p.rounds[-1].actor].values()}
+        counts = count_calls(monkeypatch, {"_split": qcore._split})
+        rep = induction_report(p)
+        monkeypatch.undo()
+        conditioned = len(rep.steps) + (rep.verdict == "not_ideal")
+        assert conditioned >= 127, name
+        want = len(first) + conditioned - 1 + (rep.verdict == "contradiction")
+        assert counts == {"_split": want}, name
+
+
 def test_induction_builds_rules_only_for_present_labels(monkeypatch, perfbench_gen):
     # the parser's rules take Projector's full construction; the induction's
     # take Projector._of, which keeps only the isometry check, and a "0" or
@@ -816,6 +833,41 @@ def test_min_rounds_rejects_bad_epsilon():
         min_rounds("3/0")
     with pytest.raises(TypeError):
         min_rounds([1])
+
+
+def test_min_rounds_reads_numpy_numbers():
+    # any numbers.Rational is exact, any other numbers.Real takes the float path
+    assert min_rounds(np.int64(1)) == 1
+    assert min_rounds(np.uint8(1)) == 1
+    assert min_rounds(np.float32(0.5)) == 2
+    assert min_rounds(np.float64(0.1)) == 10
+    assert min_rounds(np.float32(0.1)) == 10
+    with pytest.raises(ValueError, match="must lie in"):
+        min_rounds(np.int64(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        min_rounds(np.float32("nan"))
+    with pytest.raises(ValueError, match="must be finite"):
+        min_rounds(np.float64("inf"))
+    with pytest.raises(TypeError):
+        min_rounds(np.bool_(True))
+
+
+def test_a_numpy_rational_becomes_a_fraction_of_python_ints():
+    eps = cointoss._as_fraction(np.int64(3), "epsilon")
+    assert eps == 3 and type(eps) is Fraction
+    assert type(eps.numerator) is int and type(eps.denominator) is int
+
+
+def test_validate_walk_reads_numpy_arrays():
+    assert validate_walk(np.array([[0, 0], [1, 1]]), 1).ok
+    assert validate_walk(np.array([[0, 0], [0.5, 0.5], [1, 1]], dtype=np.float32),
+                         np.float32(0.5)).ok
+    res = validate_walk(np.array([[0, 0], [1, 0], [1, 1]]), np.int64(1))
+    assert res.ok
+    res = validate_walk(np.array([[0, 0], [1, 0], [1, 1]]), Fraction(1, 2))
+    assert not res.ok and res.first_violation == 1
+    with pytest.raises(TypeError):
+        validate_walk(np.array([[False, False], [True, True]]), 1)
 
 
 def test_min_rounds_saturates_the_bound():

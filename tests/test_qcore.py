@@ -354,6 +354,30 @@ def test_a_warm_order_cache_never_hands_a_register_the_wrong_order():
     # caller can change what another is handed
     assert all(type(order) is tuple for order in qcore._axis_orders(9, (3, 0, 2, 1)))
     assert all(not eye.flags.writeable for eye in qcore._IDENTITIES)
+    # _split's cut is cached by (n, rows, lead): it is handed out as tuples,
+    # and a bad side is never cached, so it raises on every call
+    rows, cols = qcore._cut(9, (4, 1), (7,))
+    assert (rows, cols) == ((1, 4), (7, 0, 2, 3, 5, 6, 8))
+    assert type(rows) is tuple and type(cols) is tuple
+    assert all(type(q) is int for q in rows + cols)
+    assert qcore._cut(9, (4, 1), (7,))[0] is rows
+    for side in ((2, 2), (16,), (), tuple(range(MAX_SIDE_QUBITS + 1))):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                qcore._cut(16, side)
+    # any iterable of qubits gives the same cut, bytes included
+    state = random_state(rng, 7)
+    traces = [partial_trace(state, keep).entries.tobytes()
+              for keep in ([5, 2, 0], (5, 2, 0), np.array([5, 2, 0]), (q for q in (5, 2, 0)))]
+    assert traces == [traces[0]] * 4
+    # each cached inverse undoes its order
+    for ndim in (1, 4, 9, 12):
+        psi = np.arange(2 ** ndim).reshape((2,) * ndim)
+        for _ in range(6):
+            qubits = tuple(int(a) for a in rng.permutation(ndim)[:rng.integers(1, ndim + 1)])
+            order, inverse = qcore._axis_orders(ndim, qubits)
+            assert sorted(order) == list(range(ndim))
+            assert np.array_equal(psi.transpose(order).transpose(inverse), psi)
 
 
 def test_fused_blocks_stay_within_the_bound():
