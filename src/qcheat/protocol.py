@@ -78,7 +78,8 @@ class MeasureOp:
     result_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets",
+                           qcore._qubit_indices(self.targets, InvariantViolation))
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class Projector:
     isometry: np.ndarray
 
     def __post_init__(self):
-        qubits = tuple(map(int, self.qubits))
+        qubits = qcore._qubit_indices(self.qubits, InvariantViolation)
         if not qubits or list(qubits) != sorted(set(qubits)):
             raise InvariantViolation(f"projector qubits must strictly increase, got {qubits}")
         v = np.array(self.isometry, dtype=complex)
@@ -1229,7 +1230,7 @@ def _measure_branches(branches, op: MeasureOp):
             bits = tuple((value >> (k - 1 - i)) & 1 for i in range(k))
             new_results = dict(results)
             new_results[op.result_id] = bits
-            out.append((prob * weight, new_results, PureState(amps / math.sqrt(weight))))
+            out.append((prob * weight, new_results, PureState._of(amps / math.sqrt(weight))))
     return out
 
 

@@ -24,12 +24,21 @@ Conventions used throughout the package:
   matrix times the tensor with the block's axes moved to the front, the
   product transposed back.  These are the operands ``np.tensordot``
   passes to BLAS, so the bytes are the same.
+* A call that meets a register of 13 qubits or more (``apply_circuit``,
+  ``_apply_matrix``) makes two flat 2^n work buffers, ``_work_pair``, and
+  nothing else register-sized.  An operand that needs a C-order copy is
+  copied into one (``np.copyto``), and ``np.dot(..., out=)`` writes the
+  product into the other; ``_join`` grows the held tensor in one.  The
+  register-order result ends in a buffer, which ``PureState._of`` adopts
+  after every check, without the copy.  So such a call peaks two
+  registers above its input, and its result is one of the two.
 * All values are immutable.  Operations return fresh values and never
   mutate their inputs, so everything here is safe to share across threads.
   The module's caches hold only tuples (``_contract``'s axis orders, keyed
   by tensor rank and block axes, and ``_split``'s checked cuts, keyed by
   register size, rows and lead) and read-only arrays (``_circuit_matrix``'s
-  identities), so what one caller is handed no other can change.
+  identities), so what one caller is handed no other can change.  Work
+  buffers belong to one call and are never kept.
 * Nothing in this module reads ambient entropy; randomness, where needed,
   always arrives as an explicit generator or seed.
 """
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +86,13 @@ FUSE_QUBITS = 4
 # single column to gemv.  Registers this small are built whole at once.
 MIN_HELD_QUBITS = FUSE_QUBITS + 3
 
+# Calls on registers of at least this many amplitudes (13 qubits, 128 KiB,
+# glibc's default mmap threshold) contract into two per-call work buffers.
+# Smaller arrays come from the heap, where a fresh one costs no page
+# faults, and the buffers' bookkeeping only adds 3-5 us to each call on 7
+# qubits (a 10-45% rise on a 10-30 us call, one BLAS thread).
+WORK_MIN_AMPLITUDES = 2 ** 13
+
 
 class InvariantViolation(Exception):
     """A numerical invariant of a core value was broken.
@@ -84,6 +101,21 @@ class InvariantViolation(Exception):
     positivity, unitarity).  Distinct from ValueError so that callers can
     tell internal inconsistencies apart from bad user input.
     """
+
+
+def _qubit_indices(qubits, error=ValueError) -> tuple:
+    """``qubits`` as a tuple of ints.  Any integer is taken, numpy's too; a
+    bool, or a value such as 0.7 that ``int()`` would truncate, raises
+    ``error``."""
+    indices = []
+    for q in qubits:
+        try:
+            if isinstance(q, bool):
+                raise TypeError
+            indices.append(operator.index(q))
+        except TypeError:
+            raise error(f"qubit index {q!r} is not an integer") from None
+    return tuple(indices)
 
 
 def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
@@ -100,7 +132,18 @@ class PureState:
     num_qubits: int = field(init=False)
 
     def __post_init__(self):
-        amps = _frozen_array(self.amplitudes)
+        self._own(np.array(self.amplitudes, dtype=complex))
+
+    @classmethod
+    def _of(cls, amplitudes: np.ndarray) -> "PureState":
+        """A PureState that adopts ``amplitudes``, a fresh complex vector that
+        no caller holds.  Every check runs; only the copy is skipped, and the
+        vector becomes read-only."""
+        state = object.__new__(cls)
+        state._own(amplitudes)
+        return state
+
+    def _own(self, amps: np.ndarray):
         if amps.ndim != 1:
             raise InvariantViolation("amplitudes must be a 1-D vector")
         n = int(math.log2(amps.size)) if amps.size > 0 else 0
@@ -112,6 +155,7 @@ class PureState:
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
 
@@ -154,9 +198,8 @@ class Partition:
     channel_qubits: frozenset
 
     def __post_init__(self):
-        a = frozenset(int(q) for q in self.alice_qubits)
-        b = frozenset(int(q) for q in self.bob_qubits)
-        c = frozenset(int(q) for q in self.channel_qubits)
+        a, b, c = (frozenset(_qubit_indices(side, InvariantViolation)) for side in
+                   (self.alice_qubits, self.bob_qubits, self.channel_qubits))
         total = len(a) + len(b) + len(c)
         union = a | b | c
         if len(union) != total:
@@ -247,7 +290,7 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in GATE_NAMES:
             raise InvariantViolation(f"unknown gate kind {self.kind!r}")
-        targets = tuple(int(t) for t in self.targets)
+        targets = _qubit_indices(self.targets, InvariantViolation)
         if len(set(targets)) != len(targets):
             raise InvariantViolation(f"gate targets repeat: {targets}")
         object.__setattr__(self, "targets", targets)
@@ -294,7 +337,7 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 
 
 def _check_targets(qubits, num_qubits, what="target") -> tuple:
-    qubits = tuple(int(q) for q in qubits)
+    qubits = _qubit_indices(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"{what} qubits repeat: {qubits}")
     for q in qubits:
@@ -321,7 +364,7 @@ def _circuit_matrix(ops, qubits) -> np.ndarray:
     return mat.reshape(2 ** k, 2 ** k)
 
 
-def _contract(psi: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
+def _contract(psi: np.ndarray, matrix: np.ndarray, qubits, work=None) -> np.ndarray:
     """Contract ``matrix`` (2^k x 2^k) into axes ``qubits`` of the state tensor.
 
     One ``np.dot``: the matrix, reshaped to 2^k x 2^k as given, times
@@ -332,13 +375,59 @@ def _contract(psi: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
     ``_circuit_matrix``'s identity does.  Returns the result with its axes
     back in register order, as a view that is usually not contiguous.
     Does not require unitarity; used for projectors as well as gates.
+
+    ``work`` is a call's pair of flat buffers (``_work_pair``); with it
+    nothing is allocated.  Where the flattened operand is not a view of
+    ``psi``, the C-order copy ``reshape`` would make goes into a buffer
+    ``psi`` does not occupy, and the product into the other; where it is,
+    the product goes straight into a buffer ``psi`` does not occupy.
     """
     k = len(qubits)
     order, inverse = _axis_orders(psi.ndim, tuple(qubits))
     moved = psi.transpose(order)
-    out = np.dot(np.asarray(matrix, dtype=complex).reshape(2 ** k, 2 ** k),
-                 moved.reshape(2 ** k, -1))
+    matrix = np.asarray(matrix, dtype=complex).reshape(2 ** k, 2 ** k)
+    if work is None:
+        out = np.dot(matrix, moved.reshape(2 ** k, -1))
+    else:
+        free, other = _free(psi, work)
+        try:
+            operand, target = moved.reshape(2 ** k, -1, copy=False), free
+        except ValueError:
+            operand = free[:psi.size].reshape(moved.shape)
+            np.copyto(operand, moved)
+            operand, target = operand.reshape(2 ** k, -1), other
+        out = np.dot(matrix, operand, out=target[:psi.size].reshape(2 ** k, -1))
     return out.reshape(moved.shape).transpose(inverse)
+
+
+def _work_pair(num_qubits: int) -> tuple | None:
+    """Two flat, uninitialised buffers of 2^``num_qubits`` amplitudes, made
+    for one call and never shared: a tensor of that register or of fewer
+    qubits lives in a leading slice of one of them.  None below
+    WORK_MIN_AMPLITUDES, where each array is fresh."""
+    if 2 ** num_qubits < WORK_MIN_AMPLITUDES:
+        return None
+    return np.empty(2 ** num_qubits, dtype=complex), np.empty(2 ** num_qubits, dtype=complex)
+
+
+def _free(psi, work) -> tuple:
+    """(a buffer of ``work`` that ``psi`` does not occupy, the other one)."""
+    first, second = work
+    return (second, first) if np.may_share_memory(psi, first) else work
+
+
+def _register_vector(psi: np.ndarray, work) -> np.ndarray:
+    """``psi``, a whole-register tensor in a ``work`` buffer, as the flat
+    register-order vector: that buffer when ``psi`` is C-ordered in it, else
+    the other one with ``psi`` copied in.  With no ``work``, ``psi`` is fresh
+    and flattened as ``reshape`` does."""
+    if work is None:
+        return psi.reshape(-1)
+    free, occupied = _free(psi, work)
+    if psi.flags.c_contiguous:
+        return occupied
+    np.copyto(free.reshape(psi.shape), psi)
+    return free
 
 
 @functools.lru_cache(maxsize=4096)
@@ -353,8 +442,11 @@ def _axis_orders(ndim: int, qubits: tuple) -> tuple:
 
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits) -> np.ndarray:
-    """``_contract`` on an amplitude vector, flattened back to one."""
-    return _contract(amps.reshape((2,) * num_qubits), matrix, qubits).reshape(-1)
+    """``_contract`` on an amplitude vector, flattened back to one: a fresh
+    vector, one of the call's work buffers from WORK_MIN_AMPLITUDES up."""
+    work = _work_pair(num_qubits)
+    return _register_vector(
+        _contract(amps.reshape((2,) * num_qubits), matrix, qubits, work), work)
 
 
 def apply_unitary(state: PureState, matrix: np.ndarray, qubits) -> PureState:
@@ -374,7 +466,7 @@ def apply_unitary(state: PureState, matrix: np.ndarray, qubits) -> PureState:
             f"matrix shape {matrix.shape} does not match {len(qubits)} qubits")
     if not is_unitary(matrix):
         raise InvariantViolation(f"matrix is not unitary within {UNITARY_TOL}")
-    return PureState(_apply_matrix(state.amplitudes, matrix, qubits, state.num_qubits))
+    return PureState._of(_apply_matrix(state.amplitudes, matrix, qubits, state.num_qubits))
 
 
 def _fused_blocks(ops, num_qubits) -> list:
@@ -418,6 +510,10 @@ def apply_circuit(state: PureState | int, *op_lists) -> PureState:
     this returns; with no gates at all, ``state`` itself (or |0...0>) is
     returned.
 
+    From WORK_MIN_AMPLITUDES up, every tensor the call makes lives in one
+    of its two work buffers, and the returned state adopts one of them: the
+    call peaks two registers above its input.
+
     From |0...0> the tensor holds only the qubits blocks have reached, its
     axes in register order.  Before each block, qubits join in the order
     blocks first touch them until the block's own are held, and at least
@@ -431,6 +527,7 @@ def apply_circuit(state: PureState | int, *op_lists) -> PureState:
     blocks = [block for ops in op_lists for block in _fused_blocks(ops, n)]
     if not blocks:
         return zero_state(n) if fresh else state
+    work = _work_pair(n)
     if fresh:
         arrival = list(dict.fromkeys([*(q for _, qubits in blocks for q in qubits),
                                       *range(n)]))
@@ -442,24 +539,29 @@ def apply_circuit(state: PureState | int, *op_lists) -> PureState:
         if len(held) < n:
             reach = max(arrival.index(q) for q in qubits) + 1
             held, psi = _join(psi, held, arrival[len(held):max(
-                reach, min(n, MIN_HELD_QUBITS))])
+                reach, min(n, MIN_HELD_QUBITS))], work)
             axes = [held.index(q) for q in qubits]
-        psi = _contract(psi, matrix, axes)
+        psi = _contract(psi, matrix, axes, work)
     if len(held) < n:
-        _, psi = _join(psi, held, arrival[len(held):])
-    return PureState(psi.reshape(-1))
+        _, psi = _join(psi, held, arrival[len(held):], work)
+    return PureState._of(_register_vector(psi, work))
 
 
-def _join(psi: np.ndarray, held, new) -> tuple:
+def _join(psi: np.ndarray, held, new, work) -> tuple:
     """(held + new sorted, ``psi`` with the |0> qubits ``new`` joined as axes).
 
-    One ``np.zeros`` of the grown tensor and one slice write: ``psi`` lands
-    where every new qubit is 0.  ``held`` lists ``psi``'s axes, sorted.
+    The grown tensor is zeroed, in a ``work`` buffer ``psi`` does not
+    occupy or else fresh, and ``psi`` written where every new qubit is 0.
+    ``held`` lists ``psi``'s axes, sorted.
     """
     if not new:
         return held, psi
     held = sorted([*held, *new])
-    grown = np.zeros((2,) * len(held), dtype=complex)
+    if work is None:
+        grown = np.zeros((2,) * len(held), dtype=complex)
+    else:
+        grown = _free(psi, work)[0][:2 ** len(held)].reshape((2,) * len(held))
+        grown.fill(0)
     grown[tuple(0 if q in new else slice(None) for q in held)] = psi
     return held, grown
 
@@ -478,14 +580,20 @@ def _split(state: PureState, rows, lead=()) -> tuple:
     Only the row side is capped at MAX_SIDE_QUBITS: every caller puts there
     the side it forms square matrices on.
     """
-    rows, cols = _cut(state.num_qubits, tuple(rows), tuple(lead))
+    rows, cols = _cut(state.num_qubits, rows, lead)
     return rows, cols, state.tensor().transpose(rows + cols).reshape(2 ** len(rows), -1)
 
 
+def _cut(n: int, rows, lead=()) -> tuple:
+    """(rows, cols) of ``_split`` on an ``n``-qubit register.  The indices
+    are read first, since a cache key would take 1.0 or True for 1."""
+    return _checked_cut(n, _qubit_indices(rows), _qubit_indices(lead))
+
+
 @functools.lru_cache(maxsize=256)
-def _cut(n: int, rows: tuple, lead: tuple = ()) -> tuple:
-    """(rows, cols) of ``_split`` on an ``n``-qubit register, checked once
-    per key; a bad side is not cached and raises on every call."""
+def _checked_cut(n: int, rows: tuple, lead: tuple) -> tuple:
+    """``_cut`` checked once per key; a bad side is not cached and raises on
+    every call."""
     rows = tuple(sorted(_check_targets(rows, n, "side")))
     lead = _check_targets(lead, n, "side")
     cols = lead + tuple(q for q in range(n) if q not in rows and q not in lead)

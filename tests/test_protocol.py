@@ -1,6 +1,7 @@
 """Protocol documents: parsing, honest execution, purification, emission."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -742,6 +743,20 @@ def test_projector_refuses_a_matrix_that_is_no_isometry(isometry, message):
         Projector((0,), isometry)
 
 
+@pytest.mark.parametrize("bad", [0.5, True, np.True_])
+def test_projector_refuses_a_non_integer_qubit(bad):
+    with pytest.raises(InvariantViolation, match="is not an integer"):
+        Projector((bad,), np.array([[1.0], [0.0]]))
+    assert Projector((np.int64(2),), np.array([[1.0], [0.0]])).qubits == (2,)
+
+
+@pytest.mark.parametrize("bad", [0.7, True, np.True_])
+def test_measure_op_refuses_a_non_integer_target(bad):
+    with pytest.raises(InvariantViolation, match="is not an integer"):
+        MeasureOp((bad,), "m")
+    assert MeasureOp((np.int16(1), 0), "m").targets == (1, 0)
+
+
 # 1 alice + 13 bob + 1 channel qubits and no verify key: Bob's default
 # qubits are 14 wide, where a dense identity projector takes 4 GiB
 WIDE_WITHOUT_VERIFY = {
@@ -857,3 +872,31 @@ def test_unpurified_protocol_is_refused_naming_purify_protocol(run):
     with pytest.raises(ValueError, match="needs a measurement-free protocol; run "
                                          "purify_protocol first$"):
         run(load_protocol("bb84-bc"))
+
+
+def registers_above_start(call, num_qubits):
+    """(``call()``, its traced peak above the start in registers of
+    ``num_qubits`` qubits): numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - start) / (16 * 2 ** num_qubits)
+
+
+@pytest.mark.parametrize("name", ["ladder-n16-alice-big", "ladder-n16-bob-big"])
+def test_kernel_calls_peak_at_two_registers_above_their_inputs(perfbench_gen, name):
+    # counted, not timed: a gate call makes its two work buffers and the
+    # state it returns adopts one of them; a projector's expectation
+    # contracts through its own pair
+    p = parse_protocol(perfbench_gen.ladder_documents(1, sizes=(16,))[name])
+    assert p.open_rounds and p.partition.num_qubits == 16
+    for b in (0, 1):
+        state, commit = registers_above_start(lambda: run_commit(p, b), 16)
+        opened, opening = registers_above_start(lambda: protocol.open_state(p, state), 16)
+        _, expectation = registers_above_start(lambda: p.verification[b].expectation(opened), 16)
+        assert commit <= 2.05 and opening <= 2.05 and expectation <= 2.05, (
+            commit, opening, expectation)

@@ -151,6 +151,43 @@ def test_partition_must_cover_range():
     assert grown.machine("bob") == frozenset({1}) and grown.channel_qubits == frozenset({2})
 
 
+# A qubit index that int() would truncate, or a bool, is refused at every
+# site that reads one; numpy integers are taken as the ints they are.
+
+@pytest.mark.parametrize("bad", [0.7, np.float64(0.0), True, np.True_, "0"])
+def test_apply_unitary_refuses_a_non_integer_target(bad):
+    x = gate_matrix(GateOp("X", (0,)))
+    with pytest.raises(ValueError, match="is not an integer"):
+        apply_unitary(zero_state(3), x, [bad])
+    assert apply_unitary(zero_state(3), x, [np.int64(2)]).amplitudes[1] == 1
+
+
+@pytest.mark.parametrize("bad", [2.9, True, np.True_])
+def test_partial_trace_refuses_a_non_integer_side(bad):
+    s = apply_gate(zero_state(3), GateOp("H", (1,)))
+    with pytest.raises(ValueError, match="is not an integer"):
+        partial_trace(s, [bad])
+    assert np.array_equal(partial_trace(s, [np.uint8(1)]).entries,
+                          partial_trace(s, [1]).entries)
+
+
+@pytest.mark.parametrize("bad", [0.7, True, np.True_])
+def test_gate_op_refuses_a_non_integer_target(bad):
+    with pytest.raises(InvariantViolation, match="is not an integer"):
+        GateOp("X", (bad,))
+    assert GateOp("CX", (np.int32(1), 0)).targets == (1, 0)
+    assert all(type(t) is int for t in GateOp("CX", (np.int32(1), 0)).targets)
+
+
+@pytest.mark.parametrize("sides", [([0.5], [1], [2.7]), ([0], [True], [2]),
+                                   ([0], [1], [np.True_])], ids=["float", "bool", "np.bool"])
+def test_partition_refuses_a_non_integer_qubit(sides):
+    with pytest.raises(InvariantViolation, match="is not an integer"):
+        Partition(*sides)
+    part = Partition([np.int64(0)], [np.int64(1)], [2])
+    assert part.alice_qubits == frozenset({0}) and part.num_qubits == 3
+
+
 # --- gates -------------------------------------------------------------
 
 def test_gate_matrix_conventions():
@@ -379,6 +416,84 @@ def test_a_warm_order_cache_never_hands_a_register_the_wrong_order():
             assert sorted(order) == list(range(ndim))
             assert np.array_equal(psi.transpose(order).transpose(inverse), psi)
 
+
+
+def fresh_contract(psi, matrix, qubits):
+    """The kernel on fresh arrays: one np.dot of the matrix and the moved
+    tensor flattened by ``reshape`` (a copy, or a view where one exists)."""
+    k = len(qubits)
+    order = (*qubits, *[a for a in range(psi.ndim) if a not in qubits])
+    moved = psi.transpose(order)
+    out = np.dot(matrix.reshape(2 ** k, 2 ** k), moved.reshape(2 ** k, -1))
+    return out.reshape(moved.shape).transpose(np.argsort(order))
+
+
+def block_targets(n):
+    """1- to 4-qubit blocks on leading, middle and trailing axes, each in
+    order and reversed."""
+    mid = n // 2 - 2
+    spans = [range(w) for w in range(1, 5)] + [range(mid, mid + w) for w in range(1, 5)]
+    spans += [range(n - w, n) for w in range(1, 5)]
+    return [order for span in spans for order in (tuple(span), tuple(reversed(span)))]
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_buffered_contraction_equals_the_fresh_array_kernel(n):
+    # a chain of blocks through one work pair, each compared with the
+    # fresh-array kernel on the same input; the chain passes every view a
+    # previous block left in a buffer, and both routes are taken: an
+    # operand copied into the free buffer, and one flattened as a view
+    rng = np.random.default_rng([311, n])
+    work = qcore._work_pair(n)
+    psi = random_state(rng, n).tensor()
+    routes = set()
+    for qubits in block_targets(n):
+        matrix = random_unitary(rng, 2 ** len(qubits))
+        if rng.integers(2):
+            matrix = matrix.T
+        moved = psi.transpose(qcore._axis_orders(n, qubits)[0])
+        routes.add(np.may_share_memory(moved.reshape(2 ** len(qubits), -1), psi))
+        want = fresh_contract(psi, matrix, qubits)
+        psi = qcore._contract(psi, matrix, qubits, work)
+        assert np.array_equal(psi, want), qubits
+        assert any(np.may_share_memory(psi, buf) for buf in work)
+    assert routes == {True, False}
+    # a contiguous register taken straight from a state, leading, middle and
+    # trailing: leading and trailing blocks flatten the state's own view, so
+    # the product goes into the first buffer and the second is not written
+    state = random_state(rng, n)
+    for qubits, view in [((0, 1), True), ((n // 2, n // 2 + 1), False), ((n - 2, n - 1), True)]:
+        matrix = random_unitary(rng, 4)
+        work[1].fill(np.nan)
+        got = qcore._contract(state.tensor(), matrix, qubits, work)
+        assert np.array_equal(got, fresh_contract(state.tensor(), matrix, qubits))
+        assert np.isnan(work[1]).all() == view, qubits
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_apply_circuit_equals_the_fresh_array_chain_and_owns_its_result(n):
+    rng = np.random.default_rng([312, n])
+    ops = random_circuit(rng, n, 30)
+    for start in (random_state(rng, n), zero_state(n)):
+        want = start.tensor()
+        for matrix, qubits in qcore._fused_blocks(ops, n):
+            want = fresh_contract(want, matrix, qubits)
+        got = apply_circuit(start, ops)
+        assert np.array_equal(got.amplitudes, want.reshape(-1))
+        assert got.amplitudes.base is None and not got.amplitudes.flags.writeable
+        assert not np.may_share_memory(got.amplitudes, start.amplitudes)
+    # from a register size, the state started from |0...0> without it
+    assert apply_circuit(n, ops).amplitudes.tobytes() == got.amplitudes.tobytes()
+
+
+def test_adopted_state_runs_every_check():
+    with pytest.raises(InvariantViolation, match="norm"):
+        PureState._of(np.ones(4, dtype=complex))
+    with pytest.raises(InvariantViolation, match="1-D"):
+        PureState._of(np.eye(2, dtype=complex))
+    amps = np.array([0.6, 0.8j])
+    state = PureState._of(amps)
+    assert state.amplitudes is amps and not amps.flags.writeable and state.num_qubits == 1
 
 def test_fused_blocks_stay_within_the_bound():
     assert FUSE_QUBITS >= MAX_RAW_TARGETS

@@ -106,6 +106,13 @@ def test_decomposition_refuses_non_finite_values(bad):
         SchmidtDecomposition((0,), (1,), np.array([SQ2, SQ2]), np.eye(2), np.eye(2) * bad)
 
 
+@pytest.mark.parametrize("sides", [((0.9,), (1,)), ((0,), (True,))], ids=["float", "bool"])
+def test_decomposition_refuses_a_non_integer_qubit(sides):
+    with pytest.raises(InvariantViolation, match="is not an integer"):
+        SchmidtDecomposition(*sides, np.array([1.0]), [[1, 0]], [[1, 0]])
+    dec = SchmidtDecomposition((np.int64(0),), (1,), np.array([1.0]), [[1, 0]], [[1, 0]])
+    assert dec.a_qubits == (0,) and dec.num_qubits == 2
+
 def test_split_needs_both_sides():
     state = zero_state(2)
     with pytest.raises(ValueError):

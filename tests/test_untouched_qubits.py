@@ -147,3 +147,33 @@ def test_commit_states_do_not_depend_on_blas_threads():
         runs[threads] = json.loads(done.stdout)
     assert len(runs["1"]) == 8
     assert runs["1"] == runs["2"]
+
+
+_OPEN_DIGESTS = """
+import hashlib, json, gen
+from qcheat.protocol import open_state, parse_protocol, run_commit
+digests = {}
+for name, doc in gen.ladder_documents(1, sizes=(13, 14)).items():
+    p = parse_protocol(doc)
+    for b in (0, 1):
+        amps = open_state(p, run_commit(p, b)).amplitudes
+        digests[f"{name}:{b}"] = hashlib.sha256(amps.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_opened_states_do_not_depend_on_blas_threads():
+    # the open round starts from a whole register, so its block runs on the
+    # state's own tensor and the work buffers, not on a held tensor
+    root = Path(__file__).resolve().parent.parent
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            str(root / d) for d in ("src", "perfbench")),
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _OPEN_DIGESTS],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[threads] = json.loads(done.stdout)
+    assert len(runs["1"]) == 8
+    assert runs["1"] == runs["2"]
