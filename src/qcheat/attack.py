@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import document as doc
 from . import protocol as proto
-from .protocol import Protocol, ProtocolError
+from .document import Protocol, ProtocolError
 from .qcore import InvariantViolation
 
 PROBABILITY_DUST = 1e-9
@@ -128,14 +129,14 @@ def attack_sweep(source, grid, *, param=None, custody=None):
     A document that does not parse at its declared parameters raises
     before the grid runs, rather than copying one error into every row.
     """
-    document = source if isinstance(source, dict) else proto.resolve_document(source)[0]
-    param = sweep_parameter(proto.parse_protocol(document), param)
+    document = source if isinstance(source, dict) else doc.resolve_document(source)[0]
+    param = sweep_parameter(doc.parse_protocol(document), param)
     points = []
     for raw in grid:
         value = float(raw)
         try:
-            p = proto.parse_protocol(document, param_overrides={param: value})
-            p = proto.purify_protocol(p)
+            p = doc.parse_protocol(document, param_overrides={param: value})
+            p = doc.purify_protocol(p)
             report = epr_attack(p, custody=custody)
             points.append(SweepPoint(param, value, report, None))
         except (ValueError, InvariantViolation) as exc:

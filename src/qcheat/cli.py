@@ -25,6 +25,7 @@ import numpy as np
 
 from . import attack as attacks
 from . import cointoss as coins
+from . import document as doc
 from . import protocol as proto
 from .fidelity import (
     OVERLAP_BYTES,
@@ -198,12 +199,12 @@ def emit_report(report: Report, fmt: str = "json", path=None) -> int:
 
 # kind -> (parse, emit as a document, the commands that take the kind)
 _KINDS = {
-    proto.KIND_COMMITMENT: (
-        lambda data, ov: proto.purify_protocol(proto.parse_protocol(data, param_overrides=ov)),
-        proto.protocol_to_document, "simulate, attack, sweep, or fidelity"),
-    proto.KIND_COIN: (
-        lambda data, ov: proto.parse_coin_protocol(data, param_overrides=ov),
-        proto.coin_to_document, "the cointoss command"),
+    doc.KIND_COMMITMENT: (
+        lambda data, ov: doc.purify_protocol(doc.parse_protocol(data, param_overrides=ov)),
+        doc.protocol_to_document, "simulate, attack, sweep, or fidelity"),
+    doc.KIND_COIN: (
+        lambda data, ov: doc.parse_coin_protocol(data, param_overrides=ov),
+        doc.coin_to_document, "the cointoss command"),
 }
 
 
@@ -214,10 +215,10 @@ def _resolve(source: str, want=None):
     A document of a kind other than ``want`` is refused, naming the
     commands that take it.
     """
-    data, overrides = proto.resolve_document(source)
-    kind = proto.document_kind(data)
+    data, overrides = doc.resolve_document(source)
+    kind = doc.document_kind(data)
     if want not in (None, kind):
-        raise proto.ProtocolError(
+        raise doc.ProtocolError(
             f"{data.get('name', source)!r} is a {kind} document; use {_KINDS[kind][2]}")
     return data, overrides, _KINDS[kind]
 
@@ -232,7 +233,7 @@ def _load(source: str, want: str):
 
 
 def _cmd_simulate(ns) -> Report:
-    p = _load(ns.protocol, proto.KIND_COMMITMENT)
+    p = _load(ns.protocol, doc.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
     delta = proto.commit_fidelity(p, custody, states)[0]
@@ -262,7 +263,7 @@ def _attack_fields(rep: attacks.AttackReport) -> dict:
 
 
 def _cmd_attack(ns) -> Report:
-    p = _load(ns.protocol, proto.KIND_COMMITMENT)
+    p = _load(ns.protocol, doc.KIND_COMMITMENT)
     rep = attacks.epr_attack(p, custody=ns.channel_custody)
     value = {"command": "attack", "protocol": rep.protocol_name,
              "channel_custody": rep.channel_custody, **_attack_fields(rep)}
@@ -293,7 +294,7 @@ _SWEEP_COLUMNS = ["param", "value", "delta", "fidelity", "achieved_overlap",
 
 def _cmd_sweep(ns) -> Report:
     grid = _parse_grid(ns.grid)
-    data, _, _ = _resolve(ns.protocol, proto.KIND_COMMITMENT)
+    data, _, _ = _resolve(ns.protocol, doc.KIND_COMMITMENT)
     points = attacks.attack_sweep(data, grid, param=ns.param, custody=ns.channel_custody)
     # _parse_grid refuses an empty grid, so there is a first point
     param = points[0].param
@@ -316,7 +317,7 @@ def _cmd_fidelity(ns) -> Report:
         raise ValueError("--povm-samples must be nonnegative")
     if samples and ns.seed < 0:
         raise ValueError("--seed must be nonnegative")
-    p = _load(ns.protocol, proto.KIND_COMMITMENT)
+    p = _load(ns.protocol, doc.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
     held = len(proto.bob_holding(p, custody))
     dim = 2 ** held
@@ -362,7 +363,7 @@ def _cmd_fidelity(ns) -> Report:
 
 def _cmd_cointoss(ns) -> Report:
     coins._check_tol(ns.ideal_tol, "--ideal-tol")
-    cp = _load(ns.protocol, proto.KIND_COIN)
+    cp = _load(ns.protocol, doc.KIND_COIN)
     verdict = coins.induction_report(
         cp, tol=ns.ideal_tol, allow_mixed_invalid=ns.allow_mixed_invalid)
     steps = []
@@ -394,7 +395,7 @@ def _cmd_cointoss(ns) -> Report:
 
 def _cmd_purify(ns) -> str:
     data, overrides, (parse, to_document, _) = _resolve(ns.protocol)
-    return proto.document_to_yaml(to_document(parse(data, overrides)))
+    return doc.document_to_yaml(to_document(parse(data, overrides)))
 
 
 # ---------------------------------------------------------------------------

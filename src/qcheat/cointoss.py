@@ -84,7 +84,7 @@ import numpy as np
 from . import qcore
 # load_coin_protocol and parse_coin_protocol stay cointoss names too: the
 # acceptance tests import one and the traced benchmark counts the other here
-from .protocol import (
+from .document import (
     ACTORS,
     COMPLETENESS_TOL,
     OUTCOME_LABELS,

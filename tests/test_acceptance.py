@@ -32,14 +32,16 @@ from qcheat.fidelity import (
     povm_overlap,
     random_povm,
 )
-from qcheat.protocol import (
-    bob_holding,
-    commit_custody,
-    enumerate_acceptance,
+from qcheat.document import (
     load_protocol,
     parse_protocol,
     purify_protocol,
     resolve_document,
+)
+from qcheat.protocol import (
+    bob_holding,
+    commit_custody,
+    enumerate_acceptance,
     run_commit,
     run_open,
 )

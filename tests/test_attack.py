@@ -13,16 +13,18 @@ import yaml
 
 from qcheat import attack, cli, fidelity, protocol, qcore, schmidt
 from qcheat.attack import AttackReport, attack_sweep, epr_attack, sweep_parameter
-from qcheat.protocol import (
-    TRACE_ROUTE_MAX_QUBITS,
+from qcheat.document import (
     ProtocolError,
-    alice_side,
-    bob_holding,
-    commit_custody,
     load_protocol,
     parse_protocol,
     purify_protocol,
     resolve_document,
+)
+from qcheat.protocol import (
+    TRACE_ROUTE_MAX_QUBITS,
+    alice_side,
+    bob_holding,
+    commit_custody,
     run_commit,
 )
 from qcheat.qcore import InvariantViolation, apply_unitary, partial_trace

@@ -13,11 +13,11 @@ import pytest
 import yaml
 
 from qcheat import attack as attacks
-from qcheat import cli
+from qcheat import cli, document
 from qcheat import fidelity as fid
 from qcheat import protocol as proto
 from qcheat.cointoss import parse_coin_protocol
-from qcheat.protocol import parse_protocol
+from qcheat.document import parse_protocol
 from qcheat.qcore import InvariantViolation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -491,8 +491,8 @@ def test_out_of_memory_is_input_error_under_1_gib(tmp_path, cli_under_1_gib):
             assert text.startswith("error: out of memory ("), (command, text)
 
 
-_CLI_WITH_LOADER = ("import sys, yaml; from qcheat import cli, protocol; "
-                    "protocol._YAML_LOADER = getattr(yaml, sys.argv[1]); "
+_CLI_WITH_LOADER = ("import sys, yaml; from qcheat import cli, document; "
+                    "document._YAML_LOADER = getattr(yaml, sys.argv[1]); "
                     "sys.exit(cli.main(sys.argv[2:]))")
 _LOADER_NAMES = ["SafeLoader"] + (["CSafeLoader"] if yaml.__with_libyaml__ else [])
 
@@ -620,9 +620,9 @@ def test_grid_count_at_the_cap_is_taken():
 
 def test_sweep_on_a_numeric_parameter_key(tmp_path, capsys):
     # YAML reads the key 1 as an int; the parser declares the parameter "1"
-    doc, _ = proto.resolve_document("bell-bc")
+    doc, _ = document.resolve_document("bell-bc")
     path = tmp_path / "numeric.yaml"
-    path.write_text(proto.document_to_yaml({**doc, "params": {1: 0.5}}), encoding="utf-8")
+    path.write_text(document.document_to_yaml({**doc, "params": {1: 0.5}}), encoding="utf-8")
     for extra in ([], ["--param", "1"]):
         assert cli.main(["sweep", "--protocol", str(path), "--grid", "0:1:2", *extra]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -21,7 +21,7 @@ from qcheat.cointoss import (
     truncate_last_round,
     validate_walk,
 )
-from qcheat.protocol import (
+from qcheat.document import (
     COMPLETENESS_TOL,
     PROJECTOR_TOL,
     MeasureOp,

@@ -1,6 +1,6 @@
 """libyaml's emitter and PyYAML's pure-Python one write the same documents.
 
-``document_to_yaml`` emits through ``protocol._YAML_DUMPER``; each test
+``document_to_yaml`` emits through ``document._YAML_DUMPER``; each test
 patches it to each dumper, as ``tests/test_loader.py`` patches the loader,
 and compares the bytes.  Every document qcheat emits has fixed field names
 as keys, so the awkward text goes into the values: the name, a result
@@ -10,9 +10,8 @@ label and a classical control.
 import pytest
 import yaml
 
-from qcheat import cli
-from qcheat import protocol
-from qcheat.protocol import BUILTIN_NAMES, document_to_yaml
+from qcheat import cli, document
+from qcheat.document import BUILTIN_NAMES, document_to_yaml
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
                                    reason="PyYAML was built without libyaml")
@@ -21,7 +20,7 @@ needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
 def _emitted_by_both(monkeypatch, doc) -> str:
     texts = []
     for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
-        monkeypatch.setattr(protocol, "_YAML_DUMPER", dumper)
+        monkeypatch.setattr(document, "_YAML_DUMPER", dumper)
         texts.append(document_to_yaml(doc))
     assert texts[0] == texts[1]
     return texts[0]
@@ -29,7 +28,7 @@ def _emitted_by_both(monkeypatch, doc) -> str:
 
 def test_dumper_is_libyaml_when_pyyaml_has_it():
     expected = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
-    assert protocol._YAML_DUMPER is expected
+    assert document._YAML_DUMPER is expected
 
 
 def _purified(source):
@@ -43,7 +42,7 @@ def test_shipped_documents_and_their_purify_output_emit_alike(monkeypatch, name)
     data, purified = _purified(name)
     _emitted_by_both(monkeypatch, data)
     text = _emitted_by_both(monkeypatch, purified)
-    assert protocol._load_yaml(text) == purified
+    assert document._load_yaml(text) == purified
 
 
 @needs_libyaml

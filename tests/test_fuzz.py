@@ -17,10 +17,10 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qcheat import cli, protocol
-from qcheat.protocol import BUILTIN_NAMES
+from qcheat import cli, document
+from qcheat.document import BUILTIN_NAMES
 
-TEXTS = {name: protocol._builtin_text(name) for name in BUILTIN_NAMES}
+TEXTS = {name: document._builtin_text(name) for name in BUILTIN_NAMES}
 COMMANDS = {
     "bit-commitment": (["attack"], ["simulate"], ["fidelity"],
                        ["sweep", "--grid", "0:1:2"], ["purify"]),

@@ -5,8 +5,8 @@ import re
 import pytest
 import yaml
 
-from qcheat import cli, protocol
-from qcheat.protocol import BUILTIN_NAMES, ProtocolError, load_protocol
+from qcheat import cli, document
+from qcheat.document import BUILTIN_NAMES, ProtocolError, load_protocol
 
 LOADERS = [
     pytest.param("CSafeLoader", marks=pytest.mark.skipif(
@@ -17,7 +17,7 @@ LOADERS = [
 
 def _texts(gen):
     """{name: YAML text} of every built-in and every generated workload document."""
-    texts = {name: protocol._builtin_text(name) for name in BUILTIN_NAMES}
+    texts = {name: document._builtin_text(name) for name in BUILTIN_NAMES}
     docs = {**gen.ladder_documents(1), **gen.coin_documents(1, 8),
             **gen.coin_documents(1, 128)}
     texts.update((name, gen.to_yaml(doc)) for name, doc in docs.items())
@@ -36,7 +36,7 @@ def test_c_and_python_loaders_build_equal_documents(perfbench_gen):
 
 def test_loader_is_libyaml_when_pyyaml_has_it():
     expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    assert protocol._YAML_LOADER is expected
+    assert document._YAML_LOADER is expected
 
 
 MALFORMED = {
@@ -52,9 +52,9 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_yaml_is_located_alike_by_both_loaders(monkeypatch, loader, case):
     text, line, column = MALFORMED[case]
-    monkeypatch.setattr(protocol, "_YAML_LOADER", getattr(yaml, loader))
+    monkeypatch.setattr(document, "_YAML_LOADER", getattr(yaml, loader))
     with pytest.raises(ProtocolError) as info:
-        protocol._load_yaml(text)
+        document._load_yaml(text)
     where = re.match(r"YAML syntax error at line (\d+), column (\d+): ", str(info.value))
     assert where is not None, str(info.value)
     assert (int(where[1]), int(where[2])) == (line, column)

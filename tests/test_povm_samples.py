@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcheat import cli
+from qcheat import cli, document
 from qcheat import fidelity as fid
 from qcheat import protocol as proto
 from qcheat.fidelity import (
@@ -153,7 +153,7 @@ def test_a_chunk_boundary_keeps_the_report_bytes(monkeypatch, tmp_path):
             "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     whole = (tmp_path / "report.json").read_bytes()
-    p = proto.load_protocol("bb84-bc")
+    p = document.load_protocol("bb84-bc")
     dim = 2 ** len(proto.bob_holding(p, proto.commit_custody(p)))
     _chunks_of(monkeypatch, 3, dim, dim + 1, 7)
     counts = []

@@ -7,20 +7,14 @@ import numpy as np
 import pytest
 import yaml
 
-from qcheat import cli, protocol, qcore
+from qcheat import cli, document, protocol, qcore
 from qcheat.attack import epr_attack
-from qcheat.protocol import (
+from qcheat.document import (
     BUILTIN_NAMES,
     MeasureOp,
     Projector,
     ProtocolError,
-    alice_side,
-    bob_holding,
-    commit_custody,
-    commit_delta,
     document_to_yaml,
-    enumerate_acceptance,
-    enumerate_branches,
     load_coin_protocol,
     load_protocol,
     parse_coin_protocol,
@@ -28,6 +22,14 @@ from qcheat.protocol import (
     protocol_to_document,
     purify_protocol,
     resolve_document,
+)
+from qcheat.protocol import (
+    alice_side,
+    bob_holding,
+    commit_custody,
+    commit_delta,
+    enumerate_acceptance,
+    enumerate_branches,
     run_commit,
     run_open,
 )
@@ -672,14 +674,14 @@ def test_accept_states_rules_form_the_dense_recipe_bit_for_bit(monkeypatch, perf
     # bit, on every accept_states rule: purify's matrix rows and Bob's
     # acceptance values stay those of the dense recipe
     parsed = []
-    real = protocol._parse_projector
+    real = document._parse_projector
 
     def spy(spec, scope, loc, **kwargs):
         rule = real(spec, scope, loc, **kwargs)
         parsed.append((spec, scope, rule))
         return rule
 
-    monkeypatch.setattr(protocol, "_parse_projector", spy)
+    monkeypatch.setattr(document, "_parse_projector", spy)
     docs = [resolve_document(name)[0] for name in BUILTIN_NAMES]
     docs += [*perfbench_gen.ladder_documents(1).values(),
              *perfbench_gen.coin_documents(1, 16).values()]
@@ -689,7 +691,7 @@ def test_accept_states_rules_form_the_dense_recipe_bit_for_bit(monkeypatch, perf
     for spec, scope, rule in parsed:
         if "accept_states" not in spec:
             continue
-        gates = protocol._parse_ops(spec.get("gates", []), scope, "gates", rule.qubits, "")
+        gates = document._parse_ops(spec.get("gates", []), scope, "gates", rule.qubits, "")
         circuit = qcore._circuit_matrix(gates, rule.qubits)
         mask = np.zeros(len(circuit))
         mask[[int(state, 2) for state in spec["accept_states"]]] = 1.0

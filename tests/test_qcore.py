@@ -27,7 +27,7 @@ from qcheat.qcore import (
     partial_trace,
     zero_state,
 )
-from qcheat.protocol import MeasureOp
+from qcheat.document import MeasureOp
 from qcheat.schmidt import schmidt_decompose
 
 SQ2 = 1.0 / math.sqrt(2.0)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from qcheat import cli, protocol
+from qcheat import cli, document
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -45,7 +45,7 @@ def test_shipped_reports_match_recorded_digests(perfbench_gen, tmp_path):
 
 def test_shipped_reports_match_recorded_digests_with_the_python_loader(
         perfbench_gen, tmp_path, monkeypatch):
-    monkeypatch.setattr(protocol, "_YAML_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(document, "_YAML_LOADER", yaml.SafeLoader)
     digests = report_digests(perfbench_gen.shipped_ops(), tmp_path / "report.out")
     assert digests == _expected()
 

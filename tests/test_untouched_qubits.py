@@ -16,14 +16,8 @@ import pytest
 
 from qcheat import cointoss, qcore
 from qcheat.cointoss import parse_coin_protocol
-from qcheat.protocol import (
-    commit_fidelity,
-    enumerate_branches,
-    load_protocol,
-    parse_protocol,
-    purify_protocol,
-    run_commit,
-)
+from qcheat.document import load_protocol, parse_protocol, purify_protocol
+from qcheat.protocol import commit_fidelity, enumerate_branches, run_commit
 from qcheat.qcore import zero_state
 
 
@@ -121,7 +115,8 @@ def test_first_round_contracts_only_the_qubits_it_reached(perfbench_gen, monkeyp
 
 _COMMIT_DIGESTS = """
 import hashlib, json, gen
-from qcheat.protocol import parse_protocol, run_commit
+from qcheat.document import parse_protocol
+from qcheat.protocol import run_commit
 digests = {}
 for name, doc in gen.ladder_documents(1, sizes=(13, 14)).items():
     p = parse_protocol(doc)
@@ -151,7 +146,8 @@ def test_commit_states_do_not_depend_on_blas_threads():
 
 _OPEN_DIGESTS = """
 import hashlib, json, gen
-from qcheat.protocol import open_state, parse_protocol, run_commit
+from qcheat.document import parse_protocol
+from qcheat.protocol import open_state, run_commit
 digests = {}
 for name, doc in gen.ladder_documents(1, sizes=(13, 14)).items():
     p = parse_protocol(doc)

@@ -1,6 +1,6 @@
 """Document values: ``_load_yaml`` builds what PyYAML's SafeConstructor builds.
 
-``protocol._built`` makes strings, bools, plain ints, point floats, lists
+``document._built`` makes strings, bools, plain ints, point floats, lists
 and dicts from the parser's events and leaves every other document whole
 to PyYAML.  These tests hold it to ``yaml.load(text, Loader=yaml.SafeLoader)``
 type for type (``True == 1 == 1.0`` in Python, so ``==`` alone would pass
@@ -16,8 +16,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from yaml.constructor import BaseConstructor, SafeConstructor
 
-from qcheat import cli, protocol
-from qcheat.protocol import BUILTIN_NAMES, ProtocolError
+from qcheat import cli, document
+from qcheat.document import BUILTIN_NAMES, ProtocolError
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
@@ -148,12 +148,12 @@ def test_load_matches_pyyaml_type_for_type(text):
         error = ("mapping", None)
     event(f"pyyaml: {error[0] + ' error' if error else 'built'}")
     for loader in LOADERS:
-        with mock.patch.object(protocol, "_YAML_LOADER", loader):
+        with mock.patch.object(document, "_YAML_LOADER", loader):
             if error is None:
-                assert same(protocol._load_yaml(text), value, {}), (loader, text)
+                assert same(document._load_yaml(text), value, {}), (loader, text)
                 continue
             with pytest.raises(ProtocolError) as info:
-                protocol._load_yaml(text)
+                document._load_yaml(text)
         message = str(info.value)
         if error[0] == "mapping":
             assert message == "protocol document must be a mapping", (loader, text)
@@ -165,8 +165,8 @@ def test_load_matches_pyyaml_type_for_type(text):
 
 
 # Probes whose messages depend on the value types: the CLI's exit 2 and stderr
-BELL = protocol._builtin_text("bell-bc")
-GUESS = protocol._builtin_text("guess-ct")
+BELL = document._builtin_text("bell-bc")
+GUESS = document._builtin_text("guess-ct")
 PROBES = {
     "yes-key": ("attack", BELL + "yes: 1\n", "error: unknown field True\n"),
     "null-key": ("attack", BELL + "~: 1\n", "error: unknown field None\n"),
@@ -208,40 +208,40 @@ def test_shipped_and_workload_documents_never_reach_safeconstructor(
     monkeypatch.setattr(SafeConstructor, "construct_object",
                         lambda self, node, deep=False: calls.append(node) or real(
                             self, node, deep))
-    monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
+    monkeypatch.setattr(document, "_YAML_LOADER", loader)
     # the counter sees a document PyYAML builds whole: a null is not built
     # by _built, so its whole document is PyYAML's, the root first
-    protocol._load_yaml("a: ~\n")
+    document._load_yaml("a: ~\n")
     assert [node.tag.replace("tag:yaml.org,2002:", "!!") for node in calls] == [
         "!!map", "!!str", "!!null"]
     calls.clear()
-    protocol._load_yaml("a: !!set {x}\n")
+    document._load_yaml("a: !!set {x}\n")
     assert len(calls) > 1
     calls.clear()
     for name in BUILTIN_NAMES:
-        protocol.resolve_document(name)
+        document.resolve_document(name)
     docs = {**perfbench_gen.coin_documents(1, 128), **perfbench_gen.ladder_documents(1)}
     for doc in docs.values():
-        protocol._load_yaml(perfbench_gen.to_yaml(doc))
+        document._load_yaml(perfbench_gen.to_yaml(doc))
     assert calls == []
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
 def test_nesting_is_capped_with_one_message_under_both_loaders(monkeypatch, loader):
-    monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
+    monkeypatch.setattr(document, "_YAML_LOADER", loader)
     # the root is level 1 and "a: " puts the first "[" at column 4
-    levels = protocol._MAX_DEPTH
-    assert protocol._load_yaml("a: " + "[" * (levels - 1) + "]" * (levels - 1))
+    levels = document._MAX_DEPTH
+    assert document._load_yaml("a: " + "[" * (levels - 1) + "]" * (levels - 1))
     for deeper in (levels, 2 * levels):
         with pytest.raises(ProtocolError) as info:
-            protocol._load_yaml("a: " + "[" * deeper + "]" * deeper)
+            document._load_yaml("a: " + "[" * deeper + "]" * deeper)
         column = levels + 2
         assert str(info.value) == (
             f"YAML syntax error at line 1, column {column}: found a node nested deeper "
             f"than {levels} levels\n  in \"<unicode string>\", line 1, column {column}")
     # the count goes back down as composing climbs out: many shallow lists load
     wide = "\n".join(f"k{i}: " + "[" * 40 + "]" * 40 for i in range(levels))
-    assert len(protocol._load_yaml(wide)) == levels
+    assert len(document._load_yaml(wide)) == levels
 
 
 # Spellings whose type PyYAML's resolver decides, each as a mapping's value,
@@ -271,12 +271,12 @@ def _edge_id(case: str) -> str:
 def test_edge_forms_load_as_pyyaml_loads_them(monkeypatch, loader, case):
     text = _edge_text(case)
     value, error = pyyaml_load(text)
-    monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
+    monkeypatch.setattr(document, "_YAML_LOADER", loader)
     if error is None:
-        assert same(protocol._load_yaml(text), value, {}), text
+        assert same(document._load_yaml(text), value, {}), text
         return
     with pytest.raises(ProtocolError) as info:
-        protocol._load_yaml(text)
+        document._load_yaml(text)
     found = re.match(r"YAML (syntax|value) error at (line \d+, column \d+): ", str(info.value))
     assert found is not None and (found[1], found[2]) == error, str(info.value)
 
@@ -289,21 +289,21 @@ def test_event_builder_falls_back_only_where_it_must(monkeypatch, perfbench_gen,
     real = BaseConstructor.get_single_data
     monkeypatch.setattr(BaseConstructor, "get_single_data",
                         lambda self: loads.append(self) or real(self))
-    monkeypatch.setattr(protocol, "_YAML_LOADER", loader)
+    monkeypatch.setattr(document, "_YAML_LOADER", loader)
     for name in BUILTIN_NAMES:
-        protocol.resolve_document(name)
+        document.resolve_document(name)
     docs = {**perfbench_gen.coin_documents(1, 128), **perfbench_gen.ladder_documents(1)}
     for doc in docs.values():
-        protocol._load_yaml(perfbench_gen.to_yaml(doc))
+        document._load_yaml(perfbench_gen.to_yaml(doc))
     assert loads == []
-    deep = protocol._MAX_DEPTH + 1
+    deep = document._MAX_DEPTH + 1
     left = {"a: ~\n": True, "a: !!set {x}\n": True, "a: 1\n---\nb: 2\n": False,
             "a: 1\na: 2\n": True, "a: " + "[" * deep + "]" * deep: False}
     for text, loads_whole in left.items():
         loads.clear()
         if loads_whole:
-            protocol._load_yaml(text)
+            document._load_yaml(text)
         else:
             with pytest.raises(ProtocolError):
-                protocol._load_yaml(text)
+                document._load_yaml(text)
         assert len(loads) == 1, text
