@@ -21,7 +21,7 @@ the last round back: gate applications are linear in the round count.
 Each step runs on coefficient matrices, as the attack does, and takes its
 fidelities by Uhlmann's theorem (Uhlmann 1976; Jozsa, J. Mod. Opt. 41,
 1994).  The sender's rules are isometries V with P = V V^dagger: a document
-rule's V is built by the parser (see ``protocol.Projector``), and every
+rule's V is built by the parser (see ``document.Projector``), and every
 later rule's by the step before, so no step takes an ``eigh``.  For each
 label, V^dagger contracted into psi_k and cut with rows on the receiver's
 machine gives X with X X^dagger = p rho: p = ||X||_F^2 is the label's
@@ -49,7 +49,7 @@ formed, and the checks those made stay at every step:
 route the tests compare against.  psi_k is cut by ``qcore._split``, with
 rows on the receiver and the rule qubits leading the columns.
 
-``protocol.parse_coin_protocol`` checks each invariant of a document once,
+``document.parse_coin_protocol`` checks each invariant of a document once,
 and ``truncate_last_round`` keeps each by construction.
 Deleting the last round leaves the rounds alternating and measurement-free,
 and both actors get rules under the same three labels.  The receiver, who

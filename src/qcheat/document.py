@@ -847,8 +847,7 @@ def _front_matter(document, kind, top_keys, overrides):
         if unknown:
             raise ProtocolError(f"override for undeclared parameter {unknown[0]!r}",
                                 "params")
-        params.update({k: _as_number(float(v), f"params.{k}")
-                       for k, v in overrides.items()})
+        params.update({k: _as_number(v, f"params.{k}") for k, v in overrides.items()})
     scope = _Scope(partition, {**params, "pi": math.pi})
     return data, name, scope, tuple(owners), declared, params
 

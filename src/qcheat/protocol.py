@@ -1,12 +1,9 @@
-"""Bit commitment's honest execution, channel custody, the concealment
-defect and the exact branch oracle, all on a parsed ``document.Protocol``.
+"""Bit commitment's honest execution on a parsed ``document.Protocol``.
 
-The commit and open phases run as closed unitary circuits, so a document
-that measures goes through ``purify_protocol`` first.  Bob's views of the
-two honest commit states give the concealment defect delta = 1 - F.  For a
-document that measures, ``enumerate_branches`` runs every classical branch
-of an honest run with the measurements taken literally, which checks
-purification against the document as written.
+The commit and open phases run as closed unitary circuits (``purify_protocol``
+first when a document measures).  Bob's two commit views give the concealment
+defect delta = 1 - F.  ``enumerate_branches`` takes measurements literally:
+it is the oracle that purification is checked against.
 """
 
 from __future__ import annotations
@@ -15,13 +12,13 @@ import itertools
 import math
 
 import numpy as np
-# the benchmark's tracer swaps this module's ``yaml`` for a counting proxy
+# perfbench/spans.py swaps this module's ``yaml`` for a counting proxy
 import yaml  # noqa: F401
 
 from . import qcore
 # the names this module's own code uses
 from .document import ACTORS, MeasureOp, Protocol, other_actor
-# the benchmark's tracer looks these up here and counts them as protocol's
+# perfbench/spans.py looks these up here and counts them as protocol's
 from .document import Projector, parse_protocol, purify_protocol, resolve_document  # noqa: F401
 from .fidelity import fidelity_trace
 from .qcore import GateOp, PureState

@@ -661,9 +661,15 @@ def mutual_information(state: PureState, a_side) -> float:
 
 
 def _check_register(num_qubits) -> int:
-    if not 1 <= num_qubits <= MAX_QUBITS:
+    """``num_qubits`` as an int in 1..MAX_QUBITS.  Any integer is taken,
+    numpy's too; a bool or a float raises ``ValueError``."""
+    try:
+        n = 0 if isinstance(num_qubits, bool) else operator.index(num_qubits)
+    except TypeError:
+        n = 0
+    if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {num_qubits}")
-    return num_qubits
+    return n
 
 
 def zero_state(num_qubits: int) -> PureState:

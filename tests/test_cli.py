@@ -491,7 +491,12 @@ def test_out_of_memory_is_input_error_under_1_gib(tmp_path, cli_under_1_gib):
             assert text.startswith("error: out of memory ("), (command, text)
 
 
+# The child sets the loader the package reads and exits 1 if that attribute
+# is gone: assigning a name the module does not bind would leave every child
+# on the default loader, and the SafeLoader leg would pass without running.
 _CLI_WITH_LOADER = ("import sys, yaml; from qcheat import cli, document; "
+                    "hasattr(document, '_YAML_LOADER') or "
+                    "sys.exit('document._YAML_LOADER is not bound'); "
                     "document._YAML_LOADER = getattr(yaml, sys.argv[1]); "
                     "sys.exit(cli.main(sys.argv[2:]))")
 _LOADER_NAMES = ["SafeLoader"] + (["CSafeLoader"] if yaml.__with_libyaml__ else [])

@@ -1,8 +1,12 @@
-"""Every public name the package exports exists, once."""
+"""Every public name the package exports exists, once, and each module of
+the document layer has one home."""
 
+import ast
+import inspect
 import types
 
 import qcheat
+from qcheat import document, protocol
 
 
 def test_every_export_resolves_and_appears_once():
@@ -17,3 +21,26 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package():
     bound = {name for name, value in vars(qcheat).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(qcheat.__all__) == bound | {"__version__"}
+
+
+def test_protocol_binds_no_private_name_of_document():
+    # document's internals have one home; protocol imports only public names
+    private = {name for name in vars(document)
+               if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private & set(vars(protocol))) == []
+
+
+def test_document_does_not_import_protocol():
+    # protocol runs what document parses; the reverse import would be a cycle
+    for node in ast.walk(ast.parse(inspect.getsource(document))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "protocol"
+            assert "protocol" not in [alias.name for alias in node.names]
+
+
+def test_only_document_reads_or_writes_yaml():
+    # protocol binds yaml only for the benchmark's tracer and calls nothing on it
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(protocol)))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "yaml"]
+    assert calls == []

@@ -85,6 +85,20 @@ def test_resolve_positional_parameter():
     assert p.params["theta"] == 0.5
 
 
+@pytest.mark.parametrize("value, message", [
+    (10 ** 400, "expected a finite number"),
+    (True, "expected a number"),
+    ("0.5", "expected a number"),
+], ids=["huge-int", "bool", "string"])
+def test_overrides_are_read_as_document_params_are(value, message):
+    # an override once went through float() first: 10**400 raised a bare
+    # OverflowError, True read as 1.0 and "0.5" as 0.5
+    doc, _ = resolve_document("leaky-bc")
+    with pytest.raises(ProtocolError, match=message) as caught:
+        parse_protocol(doc, param_overrides={"theta": value})
+    assert caught.value.location == "params.theta"
+
+
 def test_resolve_rejects_positional_on_parameterless_builtin():
     with pytest.raises(ProtocolError, match="exactly one positional parameter"):
         resolve_document("bell-bc(0.3)")

@@ -535,6 +535,23 @@ def test_apply_circuit_from_a_register_size_equals_the_zero_state():
             apply_circuit(bad, [GateOp("H", (0,))])
 
 
+@pytest.mark.parametrize("size", [True, False, 2.5, 3.0, np.float64(2.0), np.bool_(True), "3"],
+                         ids=["True", "False", "2.5", "3.0", "np.float64", "np.bool_", "str"])
+def test_a_register_size_must_be_an_integer(size):
+    # a bool once made a 1-qubit register and a float failed inside numpy
+    with pytest.raises(ValueError, match=f"num_qubits must be 1..{MAX_QUBITS}"):
+        zero_state(size)
+    with pytest.raises(ValueError, match=f"num_qubits must be 1..{MAX_QUBITS}"):
+        apply_circuit(size, [GateOp("X", (0,))])
+
+
+def test_a_register_size_may_be_a_numpy_integer():
+    assert zero_state(np.int64(3)).num_qubits == 3
+    state = apply_circuit(np.int64(2), [GateOp("X", (0,))])
+    assert state.num_qubits == 2 and type(state.num_qubits) is int
+    assert np.array_equal(state.amplitudes, [0, 0, 1, 0])
+
+
 def test_apply_circuit_checks_every_op_before_applying():
     state = zero_state(3)
     fine = [GateOp("H", (0,)), GateOp("CX", (0, 1))]

@@ -58,7 +58,16 @@ def test_protocol_loads_yaml_through_a_module_attribute():
       "protocol.Projector.expectation": 3}),
     (["purify", "--protocol", "guess-ct"],
      {"protocol.resolve_document": 1, "cointoss.parse_coin_protocol": 1}),
-], ids=["cointoss", "attack", "purify"])
+    (["sweep", "--protocol", "leaky-bc(0.5)", "--grid", "0:1:3"],
+     {"protocol.resolve_document": 1, "protocol.parse_protocol": 4,
+      "protocol.purify_protocol": 3, "protocol.run_commit": 6, "protocol.run_open": 9,
+      "protocol.Projector.expectation": 9, "attack.epr_attack": 3,
+      "attack.attack_sweep": 1}),
+    (["simulate", "--protocol", "bb84-bc"],
+     {"protocol.resolve_document": 1, "protocol.parse_protocol": 1,
+      "protocol.purify_protocol": 1, "protocol.run_commit": 2,
+      "protocol.Projector.expectation": 4}),
+], ids=["cointoss", "attack", "purify", "sweep", "simulate"])
 def test_traced_functions_see_the_calls_of_a_cli_op(tmp_path, argv, expected):
     # every call must reach a traced name through a module attribute: a
     # function kept in a table would bypass the wrapper and count 0
