@@ -91,8 +91,8 @@ def test_resolve_positional_parameter():
     ("0.5", "expected a number"),
 ], ids=["huge-int", "bool", "string"])
 def test_overrides_are_read_as_document_params_are(value, message):
-    # an override once went through float() first: 10**400 raised a bare
-    # OverflowError, True read as 1.0 and "0.5" as 0.5
+    # through float() first, 10**400 would raise a bare OverflowError, True
+    # would read as 1.0 and "0.5" as 0.5
     doc, _ = resolve_document("leaky-bc")
     with pytest.raises(ProtocolError, match=message) as caught:
         parse_protocol(doc, param_overrides={"theta": value})

@@ -538,7 +538,7 @@ def test_apply_circuit_from_a_register_size_equals_the_zero_state():
 @pytest.mark.parametrize("size", [True, False, 2.5, 3.0, np.float64(2.0), np.bool_(True), "3"],
                          ids=["True", "False", "2.5", "3.0", "np.float64", "np.bool_", "str"])
 def test_a_register_size_must_be_an_integer(size):
-    # a bool once made a 1-qubit register and a float failed inside numpy
+    # read as is, a bool makes a 1-qubit register and a float fails inside numpy
     with pytest.raises(ValueError, match=f"num_qubits must be 1..{MAX_QUBITS}"):
         zero_state(size)
     with pytest.raises(ValueError, match=f"num_qubits must be 1..{MAX_QUBITS}"):
