@@ -20,17 +20,9 @@ from . import protocol as proto
 from .document import Protocol, ProtocolError
 from .qcore import InvariantViolation
 
-PROBABILITY_DUST = 1e-9
 PROBABILITY_CEILING = 1.0 + 1e-9
 OVERLAP_IDENTITY_TOL = 1e-6
 CHEAT_BOUND_TOL = 1e-9
-
-
-def _clamp_probability(value: float) -> float:
-    """Zero out negative numerical dust; anything worse is a real violation."""
-    if -PROBABILITY_DUST <= value < 0.0:
-        return 0.0
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -90,8 +82,8 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
     # report's overlap = 1 - delta check holds it against a second number
     cheat_state = rotation.cheat_state()
     overlap = float(abs(np.vdot(states[1].amplitudes, cheat_state.amplitudes)))
-    honest = tuple(_clamp_probability(proto.run_open(p, states[b], b)) for b in (0, 1))
-    cheat = _clamp_probability(proto.run_open(p, cheat_state, 1))
+    honest = tuple(proto.run_open(p, states[b], b) for b in (0, 1))
+    cheat = proto.run_open(p, cheat_state, 1)
 
     return AttackReport(
         protocol_name=p.name, channel_custody=custody, delta=delta,
@@ -124,10 +116,11 @@ def sweep_parameter(p: Protocol, param=None) -> str:
 
 
 def attack_sweep(source, grid, *, param=None, custody=None):
-    """Run epr_attack across a parameter grid; per-point failures stay in-row.
+    """Run epr_attack across a parameter grid; per-point input errors stay in-row.
 
     A document that does not parse at its declared parameters raises
-    before the grid runs, rather than copying one error into every row.
+    before the grid runs, rather than copying one error into every row.  A
+    broken invariant at any point is not an input error, and propagates.
     """
     document = source if isinstance(source, dict) else doc.resolve_document(source)[0]
     param = sweep_parameter(doc.parse_protocol(document), param)
@@ -139,6 +132,6 @@ def attack_sweep(source, grid, *, param=None, custody=None):
             p = doc.purify_protocol(p)
             report = epr_attack(p, custody=custody)
             points.append(SweepPoint(param, value, report, None))
-        except (ValueError, InvariantViolation) as exc:
+        except ValueError as exc:
             points.append(SweepPoint(param, value, None, str(exc)))
     return points

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def _render_json(value) -> str:
     json.dumps formats floats with repr, so the tree is rendered by hand, in
     one pass that appends to a single list of fragments.  Scalars dispatch
     on their exact type; any other type (a numpy scalar, a subclass) takes
-    ``_json_scalar``.  Each key's text is cached by key and type.
+    ``_json_scalar``.  A key's text is json.dumps's text of ``str(key)``.
     """
     out = []
     _render_into(value, "\n", out)
@@ -105,7 +105,7 @@ def _render_into(value, newline: str, out: list):
         inner = newline + "  "
         sep = "{" + inner
         for key, item in value.items():
-            out += (sep, _key_text(key), ": ")
+            out += (sep, encode_basestring_ascii(str(key)), ": ")
             _render_into(item, inner, out)
             sep = "," + inner
         out.append(newline + "}" if value else "{}")
@@ -124,17 +124,11 @@ def _render_into(value, newline: str, out: list):
 # exact types only: a bool is no int here, and a numpy scalar goes to _json_scalar
 _SCALAR_TEXT = {
     float: _format_float,
-    str: json.encoder.encode_basestring_ascii,
+    str: encode_basestring_ascii,
     int: int.__repr__,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
-
-
-# typed: True and 1.0 are equal keys with different text
-@functools.lru_cache(maxsize=1024, typed=True)
-def _key_text(key) -> str:
-    return json.dumps(str(key))
 
 
 def _csv_cells(record: dict) -> dict:

@@ -37,6 +37,7 @@ from .qcore import GateOp, InvariantViolation, Partition, PureState
 
 PROJECTOR_TOL = 1e-8
 COMPLETENESS_TOL = 1e-8
+PROBABILITY_DUST = 1e-9
 
 ACTORS = ("alice", "bob")
 BUILTIN_NAMES = ("bell-bc", "bb84-bc", "leaky-bc", "ideal-ct", "guess-ct")
@@ -122,11 +123,18 @@ class Projector:
         return self.isometry @ self.isometry.conj().T
 
     def expectation(self, state: PureState) -> float:
+        """<psi, P psi>, the probability that ``state`` passes P, the one
+        place a probability is read from a projector.  A value in
+        [-PROBABILITY_DUST, 0) is rounding and reads as 0.0; a lower value,
+        or NaN, raises InvariantViolation."""
         # <psi, (V V^dagger) psi>, not ||V^dagger psi||^2: the two round
         # differently, and the report bytes are those of this form
         projected = qcore._apply_matrix(
             state.amplitudes, self.matrix, self.qubits, state.num_qubits)
-        return float(np.real(np.vdot(state.amplitudes, projected)))
+        value = float(np.real(np.vdot(state.amplitudes, projected)))
+        if not value >= -PROBABILITY_DUST:
+            raise InvariantViolation(f"projector expectation {value!r} is not a probability")
+        return max(value, 0.0)
 
     def lifted(self, space: tuple) -> np.ndarray:
         """V x I on ``space``, a sorted superset of ``qubits``, with its row
@@ -737,8 +745,6 @@ def _parse_projector(spec, scope, loc, *, default_qubits, allowed, allow_zero=Fa
             raise ProtocolError("qubits must be strictly increasing", _loc(loc, "qubits"))
     else:
         qubits = tuple(default_qubits)
-        if not qubits:
-            raise ProtocolError("no default qubits available; give an explicit list", loc)
     k = len(qubits)
     if k > qcore.MAX_SIDE_QUBITS:
         raise ProtocolError(f"projector on {k} qubits; the cap is {qcore.MAX_SIDE_QUBITS}", loc)
@@ -917,7 +923,7 @@ def parse_coin_protocol(document, *, param_overrides=None) -> CoinProtocol:
 
     rounds, _ = _parse_rounds(_req(data, "rounds", ""), scope, "rounds", strict_alternation=True)
     owners = list(owners)
-    partition, rounds = _purify_round_list(scope.partition, owners, {}, rounds)
+    partition, rounds = _purify_round_list(scope.partition, owners, {}, rounds, "rounds")
     # outcome rules read the purified register, ancillas included
     scope = replace(scope, partition=partition)
 
@@ -992,39 +998,43 @@ def purify_protocol(p: Protocol) -> Protocol:
     partition = p.partition
     owners = list(p.ancilla_owners)
     recorded = {}
-    partition, commit = _purify_round_list(partition, owners, recorded, p.commit_rounds)
-    partition, opened = _purify_round_list(partition, owners, recorded, p.open_rounds)
+    partition, commit = _purify_round_list(
+        partition, owners, recorded, p.commit_rounds, "commit_rounds")
+    partition, opened = _purify_round_list(
+        partition, owners, recorded, p.open_rounds, "open_rounds")
     return replace(p, partition=partition, commit_rounds=commit,
                    open_rounds=opened, ancilla_owners=tuple(owners))
 
 
-def _purify_round_list(partition, owners, recorded, rounds):
-    """One compiler pass over a round list; mutates ``owners`` and ``recorded``."""
+def _purify_round_list(partition, owners, recorded, rounds, loc):
+    """One compiler pass over the round list at field ``loc``, naming the op
+    a refusal is at; mutates ``owners`` and ``recorded``."""
     new_rounds = []
-    for rnd in rounds:
+    for i, rnd in enumerate(rounds):
         new_ops = []
-        for op in rnd.ops:
+        for j, op in enumerate(rnd.ops):
             if isinstance(op, MeasureOp):
                 ancillas = []
                 for target in op.targets:
                     anc = partition.num_qubits
                     if anc >= qcore.MAX_QUBITS:
-                        raise ProtocolError(
-                            f"purification exceeds the {qcore.MAX_QUBITS}-qubit cap")
+                        raise ProtocolError(f"purification exceeds the {qcore.MAX_QUBITS}-"
+                                            "qubit cap", f"{loc}[{i}].ops[{j}]")
                     partition = partition.add_ancilla(rnd.actor)
                     owners.append(rnd.actor)
                     ancillas.append(anc)
                     new_ops.append(GateOp("CX", (target, anc)))
                 recorded[op.result_id] = tuple(ancillas)
             elif op.control_classical is not None:
-                new_ops.append(_compile_control(op, recorded[op.control_classical]))
+                new_ops.append(_compile_control(op, recorded[op.control_classical],
+                                                f"{loc}[{i}].ops[{j}]"))
             else:
                 new_ops.append(op)
         new_rounds.append(Round(rnd.actor, tuple(new_ops), rnd.allow_consecutive))
     return partition, tuple(new_rounds)
 
 
-def _compile_control(op: GateOp, ancillas) -> GateOp:
+def _compile_control(op: GateOp, ancillas, loc) -> GateOp:
     base = GateOp(op.kind, op.targets, param=op.param, matrix=op.matrix)
     if len(ancillas) == 1 and op.kind == "X":
         return GateOp("CX", (ancillas[0],) + op.targets)
@@ -1034,7 +1044,7 @@ def _compile_control(op: GateOp, ancillas) -> GateOp:
     if total > qcore.MAX_RAW_TARGETS:
         raise ProtocolError(
             f"classically controlled {op.kind} needs {total} qubits as a raw "
-            f"controlled gate; the basis caps raw gates at {qcore.MAX_RAW_TARGETS}")
+            f"controlled gate; the basis caps raw gates at {qcore.MAX_RAW_TARGETS}", loc)
     unitary = qcore.gate_matrix(base)
     dim = 2 ** total
     block = unitary.shape[0]

@@ -56,6 +56,13 @@ def _as_matrix(rho) -> np.ndarray:
     return DensityMatrix(np.asarray(rho, dtype=complex)).entries
 
 
+def _as_matrices(rho0, rho1):
+    r0, r1 = _as_matrix(rho0), _as_matrix(rho1)
+    if r0.shape != r1.shape:
+        raise ValueError(f"dimension mismatch: {r0.shape} vs {r1.shape}")
+    return r0, r1
+
+
 @dataclass(frozen=True)
 class Povm:
     """Complete positive-operator-valued measurement.
@@ -124,10 +131,7 @@ def check_povms(stack: np.ndarray) -> None:
 
 def fidelity_trace(rho0, rho1) -> float:
     """F = Tr sqrt(sqrt(rho1) rho0 sqrt(rho1))."""
-    r0 = _as_matrix(rho0)
-    r1 = _as_matrix(rho1)
-    if r0.shape != r1.shape:
-        raise ValueError(f"dimension mismatch: {r0.shape} vs {r1.shape}")
+    r0, r1 = _as_matrices(rho0, rho1)
     root1 = matrix_sqrt_psd(r1)
     inner = root1 @ r0 @ root1
     inner = 0.5 * (inner + inner.conj().T)  # squash rounding asymmetry
@@ -146,10 +150,7 @@ def fidelity_purification(rho0, rho1):
         PureStates on 2k qubits (system qubits first, ancilla after),
         whose system reductions reproduce rho0 and rho1.
     """
-    r0 = _as_matrix(rho0)
-    r1 = _as_matrix(rho1)
-    if r0.shape != r1.shape:
-        raise ValueError(f"dimension mismatch: {r0.shape} vs {r1.shape}")
+    r0, r1 = _as_matrices(rho0, rho1)
     d = r0.shape[0]
     if 2 ** int(np.log2(d)) != d:
         raise ValueError(f"dimension {d} is not a power of two; cannot emit qubit registers")
@@ -183,10 +184,7 @@ def fidelity_povm(rho0, rho1):
     (value, povm) : sum_b sqrt(Tr rho0 E_b) sqrt(Tr rho1 E_b) and the
         measurement that attains it.
     """
-    r0 = _as_matrix(rho0)
-    r1 = _as_matrix(rho1)
-    if r0.shape != r1.shape:
-        raise ValueError(f"dimension mismatch: {r0.shape} vs {r1.shape}")
+    r0, r1 = _as_matrices(rho0, rho1)
     d = r0.shape[0]
     vals, vecs = np.linalg.eigh(r1)
     support = vals > SUPPORT_CUTOFF
@@ -222,8 +220,8 @@ def povm_overlaps(rho0, rho1, elements: np.ndarray) -> np.ndarray:
     terms are added in outcome order from 0.0, as for a single measurement,
     so every value is bit-identical to that sample's ``povm_overlap``.
     """
-    p0, p1 = (np.maximum(np.trace(_as_matrix(r) @ elements, axis1=-2, axis2=-1).real, 0.0)
-              for r in (rho0, rho1))
+    p0, p1 = (np.maximum(np.trace(r @ elements, axis1=-2, axis2=-1).real, 0.0)
+              for r in _as_matrices(rho0, rho1))
     terms = np.sqrt(p0) * np.sqrt(p1)
     totals = np.zeros(len(elements))
     for b in range(terms.shape[1]):

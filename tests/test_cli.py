@@ -665,3 +665,14 @@ def test_invariant_violation_maps_to_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "attacks", attacks)
     assert cli.main(["attack", "--protocol", "bell-bc"]) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+def test_invariant_violation_at_a_grid_point_is_internal_error(monkeypatch, capsys):
+    # a broken invariant is no input error, so it does not become a row
+    def boom(p, custody=None):
+        raise InvariantViolation("forced")
+    monkeypatch.setattr(attacks, "epr_attack", boom)
+    assert cli.main(["sweep", "--protocol", "leaky-bc", "--grid", "0:1:2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violated: forced\n"

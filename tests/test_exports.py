@@ -4,6 +4,7 @@ the document layer has one home."""
 import ast
 import inspect
 import types
+from pathlib import Path
 
 import qcheat
 from qcheat import document, protocol
@@ -44,3 +45,33 @@ def test_only_document_reads_or_writes_yaml():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "yaml"]
     assert calls == []
+
+
+class _HandlerSites(ast.NodeVisitor):
+    """The innermost enclosing function of every ``except`` handler that
+    names ``InvariantViolation``."""
+
+    def __init__(self, module):
+        self.scope, self.sites = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ExceptHandler(self, node):
+        if node.type is not None and "InvariantViolation" in ast.unparse(node.type):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_cli_main_maps_a_broken_invariant_to_an_outcome():
+    # document._parse_op re-raises a GateOp's refusal as a located input
+    # error; any other handler would turn a broken invariant into a result
+    sites = []
+    for path in sorted(Path(qcheat.__file__).parent.glob("*.py")):
+        finder = _HandlerSites(path.stem)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += finder.sites
+    assert "cli.main" in sites
+    assert sorted(set(sites) - {"cli.main", "document._parse_op"}) == []

@@ -11,7 +11,9 @@ from qcheat.fidelity import (
     fidelity_purification,
     fidelity_trace,
     povm_overlap,
+    povm_overlaps,
     random_povm,
+    sample_overlaps,
 )
 from qcheat.qcore import DensityMatrix, InvariantViolation, partial_trace
 
@@ -81,6 +83,16 @@ def test_accepts_density_matrix_objects():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity_trace(np.eye(2) / 2, np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("read", [
+    fidelity_trace, fidelity_purification, fidelity_povm,
+    lambda r0, r1: povm_overlaps(r0, r1, np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]])),
+    lambda r0, r1: sample_overlaps(r0, r1, 3, 2, 7),
+], ids=["trace", "purification", "povm", "povm_overlaps", "sample_overlaps"])
+def test_every_pair_reader_refuses_a_dimension_mismatch(read):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2\) vs \(4, 4\)$"):
+        read(np.eye(2) / 2, np.eye(4) / 4)
 
 
 # --- route agreement ----------------------------------------------------

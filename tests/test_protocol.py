@@ -1,6 +1,7 @@
 """Protocol documents: parsing, honest execution, purification, emission."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -599,6 +600,54 @@ def test_controlled_two_qubit_gate_under_two_bit_record_exceeds_budget():
         purify_protocol(parse_protocol(doc))
 
 
+def _wide_doc(alice, **fields):
+    """A commitment document with ``alice`` + 1 + 1 qubits."""
+    return {"name": "wide", "qubits": {"alice": alice, "bob": 1, "channel": 1}, **fields}
+
+
+def _wide_coin(rounds):
+    """A coin toss on 22 + 1 + 1 qubits, each party reading its first qubit."""
+    rules = {actor: {"0": {"qubits": [q], "accept_states": ["0"]},
+                     "1": {"qubits": [q], "accept_states": ["1"]},
+                     "invalid": {"qubits": [q], "zero": True}}
+             for actor, q in (("alice", 0), ("bob", 22))}
+    return {"name": "wide", "kind": "coin-toss",
+            "qubits": {"alice": 22, "bob": 1, "channel": 1}, "rounds": rounds,
+            "outcomes": rules}
+
+
+_MEASURE = {"measure": True, "targets": [0], "result_id": "m"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_wide_doc(22, commit_rounds=[{"actor": "alice", "ops": [
+        {"gate": "H", "targets": [0]}, _MEASURE]}]),
+     "commit_rounds[0].ops[1]: purification exceeds the 24-qubit cap"),
+    (_wide_doc(21, commit_rounds=[{"actor": "alice", "ops": [_MEASURE]}],
+               open_rounds=[{"actor": "bob", "ops": [{"gate": "X", "targets": [21]}]},
+                            {"actor": "alice", "ops": [
+                                {"gate": "H", "targets": [1]},
+                                {"measure": True, "targets": [1], "result_id": "n"}]}]),
+     "open_rounds[1].ops[1]: purification exceeds the 24-qubit cap"),
+    (_wide_coin([{"actor": "alice", "ops": [_MEASURE]}]),
+     "rounds[0].ops[0]: purification exceeds the 24-qubit cap"),
+    (_wide_doc(3, commit_rounds=[{"actor": "alice", "ops": [
+        {"measure": True, "targets": [0, 1], "result_id": "mm"},
+        {"gate": "CX", "targets": [2, 4], "control_classical": "mm"}]}]),
+     "commit_rounds[0].ops[1]: classically controlled CX needs 4 qubits as a raw "
+     "controlled gate; the basis caps raw gates at 3"),
+], ids=["commit-cap", "open-cap", "coin-cap", "control-width"])
+def test_purification_refusals_name_the_op(tmp_path, capsys, doc, message):
+    coin = doc.get("kind") == "coin-toss"
+    with pytest.raises(ProtocolError) as refused:
+        parse_coin_protocol(doc) if coin else purify_protocol(parse_protocol(doc))
+    assert str(refused.value) == message
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert cli.main(["cointoss" if coin else "simulate", "--protocol", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- document emission -------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["bell-bc", "leaky-bc"])
@@ -637,6 +686,18 @@ def test_purify_round_trip_keeps_allow_consecutive(tmp_path, capsys):
     assert parse_protocol(emitted).commit_rounds[1].allow_consecutive is True
 
 
+def test_emitted_unpurified_protocol_keeps_its_measurements():
+    # purify only emits measurement-free documents; this one still measures
+    p = load_protocol("bb84-bc")
+    q = parse_protocol(document_to_yaml(protocol_to_document(p)))
+    assert q.has_measurements
+    assert q.open_rounds[1].ops == (MeasureOp((1,), "coin"), p.open_rounds[1].ops[1])
+    assert q.open_rounds[1].ops[1].control_classical == "coin"
+    table = [[enumerate_acceptance(r, b, claim) for b in (0, 1) for claim in (0, 1)]
+             for r in (p, q)]
+    assert table[0] == table[1]
+
+
 def test_emitted_angles_are_numeric():
     doc = protocol_to_document(load_protocol("leaky-bc"))
     assert "params" not in doc
@@ -654,6 +715,37 @@ def test_projector_expectation_and_lift():
     assert lifted.shape == (8, 4)
     np.testing.assert_allclose(lifted @ lifted.conj().T,
                                np.kron(np.eye(4), np.diag([1.0, 0.0])), atol=0)
+
+
+def _expectation_reading(monkeypatch, value):
+    """What ``Projector.expectation`` reads when <psi, P psi> comes out as ``value``."""
+    proj, state = Projector((0,), np.eye(2)), qcore.zero_state(1)
+    monkeypatch.setattr(qcore, "_apply_matrix", lambda amps, matrix, qubits, n: value * amps)
+    return proj.expectation(state)
+
+
+@pytest.mark.parametrize("value, read", [
+    (-1e-10, 0.0), (-document.PROBABILITY_DUST, 0.0), (0.25, 0.25), (1.0 + 1e-10, 1.0 + 1e-10)])
+def test_expectation_reads_negative_dust_as_zero(monkeypatch, value, read):
+    assert _expectation_reading(monkeypatch, value) == read
+
+
+@pytest.mark.parametrize("value", [-2e-9, -0.5, math.nan])
+def test_expectation_below_the_dust_is_a_broken_invariant(monkeypatch, value):
+    with pytest.raises(InvariantViolation, match="is not a probability"):
+        _expectation_reading(monkeypatch, value)
+
+
+@pytest.mark.parametrize("command", ["simulate", "cointoss"])
+def test_every_command_reads_probabilities_through_the_rule(monkeypatch, capsys, command):
+    # simulate and cointoss once read expectations raw, and printed them
+    monkeypatch.setattr(qcore, "_apply_matrix", lambda amps, matrix, qubits, n: -1e-3 * amps)
+    name = "ideal-ct" if command == "cointoss" else "bell-bc"
+    assert cli.main([command, "--protocol", name]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"internal invariant violated: projector expectation -0\.00\d+ "
+                        r"is not a probability\n", captured.err)
 
 
 def test_reduced_state_helper_consistency():
@@ -863,6 +955,88 @@ def test_qubit_list_and_actor_messages_are_pinned(extra, message):
     parse_protocol(five_qubit_doc())
     with pytest.raises(ProtocolError) as refused:
         parse_protocol(five_qubit_doc(**extra))
+    assert str(refused.value) == message
+
+
+def _ops(*ops):
+    return {"commit_rounds": [{"actor": "alice", "ops": list(ops)}]}
+
+
+def _verify(**spec):
+    return {"verify": {"accept_b0": {"qubits": [1], **spec}}}
+
+
+def _coin_alice(rules):
+    """ideal-ct with Alice's outcome rules replaced by ``rules``."""
+    data, _ = resolve_document("ideal-ct")
+    return {**data, "outcomes": {**data["outcomes"], "alice": rules}}
+
+
+_RY = {"gate": "RY", "targets": [0]}
+_CONTROLLED = {"gate": "X", "targets": [0], "control_classical": "m"}
+_DIAG = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+_RULE0, _RULE1 = ({"qubits": [0], "accept_states": [bit]} for bit in "01")
+_ZERO = {"qubits": [0], "zero": True}
+
+
+@pytest.mark.parametrize("doc, overrides, message", [
+    (five_qubit_doc(**_ops({**_MEASURE, "measure": 1})), None,
+     "commit_rounds[0].ops[0].measure: measure must be the literal true"),
+    (five_qubit_doc(**_ops({**_MEASURE, "targets": []})), None,
+     "commit_rounds[0].ops[0]: measurement needs at least one target"),
+    (five_qubit_doc(initial={"alice0": [_CONTROLLED]}), None,
+     "initial.alice0[0].control_classical: classical controls are not allowed here"),
+    (five_qubit_doc(**_ops(_CONTROLLED)), None,
+     "commit_rounds[0].ops[0].control_classical: classical control references "
+     "unknown or later result 'm'"),
+    (five_qubit_doc(**_ops(_CONTROLLED, _MEASURE)), None,
+     "commit_rounds[0].ops[0].control_classical: classical control references "
+     "unknown or later result 'm'"),
+    (five_qubit_doc(**_ops({"gate": "X", "targets": [0], "matrix": _DIAG})), None,
+     "commit_rounds[0].ops[0]: X gate takes no matrix"),
+    (five_qubit_doc(**_ops(_RY)), None,
+     "commit_rounds[0].ops[0]: RY requires an angle parameter"),
+    (five_qubit_doc(**_ops({"gate": "CX", "targets": [0]})), None,
+     "commit_rounds[0].ops[0]: CX takes 2 target(s), got 1"),
+    (five_qubit_doc(**_verify(zero=True)), None,
+     "verify.accept_b0.zero: zero projectors are not allowed here"),
+    (_coin_alice({"0": _RULE0, "1": _RULE1, "invalid": {**_ZERO, "zero": "true"}}), None,
+     "outcomes.alice.invalid.zero: zero must be the literal true"),
+    (_coin_alice({"0": _RULE0, "1": _RULE1, "invalid": {**_ZERO, "gates": []}}), None,
+     "outcomes.alice.invalid.gates: zero takes no gates"),
+    (five_qubit_doc(**_verify(matrix=_DIAG, gates=[])), None,
+     "verify.accept_b0.gates: give either a matrix or a gate list, not both"),
+    (five_qubit_doc(**_verify()), None,
+     "verify.accept_b0: projector spec needs exactly one of: matrix, accept_states, zero"),
+    (five_qubit_doc(**_verify(matrix=_DIAG, accept_states=["0"])), None,
+     "verify.accept_b0: projector spec needs exactly one of: matrix, accept_states, zero"),
+    (five_qubit_doc(**_verify(accept_states=["01"])), None,
+     "verify.accept_b0.accept_states: accept state '01' is not a 1-bit string"),
+    (five_qubit_doc(**_verify(accept_states=["0", "0"])), None,
+     "verify.accept_b0.accept_states: accept state '0' repeats"),
+    (five_qubit_doc(**_verify(matrix=[])), None,
+     "verify.accept_b0.matrix: empty matrix literal"),
+    (five_qubit_doc(**_ops({**_RY, "angle": True})), None,
+     "commit_rounds[0].ops[0].angle: angle must be a number or expression string"),
+    (five_qubit_doc(**_ops({**_RY, "angle": [1]})), None,
+     "commit_rounds[0].ops[0].angle: angle must be a number or expression string"),
+    (five_qubit_doc(**_ops({**_RY, "angle": "f(1)"})), None,
+     "commit_rounds[0].ops[0].angle: unsupported construct in angle 'f(1)' (numbers, "
+     "parameter names, +, -, *, /, ** only)"),
+    (five_qubit_doc(), {"phi": 1.0}, "params: override for undeclared parameter 'phi'"),
+    # 0 and "0" are two YAML keys, one label
+    (_coin_alice({0: _RULE0, "0": _RULE0, "1": _RULE1, "invalid": _ZERO}), None,
+     "outcomes.alice: outcome labels repeat"),
+], ids=["measure-not-true", "measure-no-target", "control-in-initial", "control-unknown",
+        "control-before-measure", "matrix-on-x", "ry-no-angle", "cx-one-target",
+        "zero-in-verify", "zero-not-true", "zero-with-gates", "matrix-and-gates",
+        "no-form", "two-forms", "accept-state-width", "accept-state-repeats",
+        "empty-matrix", "angle-bool", "angle-list", "angle-call", "override-undeclared",
+        "labels-repeat"])
+def test_parser_refusals_are_pinned_with_their_location(doc, overrides, message):
+    parse = parse_coin_protocol if doc.get("kind") == "coin-toss" else parse_protocol
+    with pytest.raises(ProtocolError) as refused:
+        parse(doc, param_overrides=overrides)
     assert str(refused.value) == message
 
 
