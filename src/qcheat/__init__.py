@@ -9,154 +9,17 @@ defect.  For coin tossing it runs the backward induction that peels an
 the no-communication bound on mutual information.
 """
 
-from .qcore import (
-    MAX_QUBITS,
-    MAX_SIDE_QUBITS,
-    DensityMatrix,
-    GateOp,
-    InvariantViolation,
-    Partition,
-    PureState,
-    apply_circuit,
-    apply_gate,
-    apply_unitary,
-    gate_matrix,
-    is_unitary,
-    matrix_sqrt_psd,
-    mutual_information,
-    partial_trace,
-    zero_state,
-)
-from .fidelity import (
-    Povm,
-    fidelity_povm,
-    fidelity_purification,
-    fidelity_trace,
-    povm_overlap,
-    povm_overlaps,
-    random_povm,
-    random_povms,
-)
-from .schmidt import (
-    SchmidtDecomposition,
-    cheating_unitary_ideal,
-    schmidt_decompose,
-    uhlmann_unitary,
-)
-from .document import (
-    BUILTIN_NAMES,
-    CoinProtocol,
-    MeasureOp,
-    Projector,
-    Protocol,
-    ProtocolError,
-    Round,
-    coin_to_document,
-    document_to_yaml,
-    load_coin_protocol,
-    load_protocol,
-    parse_coin_protocol,
-    parse_protocol,
-    protocol_to_document,
-    purify_protocol,
-    resolve_document,
-)
-from .protocol import (
-    alice_side,
-    bob_holding,
-    commit_custody,
-    commit_delta,
-    enumerate_acceptance,
-    enumerate_branches,
-    run_commit,
-    run_open,
-)
-from .attack import AttackReport, SweepPoint, attack_sweep, epr_attack
-from .cointoss import (
-    FidelityTriple,
-    InductionVerdict,
-    NotIdealError,
-    TruncationStep,
-    WalkResult,
-    induction_report,
-    last_round_fidelities,
-    min_rounds,
-    outcome_distribution,
-    run_rounds,
-    truncate_last_round,
-    validate_walk,
-)
+from . import attack, cointoss, document, fidelity, protocol, qcore, schmidt
+from .qcore import *  # noqa: F403
+from .fidelity import *  # noqa: F403
+from .schmidt import *  # noqa: F403
+from .document import *  # noqa: F403
+from .protocol import *  # noqa: F403
+from .attack import *  # noqa: F403
+from .cointoss import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_QUBITS",
-    "MAX_SIDE_QUBITS",
-    "DensityMatrix",
-    "GateOp",
-    "InvariantViolation",
-    "Partition",
-    "PureState",
-    "apply_circuit",
-    "apply_gate",
-    "apply_unitary",
-    "gate_matrix",
-    "is_unitary",
-    "matrix_sqrt_psd",
-    "mutual_information",
-    "partial_trace",
-    "zero_state",
-    "Povm",
-    "fidelity_povm",
-    "fidelity_purification",
-    "fidelity_trace",
-    "povm_overlap",
-    "povm_overlaps",
-    "random_povm",
-    "random_povms",
-    "SchmidtDecomposition",
-    "cheating_unitary_ideal",
-    "schmidt_decompose",
-    "uhlmann_unitary",
-    "BUILTIN_NAMES",
-    "MeasureOp",
-    "Projector",
-    "Protocol",
-    "ProtocolError",
-    "Round",
-    "alice_side",
-    "bob_holding",
-    "commit_custody",
-    "commit_delta",
-    "document_to_yaml",
-    "enumerate_acceptance",
-    "enumerate_branches",
-    "load_protocol",
-    "parse_protocol",
-    "protocol_to_document",
-    "purify_protocol",
-    "resolve_document",
-    "run_commit",
-    "run_open",
-    "AttackReport",
-    "SweepPoint",
-    "attack_sweep",
-    "epr_attack",
-    "CoinProtocol",
-    "FidelityTriple",
-    "InductionVerdict",
-    "NotIdealError",
-    "TruncationStep",
-    "WalkResult",
-    "coin_to_document",
-    "induction_report",
-    "last_round_fidelities",
-    "load_coin_protocol",
-    "min_rounds",
-    "outcome_distribution",
-    "parse_coin_protocol",
-    "run_rounds",
-    "truncate_last_round",
-    "validate_walk",
-    "__version__",
-]
+# each module's __all__ is its public API; the package exports their union
+__all__ = [name for module in (qcore, fidelity, schmidt, document, protocol, attack, cointoss)
+           for name in module.__all__] + ["__version__"]

@@ -20,6 +20,13 @@ from . import protocol as proto
 from .document import Protocol, ProtocolError
 from .qcore import InvariantViolation
 
+__all__ = [
+    "AttackReport",
+    "SweepPoint",
+    "attack_sweep",
+    "epr_attack",
+]
+
 PROBABILITY_CEILING = 1.0 + 1e-9
 OVERLAP_IDENTITY_TOL = 1e-6
 CHEAT_BOUND_TOL = 1e-9
@@ -75,6 +82,7 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
     acceptance of the switched bit is the whole story.
     """
     custody = proto.commit_custody(p, custody)
+    proto._capped_side(p, "alice", custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
 
     delta, fidelity, rotation = proto.commit_fidelity(p, custody, states)
@@ -118,12 +126,17 @@ def sweep_parameter(p: Protocol, param=None) -> str:
 def attack_sweep(source, grid, *, param=None, custody=None):
     """Run epr_attack across a parameter grid; per-point input errors stay in-row.
 
-    A document that does not parse at its declared parameters raises
-    before the grid runs, rather than copying one error into every row.  A
-    broken invariant at any point is not an input error, and propagates.
+    A document that does not parse at its declared parameters, or whose
+    Alice side is over the cap, raises before the grid runs, rather than
+    copying one error into every row; purification adds the same ancillas
+    at every value, so the side is read once, purified.  A broken invariant
+    at any point is not an input error, and propagates.
     """
     document = source if isinstance(source, dict) else doc.resolve_document(source)[0]
-    param = sweep_parameter(doc.parse_protocol(document), param)
+    declared = doc.parse_protocol(document)
+    param = sweep_parameter(declared, param)
+    declared = doc.purify_protocol(declared)
+    proto._capped_side(declared, "alice", proto.commit_custody(declared, custody))
     points = []
     for raw in grid:
         value = float(raw)

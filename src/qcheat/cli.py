@@ -313,7 +313,7 @@ def _cmd_fidelity(ns) -> Report:
         raise ValueError("--seed must be nonnegative")
     p = _load(ns.protocol, doc.KIND_COMMITMENT)
     custody = proto.commit_custody(p, ns.channel_custody)
-    held = len(proto.bob_holding(p, custody))
+    held = len(proto._capped_side(p, "bob", custody))
     dim = 2 ** held
     need = povm_sample_bytes(dim, dim + 1) if samples else 0
     if need > POVM_BYTE_BUDGET:

@@ -82,8 +82,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import qcore
-# load_coin_protocol and parse_coin_protocol stay cointoss names too: the
-# acceptance tests import one and the traced benchmark counts the other here
+# parse_coin_protocol stays a cointoss name too: the traced benchmark
+# counts it here
 from .document import (
     ACTORS,
     COMPLETENESS_TOL,
@@ -91,11 +91,25 @@ from .document import (
     PROJECTOR_TOL,
     CoinProtocol,
     Projector,
-    load_coin_protocol,
     other_actor,
     parse_coin_protocol,
 )
 from .qcore import InvariantViolation, Partition, PureState
+
+__all__ = [
+    "FidelityTriple",
+    "InductionVerdict",
+    "NotIdealError",
+    "TruncationStep",
+    "WalkResult",
+    "induction_report",
+    "last_round_fidelities",
+    "min_rounds",
+    "outcome_distribution",
+    "run_rounds",
+    "truncate_last_round",
+    "validate_walk",
+]
 
 IDEAL_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10

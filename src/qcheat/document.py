@@ -35,6 +35,25 @@ from yaml.events import (AliasEvent, DocumentEndEvent, DocumentStartEvent, Mappi
 from . import qcore
 from .qcore import GateOp, InvariantViolation, Partition, PureState
 
+__all__ = [
+    "BUILTIN_NAMES",
+    "CoinProtocol",
+    "MeasureOp",
+    "Projector",
+    "Protocol",
+    "ProtocolError",
+    "Round",
+    "coin_to_document",
+    "document_to_yaml",
+    "load_coin_protocol",
+    "load_protocol",
+    "parse_coin_protocol",
+    "parse_protocol",
+    "protocol_to_document",
+    "purify_protocol",
+    "resolve_document",
+]
+
 PROJECTOR_TOL = 1e-8
 COMPLETENESS_TOL = 1e-8
 PROBABILITY_DUST = 1e-9

@@ -35,6 +35,17 @@ from .qcore import (
     matrix_sqrt_psd,
 )
 
+__all__ = [
+    "Povm",
+    "fidelity_povm",
+    "fidelity_purification",
+    "fidelity_trace",
+    "povm_overlap",
+    "povm_overlaps",
+    "random_povm",
+    "random_povms",
+]
+
 SUPPORT_CUTOFF = 1e-10
 POVM_PSD_TOL = 1e-10
 POVM_COMPLETE_TOL = 1e-8

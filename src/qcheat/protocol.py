@@ -17,12 +17,23 @@ import yaml  # noqa: F401
 
 from . import qcore
 # the names this module's own code uses
-from .document import ACTORS, MeasureOp, Protocol, other_actor
+from .document import ACTORS, MeasureOp, Protocol, ProtocolError, other_actor
 # perfbench/spans.py looks these up here and counts them as protocol's
 from .document import Projector, parse_protocol, purify_protocol, resolve_document  # noqa: F401
 from .fidelity import fidelity_trace
 from .qcore import GateOp, PureState
 from .schmidt import UhlmannRotation
+
+__all__ = [
+    "alice_side",
+    "bob_holding",
+    "commit_custody",
+    "commit_delta",
+    "enumerate_acceptance",
+    "enumerate_branches",
+    "run_commit",
+    "run_open",
+]
 
 BRANCH_CUTOFF = 1e-15
 # Bob's holdings up to this many qubits take the trace route to F in
@@ -95,6 +106,18 @@ def alice_side(p: Protocol, custody: str) -> tuple:
 
 def bob_holding(p: Protocol, custody: str) -> tuple:
     return p.partition.holding("bob", custody)
+
+
+def _capped_side(p: Protocol, actor: str, custody: str) -> tuple:
+    """``actor``'s holding at commit time, refused before any gate runs when
+    it is over MAX_SIDE_QUBITS, the cap on a side square matrices are
+    formed on."""
+    side = p.partition.holding(actor, custody)
+    if len(side) > qcore.MAX_SIDE_QUBITS:
+        raise ProtocolError(
+            f"{actor}'s side holds {len(side)} qubits with the channel in {custody}'s "
+            f"custody; sides are capped at {qcore.MAX_SIDE_QUBITS}", "qubits")
+    return side
 
 
 def _defect(fidelity: float) -> float:

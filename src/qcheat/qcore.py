@@ -52,6 +52,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "MAX_QUBITS",
+    "MAX_SIDE_QUBITS",
+    "DensityMatrix",
+    "GateOp",
+    "InvariantViolation",
+    "Partition",
+    "PureState",
+    "apply_circuit",
+    "apply_gate",
+    "apply_unitary",
+    "gate_matrix",
+    "is_unitary",
+    "matrix_sqrt_psd",
+    "mutual_information",
+    "partial_trace",
+    "zero_state",
+]
+
 MAX_QUBITS = 24
 MAX_SIDE_QUBITS = 12
 

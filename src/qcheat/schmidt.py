@@ -38,6 +38,13 @@ from .qcore import (
     partial_trace,
 )
 
+__all__ = [
+    "SchmidtDecomposition",
+    "cheating_unitary_ideal",
+    "schmidt_decompose",
+    "uhlmann_unitary",
+]
+
 COEFF_CUTOFF = 1e-10
 BASIS_TOL = 1e-8
 WEIGHT_TOL = 1e-9

@@ -15,11 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcheat import cli
+from qcheat import cli, load_coin_protocol
 from qcheat.attack import epr_attack
 from qcheat.cointoss import (
     induction_report,
-    load_coin_protocol,
     min_rounds,
     outcome_distribution,
     truncate_last_round,

@@ -308,6 +308,88 @@ def test_bob_side_over_the_cap_takes_the_gram_route(perfbench_gen, tmp_path):
     assert cli.main(["fidelity", "--protocol", str(path), "--out", str(tmp_path / "f")]) == 2
 
 
+
+def side_cap_document(alice, bob, swept=False) -> dict:
+    """One commit round in which Alice entangles her qubit 0 with the
+    channel and sends it: Bob then holds ``bob`` + 1 qubits, Alice ``alice``,
+    or ``alice`` + 1 with the channel in her custody."""
+    ops = [{"gate": "H", "targets": [0]}, {"gate": "CX", "targets": [0, alice + bob]}]
+    doc = {"name": "side-cap", "kind": "bit-commitment",
+           "qubits": {"alice": alice, "bob": bob, "channel": 1},
+           "commit_rounds": [{"actor": "alice", "ops": ops}]}
+    if swept:
+        doc["params"] = {"theta": 0.5}
+        ops.insert(1, {"gate": "RY", "targets": [1], "angle": "theta"})
+    return doc
+
+
+def side_cap_message(actor, size, custody) -> str:
+    return (f"qubits: {actor}'s side holds {size} qubits with the channel in {custody}'s "
+            f"custody; sides are capped at {qcore.MAX_SIDE_QUBITS}")
+
+
+@pytest.fixture
+def commit_calls(monkeypatch):
+    calls = []
+    real = protocol.run_commit
+    monkeypatch.setattr(protocol, "run_commit", lambda p, b: calls.append(b) or real(p, b))
+    return calls
+
+
+def cli_refusal(tmp_path, capsys, command, doc, *options) -> str:
+    """The one stderr line of a command that exits 2 and writes no report."""
+    path, out = tmp_path / "doc.yaml", tmp_path / "report.json"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([command, "--protocol", str(path), "--out", str(out), *options]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("custody, size", [(None, 13), ("alice", 14)])
+def test_attack_refuses_an_alice_side_over_the_cap_before_any_gate(
+        commit_calls, tmp_path, capsys, custody, size):
+    doc = side_cap_document(qcore.MAX_SIDE_QUBITS + 1, 1)
+    message = side_cap_message("alice", size, custody or "bob")
+    with pytest.raises(ProtocolError) as exc:
+        epr_attack(parse_protocol(doc), custody=custody)
+    assert exc.value.location == "qubits" and str(exc.value) == message
+    options = () if custody is None else ("--channel-custody", custody)
+    assert cli_refusal(tmp_path, capsys, "attack", doc, *options) == f"error: {message}\n"
+    assert commit_calls == []
+
+
+def test_sweep_refuses_an_alice_side_over_the_cap_before_the_grid(commit_calls, tmp_path,
+                                                                  capsys):
+    doc = side_cap_document(qcore.MAX_SIDE_QUBITS + 1, 1, swept=True)
+    message = side_cap_message("alice", 13, "bob")
+    with pytest.raises(ProtocolError) as exc:
+        attack_sweep(doc, [0.0, 0.5, 1.0])
+    assert exc.value.location == "qubits" and str(exc.value) == message
+    assert cli_refusal(tmp_path, capsys, "sweep", doc, "--grid", "0:1:3") == f"error: {message}\n"
+    assert commit_calls == []
+
+
+def test_fidelity_refuses_a_bob_holding_over_the_cap_before_any_gate(commit_calls, tmp_path,
+                                                                     capsys):
+    doc = side_cap_document(1, qcore.MAX_SIDE_QUBITS + 1)
+    message = side_cap_message("bob", 14, "bob")
+    assert cli_refusal(tmp_path, capsys, "fidelity", doc) == f"error: {message}\n"
+    assert commit_calls == []
+
+
+@pytest.mark.parametrize("alice, bob, swept, commands", [
+    (13, 1, False, ("simulate", "fidelity")),
+    (13, 1, True, ("simulate",)),
+    (1, 13, False, ("simulate", "attack")),
+], ids=["alice-side", "alice-side-swept", "bob-holding"])
+def test_commands_that_form_no_side_over_the_cap_still_run(tmp_path, alice, bob, swept,
+                                                           commands):
+    doc = side_cap_document(alice, bob, swept)
+    for command in commands:
+        assert cli_report(tmp_path, command, doc)["command"] == command
+
+
 # --- the Schmidt support: the rotation on a sketched basis --------------------
 
 def full_gram_attack(p, custody) -> dict:

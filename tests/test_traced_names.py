@@ -60,7 +60,7 @@ def test_protocol_loads_yaml_through_a_module_attribute():
      {"protocol.resolve_document": 1, "cointoss.parse_coin_protocol": 1}),
     (["sweep", "--protocol", "leaky-bc(0.5)", "--grid", "0:1:3"],
      {"protocol.resolve_document": 1, "protocol.parse_protocol": 4,
-      "protocol.purify_protocol": 3, "protocol.run_commit": 6, "protocol.run_open": 9,
+      "protocol.purify_protocol": 4, "protocol.run_commit": 6, "protocol.run_open": 9,
       "protocol.Projector.expectation": 9, "attack.epr_attack": 3,
       "attack.attack_sweep": 1}),
     (["simulate", "--protocol", "bb84-bc"],

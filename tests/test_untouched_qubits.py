@@ -16,7 +16,7 @@ import pytest
 
 from qcheat import cointoss, qcore
 from qcheat.cointoss import parse_coin_protocol
-from qcheat.document import load_protocol, parse_protocol, purify_protocol
+from qcheat.document import load_coin_protocol, load_protocol, parse_protocol, purify_protocol
 from qcheat.protocol import commit_fidelity, enumerate_branches, run_commit
 from qcheat.qcore import zero_state
 
@@ -80,7 +80,7 @@ def commit_routes(p):
 @pytest.mark.parametrize("source", ["bell-bc", "bb84-bc", "leaky-bc", "ideal-ct", "guess-ct"])
 def test_shipped_states_equal_the_full_register(monkeypatch, source):
     if source.endswith("-ct"):
-        p = cointoss.load_coin_protocol(source)
+        p = load_coin_protocol(source)
         run = lambda: round_states(p)  # noqa: E731
     else:
         p = load_protocol(source)
