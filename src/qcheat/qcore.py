@@ -25,29 +25,38 @@ Conventions used throughout the package:
   product transposed back.  These are the operands ``np.tensordot``
   passes to BLAS, so the bytes are the same.
 * A call that meets a register of 13 qubits or more (``apply_circuit``,
-  ``_apply_matrix``) makes two flat 2^n work buffers, ``_work_pair``, and
+  ``_apply_matrix``) takes two flat 2^n work buffers, ``_work_pair``, and
   nothing else register-sized.  An operand that needs a C-order copy is
   copied into one (``np.copyto``), and ``np.dot(..., out=)`` writes the
   product into the other; ``_join`` grows the held tensor in one.  The
   register-order result ends in a buffer, which ``PureState._of`` adopts
   after every check, without the copy.  So such a call peaks two
   registers above its input, and its result is one of the two.
+* Work buffers of up to WORK_POOL_AMPLITUDES outlive their call: one goes
+  back to a free list, ``_work_buffer``'s, when the last array that views
+  it is collected, and a later call takes it from there instead of
+  faulting fresh pages in.  The list holds at most WORK_POOL_BYTES;
+  larger buffers are fresh and freed on return, as below 13 qubits.
 * All values are immutable.  Operations return fresh values and never
   mutate their inputs, so everything here is safe to share across threads.
   The module's caches hold only tuples (``_contract``'s axis orders, keyed
   by tensor rank and block axes, and ``_split``'s checked cuts, keyed by
   register size, rows and lead) and read-only arrays (``_circuit_matrix``'s
-  identities), so what one caller is handed no other can change.  Work
-  buffers belong to one call and are never kept.
+  identities), so what one caller is handed no other can change.  The free
+  list is taken from and added to under a lock, and holds only buffers no
+  array views, so no two live values, in one thread or two, share one.
 * Nothing in this module reads ambient entropy; randomness, where needed,
   always arrives as an explicit generator or seed.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +120,16 @@ MIN_HELD_QUBITS = FUSE_QUBITS + 3
 # faults, and the buffers' bookkeeping only adds 3-5 us to each call on 7
 # qubits (a 10-45% rise on a 10-30 us call, one BLAS thread).
 WORK_MIN_AMPLITUDES = 2 ** 13
+
+# Work buffers of at most this many amplitudes (21 qubits, 32 MiB) are kept
+# for later calls, at most four of that size.  Freed, glibc trims them from
+# the heap top: a warm repeat of attack on a 19-qubit ladder document took
+# 6.2k-8.3k minor faults, and none kept (2-core VM, one or two BLAS threads).
+WORK_POOL_AMPLITUDES = 2 ** 21
+WORK_POOL_BYTES = 4 * 16 * WORK_POOL_AMPLITUDES
+
+_free_buffers = []  # kept buffers, no array viewing them, smallest and latest first
+_free_lock = threading.Lock()
 
 
 class InvariantViolation(Exception):
@@ -420,13 +439,52 @@ def _contract(psi: np.ndarray, matrix: np.ndarray, qubits, work=None) -> np.ndar
 
 
 def _work_pair(num_qubits: int) -> tuple | None:
-    """Two flat, uninitialised buffers of 2^``num_qubits`` amplitudes, made
-    for one call and never shared: a tensor of that register or of fewer
-    qubits lives in a leading slice of one of them.  None below
+    """Two flat, uninitialised buffers of 2^``num_qubits`` amplitudes that
+    no live array shares: a tensor of that register or of fewer qubits
+    lives in a leading slice of one of them.  None below
     WORK_MIN_AMPLITUDES, where each array is fresh."""
     if 2 ** num_qubits < WORK_MIN_AMPLITUDES:
         return None
-    return np.empty(2 ** num_qubits, dtype=complex), np.empty(2 ** num_qubits, dtype=complex)
+    return _work_buffer(2 ** num_qubits), _work_buffer(2 ** num_qubits)
+
+
+def _work_buffer(size: int) -> np.ndarray:
+    """A flat, uninitialised buffer of ``size`` amplitudes.
+
+    Up to WORK_POOL_AMPLITUDES it views the smallest free buffer that holds
+    ``size``, of those the last returned, whose pages are the likeliest in
+    cache; on a miss the free list, all smaller, is dropped and a buffer
+    made.  It views that buffer through a memoryview, so numpy makes it,
+    not the buffer, the base of every view of it, and the buffer goes back
+    (``_release``) only when it and all its views are collected.  Larger
+    buffers are fresh and never kept.
+    """
+    with _free_lock:
+        i = bisect.bisect_left(_free_buffers, size, key=len)
+        raw = _free_buffers.pop(i) if i < len(_free_buffers) else None
+        if raw is None:
+            _free_buffers.clear()
+    if raw is None:
+        raw = np.empty(size, dtype=complex)
+        if size > WORK_POOL_AMPLITUDES:
+            return raw
+    buffer = np.frombuffer(memoryview(raw), dtype=complex, count=size)
+    weakref.finalize(buffer, _release, raw)
+    return buffer
+
+
+def _release(raw: np.ndarray):
+    """Put ``raw`` back on the free list if it stays within WORK_POOL_BYTES.
+    A collection inside ``_work_buffer``'s locked section can run this in
+    the thread that holds the lock, so it never waits for the lock: while
+    the list is busy, ``raw`` is freed instead."""
+    if not _free_lock.acquire(blocking=False):
+        return
+    try:
+        if sum(kept.nbytes for kept in _free_buffers) + raw.nbytes <= WORK_POOL_BYTES:
+            bisect.insort_left(_free_buffers, raw, key=len)
+    finally:
+        _free_lock.release()
 
 
 def _free(psi, work) -> tuple:

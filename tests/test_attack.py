@@ -560,6 +560,41 @@ def test_simulate_forms_no_rotation(perfbench_gen, tmp_path, monkeypatch):
     assert counts == {"polar_factor": 1, "cheat_state": 1}
 
 
+_WARM_FAULTS = """
+import contextlib, io, json, os, resource, sys, gen
+from qcheat import cli
+docs = gen.ladder_documents(1, sizes=(19,))
+faults = {}
+for command, name in (("attack", "ladder-n19-verify"), ("simulate", "ladder-n19-open")):
+    path = os.path.join(sys.argv[1], name + ".yaml")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(gen.to_yaml(docs[name]))
+    counts = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--protocol", path, "--output", "json"]) == 0
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    faults[command] = counts
+print(json.dumps(faults))
+"""
+
+
+def test_a_warm_repeat_at_19_qubits_faults_no_pages_in(tmp_path):
+    # counted, not timed: the work buffers of one call are kept for the
+    # next, so a repeat of the same command pages nothing in; with buffers
+    # freed on return it took 4.5k-8.3k minor faults per call
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(root / d) for d in ("src", "perfbench")),
+        OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", _WARM_FAULTS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
+    assert all(counts[-1] < 100 for counts in faults.values()), faults
+
+
 _LADDER_FIGURES = """
 import json, sys, gen
 from qcheat import cli

@@ -1,6 +1,9 @@
 """Core state machinery against independent dense-matrix oracles."""
 
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -480,10 +483,118 @@ def test_apply_circuit_equals_the_fresh_array_chain_and_owns_its_result(n):
             want = fresh_contract(want, matrix, qubits)
         got = apply_circuit(start, ops)
         assert np.array_equal(got.amplitudes, want.reshape(-1))
-        assert got.amplitudes.base is None and not got.amplitudes.flags.writeable
+        # owned alone: read-only, and sharing memory with no input, no kept
+        # buffer, and no buffer a later call takes while it lives
+        assert not got.amplitudes.flags.writeable
         assert not np.may_share_memory(got.amplitudes, start.amplitudes)
+        later = [apply_circuit(start, ops).amplitudes, *qcore._work_pair(n),
+                 *qcore._free_buffers]
+        assert not any(np.may_share_memory(got.amplitudes, a) for a in later)
     # from a register size, the state started from |0...0> without it
     assert apply_circuit(n, ops).amplitudes.tobytes() == got.amplitudes.tobytes()
+
+
+@pytest.fixture
+def empty_pool():
+    """The work-buffer free list, empty before the test and after it."""
+    qcore._free_buffers.clear()
+    yield qcore._free_buffers
+    qcore._free_buffers.clear()
+
+
+def kept_bytes():
+    return sum(raw.nbytes for raw in qcore._free_buffers)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_no_work_buffer_is_handed_out_twice(empty_pool, n):
+    # a buffer goes back to the free list only when no array views it: views
+    # of a dropped state keep their bytes across later calls, at its size
+    # and at a smaller one that could take its buffer
+    rng = np.random.default_rng([314, n])
+    ops = random_circuit(rng, n, 20)
+    state = apply_circuit(random_state(rng, n), ops)
+    tensor = state.tensor()
+    split = qcore._split(state, range(n // 2))[2]
+    other = apply_circuit(n, ops)
+    held = [tensor, split, other.amplitudes]
+    assert np.shares_memory(tensor, state.amplitudes)
+    assert np.shares_memory(split, state.amplitudes)
+    want = [a.tobytes() for a in held]
+    address = state.amplitudes.ctypes.data
+    del state
+    for m in (n, 13, n):
+        apply_circuit(random_state(rng, m), random_circuit(rng, m, 8))
+        apply_unitary(random_state(rng, m), random_unitary(rng, 4), (0, m - 1))
+    assert [a.tobytes() for a in held] == want
+    assert not any(raw.ctypes.data == address for raw in empty_pool)
+    del tensor, split, held
+    assert any(raw.ctypes.data == address for raw in empty_pool)
+
+
+def test_the_free_list_keeps_at_most_its_bytes(empty_pool):
+    # buffers are made with np.empty and never written here, so the address
+    # space they take is never paged in
+    rng = np.random.default_rng(316)
+    assert qcore.WORK_POOL_BYTES == 4 * 16 * qcore.WORK_POOL_AMPLITUDES
+    sizes = [2 ** e for e in range(13, 21)] + [qcore.WORK_POOL_AMPLITUDES] * 5
+    assert 16 * sum(sizes) > qcore.WORK_POOL_BYTES
+    handed = [qcore._work_buffer(size) for size in sizes]
+    assert [len(b) for b in handed] == sizes
+    for i in rng.permutation(len(handed)):
+        handed[i] = None
+        assert kept_bytes() <= qcore.WORK_POOL_BYTES
+        assert all(raw.size <= qcore.WORK_POOL_AMPLITUDES for raw in empty_pool)
+    # a request takes the smallest kept buffer that holds it
+    kept = [raw.size for raw in empty_pool]
+    assert kept == sorted(kept)
+    small = qcore._work_buffer(2 ** 13)
+    assert sorted([raw.size for raw in empty_pool] + [small.base.obj.size]) == kept
+    assert small.base.obj.size == min(size for size in kept if size >= 2 ** 13)
+
+
+def test_a_buffer_over_the_pooled_size_is_never_kept(empty_pool):
+    # the buffers at the register cap stay fresh, so its peaks do not grow;
+    # a miss drops the smaller kept buffers before it allocates
+    n = int(math.log2(qcore.WORK_POOL_AMPLITUDES)) + 1
+    qcore._work_pair(n - 1)
+    assert len(empty_pool) == 2
+    work = qcore._work_pair(n)
+    assert all(buf.base is None and buf.size == 2 ** n for buf in work)
+    assert not empty_pool
+    del work
+    assert not empty_pool
+
+
+def test_threads_running_apply_circuit_at_once_equal_serial_runs(empty_pool):
+    # more threads than cores, switching often: every result is byte-equal to
+    # its serial run, and no two results held at once share a buffer
+    rng = np.random.default_rng(315)
+    jobs = [(random_state(rng, 14), random_circuit(rng, 14, 12)) for _ in range(4)]
+    want = [apply_circuit(state, ops).amplitudes.tobytes() for state, ops in jobs]
+    results = [[] for _ in jobs]
+
+    def run(i):
+        state, ops = jobs[i]
+        for _ in range(6):
+            results[i].append(apply_circuit(state, ops))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [[s.amplitudes.tobytes() for s in states] for states in results] == [
+        [digest] * 6 for digest in want]
+    held = [s.amplitudes for states in results for s in states]
+    assert not any(np.may_share_memory(a, b) for a, b in itertools.combinations(held, 2))
+    assert kept_bytes() <= qcore.WORK_POOL_BYTES
 
 
 def test_adopted_state_runs_every_check():
