@@ -115,10 +115,10 @@ FUSE_QUBITS = 4
 MIN_HELD_QUBITS = FUSE_QUBITS + 3
 
 # Calls on registers of at least this many amplitudes (13 qubits, 128 KiB,
-# glibc's default mmap threshold) contract into two per-call work buffers.
+# glibc's default mmap threshold) contract into two work buffers.
 # Smaller arrays come from the heap, where a fresh one costs no page
-# faults, and the buffers' bookkeeping only adds 3-5 us to each call on 7
-# qubits (a 10-45% rise on a 10-30 us call, one BLAS thread).
+# faults, and a kept pair's bookkeeping would add about 8 us to a 10-30 us
+# call on 7 qubits (0.6 us for two fresh arrays, one BLAS thread).
 WORK_MIN_AMPLITUDES = 2 ** 13
 
 # Work buffers of at most this many amplitudes (21 qubits, 32 MiB) are kept
