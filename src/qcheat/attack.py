@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import document as doc
 from . import protocol as proto
+from . import qcore
 from .document import Protocol, ProtocolError
 from .qcore import InvariantViolation
 
@@ -80,22 +79,38 @@ def epr_attack(p: Protocol, custody=None) -> AttackReport:
     The rotation acts on Alice's machine, her ancillas, and the channel
     when custody assigns it to her; Bob's holding is untouched, so his
     acceptance of the switched bit is the whole story.
+
+    Each state is opened right after its last other use, by donation
+    (``protocol.run_open(..., donate=True)``), read and dropped:
+
+    1. both commit states, then the rotation's factors;
+    2. the b = 0 state opened and read;
+    3. the cheat state, and its overlap with the b = 1 state;
+    4. the b = 1 state opened and read;
+    5. the cheat state opened and read.
+
+    So at most three registers are live on the Schmidt support.  On the
+    full side the cheat state W M0 reads the b = 0 state, so it is formed
+    before step 2, and four are.
     """
     custody = proto.commit_custody(p, custody)
     proto._capped_side(p, "alice", custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
 
     delta, fidelity, rotation = proto.commit_fidelity(p, custody, states)
+    cheat_state = None if rotation.on_support else rotation.cheat_state()
+    honest0 = proto.run_open(p, states[0], 0, donate=True)
+    if cheat_state is None:
+        cheat_state = rotation.cheat_state()
     # the overlap is measured on the state the rotation produces, so the
     # report's overlap = 1 - delta check holds it against a second number
-    cheat_state = rotation.cheat_state()
-    overlap = float(abs(np.vdot(states[1].amplitudes, cheat_state.amplitudes)))
-    honest = tuple(proto.run_open(p, states[b], b) for b in (0, 1))
-    cheat = proto.run_open(p, cheat_state, 1)
+    overlap = float(abs(qcore._vdot(states[1].amplitudes, cheat_state.amplitudes)))
+    honest1 = proto.run_open(p, states[1], 1, donate=True)
+    cheat = proto.run_open(p, cheat_state, 1, donate=True)
 
     return AttackReport(
         protocol_name=p.name, channel_custody=custody, delta=delta,
-        fidelity=fidelity, achieved_overlap=overlap, honest_accept=honest,
+        fidelity=fidelity, achieved_overlap=overlap, honest_accept=(honest0, honest1),
         cheat_accept=cheat)
 
 

@@ -231,9 +231,14 @@ def _cmd_simulate(ns) -> Report:
     custody = proto.commit_custody(p, ns.channel_custody)
     states = (proto.run_commit(p, 0), proto.run_commit(p, 1))
     delta = proto.commit_fidelity(p, custody, states)[0]
-    # accept[b][c]: Bob's acceptance of claim c after an honest commit to b
-    accept = [[proj.expectation(opened) for proj in p.verification]
-              for opened in (proto.open_state(p, state) for state in states)]
+    # accept[b][c]: Bob's acceptance of claim c after an honest commit to b.
+    # Each state is opened by donation, read, and dropped before the next
+    # opens, so at most three registers are live.
+    accept = []
+    for state in states:
+        opened = proto.open_state(p, state, donate=True)
+        accept.append([proj.expectation(opened) for proj in p.verification])
+        del opened
     value = {
         "command": "simulate",
         "protocol": p.name,

@@ -148,9 +148,8 @@ class Projector:
         or NaN, raises InvariantViolation."""
         # <psi, (V V^dagger) psi>, not ||V^dagger psi||^2: the two round
         # differently, and the report bytes are those of this form
-        projected = qcore._apply_matrix(
-            state.amplitudes, self.matrix, self.qubits, state.num_qubits)
-        value = float(np.real(np.vdot(state.amplitudes, projected)))
+        value = float(qcore._expectation(
+            state.amplitudes, self.matrix, self.qubits, state.num_qubits))
         if not value >= -PROBABILITY_DUST:
             raise InvariantViolation(f"projector expectation {value!r} is not a probability")
         return max(value, 0.0)

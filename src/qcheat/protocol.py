@@ -62,22 +62,27 @@ def run_commit(p: Protocol, b: int) -> PureState:
                                p.initial_bob_channel, *(rnd.ops for rnd in p.commit_rounds))
 
 
-def run_open(p: Protocol, state: PureState, claimed_b: int) -> float:
-    """Apply the open rounds, then Bob's acceptance probability for the claim."""
+def run_open(p: Protocol, state: PureState, claimed_b: int, *, donate=False) -> float:
+    """Apply the open rounds, then Bob's acceptance probability for the
+    claim.  With ``donate``, ``state`` is spent, as by ``open_state``."""
     if claimed_b not in (0, 1):
         raise ValueError(f"claimed bit must be 0 or 1, got {claimed_b!r}")
-    return p.verification[claimed_b].expectation(open_state(p, state))
+    return p.verification[claimed_b].expectation(open_state(p, state, donate=donate))
 
 
-def open_state(p: Protocol, state: PureState) -> PureState:
+def open_state(p: Protocol, state: PureState, *, donate=False) -> PureState:
     """The joint state after the open rounds, applied once to a commit
-    state; each of Bob's projectors can then be read from it."""
+    state; each of Bob's projectors can then be read from it.  With
+    ``donate`` the caller gives ``state`` up (``qcore._donate``): the open
+    rounds run in its buffer, and a later read of it raises
+    InvariantViolation.  Without it, ``state`` keeps its bytes."""
     _require_unitary(p, "run_open")
     if state.num_qubits != p.partition.num_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits, protocol register has "
             f"{p.partition.num_qubits}")
-    return qcore.apply_circuit(state, *(rnd.ops for rnd in p.open_rounds))
+    return qcore.apply_circuit(qcore._donate(state) if donate else state,
+                               *(rnd.ops for rnd in p.open_rounds))
 
 
 # ---------------------------------------------------------------------------

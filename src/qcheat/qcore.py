@@ -37,14 +37,27 @@ Conventions used throughout the package:
   it is collected, and a later call takes it from there instead of
   faulting fresh pages in.  The list holds at most WORK_POOL_BYTES;
   larger buffers are fresh and freed on return, as below 13 qubits.
+* A caller done with a state may donate it (``_donate``): the next
+  ``apply_circuit`` it is passed to takes its amplitude vector as one of
+  the call's two work buffers, as JAX's ``donate_argnums`` does, so the
+  call peaks one register above its input instead of two.  A donated
+  state is spent: any later read of its amplitudes raises
+  InvariantViolation.
+* Reads of a whole register, ``_vdot`` and ``_expectation``, go block by
+  block above WORK_MIN_AMPLITUDES amplitudes: each block's ``np.vdot`` is
+  added in a fixed order, so the sum does not depend on how BLAS splits a
+  long vector across threads, and no temporary is register-sized.  A
+  register of one block is read whole, as one ``np.vdot``.
 * All values are immutable.  Operations return fresh values and never
-  mutate their inputs, so everything here is safe to share across threads.
+  mutate their inputs, a donated state excepted, so everything here is
+  safe to share across threads.
   The module's caches hold only tuples (``_contract``'s axis orders, keyed
   by tensor rank and block axes, and ``_split``'s checked cuts, keyed by
   register size, rows and lead) and read-only arrays (``_circuit_matrix``'s
   identities), so what one caller is handed no other can change.  The free
   list is taken from and added to under a lock, and holds only buffers no
   array views, so no two live values, in one thread or two, share one.
+  Each thread reads blocks through its own pair of block buffers.
 * Nothing in this module reads ambient entropy; randomness, where needed,
   always arrives as an explicit generator or seed.
 """
@@ -118,7 +131,9 @@ MIN_HELD_QUBITS = FUSE_QUBITS + 3
 # glibc's default mmap threshold) contract into two work buffers.
 # Smaller arrays come from the heap, where a fresh one costs no page
 # faults, and a kept pair's bookkeeping would add about 8 us to a 10-30 us
-# call on 7 qubits (0.6 us for two fresh arrays, one BLAS thread).
+# call on 7 qubits (0.6 us for two fresh arrays, one BLAS thread).  It is
+# also the block of _vdot and _expectation: OpenBLAS gives a vdot of this
+# length the same bytes at one and two threads.
 WORK_MIN_AMPLITUDES = 2 ** 13
 
 # Work buffers of at most this many amplitudes (21 qubits, 32 MiB) are kept
@@ -130,6 +145,7 @@ WORK_POOL_BYTES = 4 * 16 * WORK_POOL_AMPLITUDES
 
 _free_buffers = []  # kept buffers, no array viewing them, smallest and latest first
 _free_lock = threading.Lock()
+_block_buffers = threading.local()  # each thread's pair for _expectation
 
 
 class InvariantViolation(Exception):
@@ -197,9 +213,25 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
 
+    def __getattr__(self, name):
+        # reached only when ``amplitudes`` is gone: _donate took it
+        if name == "amplitudes":
+            raise InvariantViolation("the state was donated to a kernel call and is spent")
+        raise AttributeError(name)
+
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit."""
         return self.amplitudes.reshape((2,) * self.num_qubits)
+
+
+def _donate(state: PureState) -> PureState:
+    """``state``, given up by its caller: the next ``apply_circuit`` it is
+    passed to may overwrite its amplitude vector, and from now on any read
+    of the state raises InvariantViolation."""
+    amps = state.amplitudes
+    object.__delattr__(state, "amplitudes")
+    object.__setattr__(state, "_donated", amps)
+    return state
 
 
 @dataclass(frozen=True)
@@ -438,14 +470,31 @@ def _contract(psi: np.ndarray, matrix: np.ndarray, qubits, work=None) -> np.ndar
     return out.reshape(moved.shape).transpose(inverse)
 
 
-def _work_pair(num_qubits: int) -> tuple | None:
+def _work_pair(num_qubits: int, donated=None) -> tuple | None:
     """Two flat, uninitialised buffers of 2^``num_qubits`` amplitudes that
     no live array shares: a tensor of that register or of fewer qubits
-    lives in a leading slice of one of them.  None below
-    WORK_MIN_AMPLITUDES, where each array is fresh."""
+    lives in a leading slice of one of them.  ``donated``, a spent state's
+    vector, is the first.  None below WORK_MIN_AMPLITUDES, where each array
+    is fresh."""
     if 2 ** num_qubits < WORK_MIN_AMPLITUDES:
         return None
-    return _work_buffer(2 ** num_qubits), _work_buffer(2 ** num_qubits)
+    if donated is None:
+        donated = _work_buffer(2 ** num_qubits)
+    return donated, _work_buffer(2 ** num_qubits)
+
+
+def _carve(*shapes) -> list:
+    """Uninitialised C-order arrays of ``shapes`` for a call's temporaries:
+    laid end to end in one work buffer when together they reach
+    WORK_MIN_AMPLITUDES, else fresh."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) < WORK_MIN_AMPLITUDES:
+        return [np.empty(shape, dtype=complex) for shape in shapes]
+    buffer, start, arrays = _work_buffer(sum(sizes)), 0, []
+    for shape, size in zip(shapes, sizes):
+        arrays.append(buffer[start:start + size].reshape(shape))
+        start += size
+    return arrays
 
 
 def _work_buffer(size: int) -> np.ndarray:
@@ -589,7 +638,10 @@ def apply_circuit(state: PureState | int, *op_lists) -> PureState:
 
     From WORK_MIN_AMPLITUDES up, every tensor the call makes lives in one
     of its two work buffers, and the returned state adopts one of them: the
-    call peaks two registers above its input.
+    call peaks two registers above its input.  A donated ``state``
+    (``_donate``) lends its vector as the first work buffer, so the call
+    peaks one register above it; with no gates the returned state adopts
+    that vector.
 
     From |0...0> the tensor holds only the qubits blocks have reached, its
     axes in register order.  Before each block, qubits join in the order
@@ -602,15 +654,21 @@ def apply_circuit(state: PureState | int, *op_lists) -> PureState:
     fresh = not isinstance(state, PureState)
     n = _check_register(state) if fresh else state.num_qubits
     blocks = [block for ops in op_lists for block in _fused_blocks(ops, n)]
+    donated = None if fresh else state.__dict__.pop("_donated", None)
+    if donated is not None:
+        donated.setflags(write=True)
     if not blocks:
-        return zero_state(n) if fresh else state
-    work = _work_pair(n)
+        if fresh:
+            return zero_state(n)
+        return state if donated is None else PureState._of(donated)
+    work = _work_pair(n, donated)
     if fresh:
         arrival = list(dict.fromkeys([*(q for _, qubits in blocks for q in qubits),
                                       *range(n)]))
         held, psi = [], np.complex128(1.0)  # |0...0> on no qubits yet
     else:
-        held, psi = list(range(n)), state.tensor()
+        held = list(range(n))
+        psi = (state.amplitudes if donated is None else donated).reshape((2,) * n)
     for matrix, qubits in blocks:
         axes = qubits
         if len(held) < n:
@@ -641,6 +699,50 @@ def _join(psi: np.ndarray, held, new, work) -> tuple:
         grown.fill(0)
     grown[tuple(0 if q in new else slice(None) for q in held)] = psi
     return held, grown
+
+
+def _vdot(bra: np.ndarray, ket: np.ndarray) -> complex:
+    """<bra|ket> of two register vectors: one ``np.vdot`` up to
+    WORK_MIN_AMPLITUDES, and above it the vdots of consecutive blocks of
+    that many amplitudes, added in order."""
+    if bra.size <= WORK_MIN_AMPLITUDES:
+        return np.vdot(bra, ket)
+    total = 0j
+    for start in range(0, bra.size, WORK_MIN_AMPLITUDES):
+        stop = start + WORK_MIN_AMPLITUDES
+        total += np.vdot(bra[start:stop], ket[start:stop])
+    return total
+
+
+def _expectation(amps: np.ndarray, matrix: np.ndarray, qubits, num_qubits) -> float:
+    """Re <psi| A |psi>, A being ``matrix`` on at most 13 ``qubits``.
+
+    Up to WORK_MIN_AMPLITUDES amplitudes: ``np.vdot(psi, A psi)``, A psi
+    from ``_apply_matrix``.  Above, the most significant qubits off
+    ``qubits`` index blocks of WORK_MIN_AMPLITUDES, taken in order.  Each
+    block, ``qubits`` leading, is copied into the first of this thread's
+    two block buffers and A applied into the second, and their vdot added
+    to the sum.  The buffers are made once per thread, so no temporary is
+    register-sized and a repeat faults no pages in.
+    """
+    if amps.size <= WORK_MIN_AMPLITUDES:
+        return np.vdot(amps, _apply_matrix(amps, matrix, qubits, num_qubits)).real
+    qubits = tuple(qubits)
+    rest = [q for q in range(num_qubits) if q not in qubits]
+    inner = WORK_MIN_AMPLITUDES.bit_length() - 1
+    outer = num_qubits - inner
+    tensor = amps.reshape((2,) * num_qubits).transpose(*rest[:outer], *qubits, *rest[outer:])
+    pair = getattr(_block_buffers, "pair", None)
+    if pair is None:
+        pair = _block_buffers.pair = np.empty((2, WORK_MIN_AMPLITUDES), dtype=complex)
+    block, product = pair
+    rows = 2 ** len(qubits)
+    total = 0.0
+    for index in np.ndindex((2,) * outer):
+        np.copyto(block.reshape((2,) * inner), tensor[index])
+        np.dot(matrix, block.reshape(rows, -1), out=product.reshape(rows, -1))
+        total += np.vdot(block, product).real
+    return total
 
 
 def apply_gate(state: PureState, op: GateOp) -> PureState:
@@ -682,10 +784,11 @@ def _checked_cut(n: int, rows: tuple, lead: tuple) -> tuple:
     return rows, cols
 
 
-def _merge(rows, cols, mat: np.ndarray) -> np.ndarray:
-    """The amplitude vector whose ``_split`` across (rows, cols) is ``mat``."""
+def _merge(rows, cols, mat: np.ndarray, work=None) -> np.ndarray:
+    """The amplitude vector whose ``_split`` across (rows, cols) is ``mat``;
+    with ``work``, ``mat`` is in one of its buffers and the vector too."""
     _, inverse = _axis_orders(len(rows) + len(cols), rows + cols)
-    return mat.reshape((2,) * len(inverse)).transpose(inverse).reshape(-1)
+    return _register_vector(mat.reshape((2,) * len(inverse)).transpose(inverse), work)
 
 
 def partial_trace(state: PureState, keep) -> DensityMatrix:

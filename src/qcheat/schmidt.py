@@ -29,11 +29,13 @@ from .qcore import (
     InvariantViolation,
     PureState,
     _apply_matrix,
+    _carve,
     _cut,
     _isometry_residual,
     _merge,
     _qubit_indices,
     _split,
+    _work_pair,
     is_unitary,
     partial_trace,
 )
@@ -128,8 +130,9 @@ def schmidt_decompose(state: PureState, a_side) -> SchmidtDecomposition:
 
 
 def _support_basis(m0: np.ndarray, m1: np.ndarray, rank_qubits: int):
-    """(Q, Q^dagger m0, Q^dagger m1) for an orthonormal basis Q of the joint
-    column space of ``m0`` and ``m1``, or None when none narrower is found.
+    """(Q, Q^dagger m0, core) for an orthonormal basis Q of the joint column
+    space of ``m0`` and ``m1``, with core = (Q^dagger m1)(Q^dagger m0)^dagger,
+    or None when none narrower is found.
 
     ``rank_qubits`` bounds log2 of each matrix's rank.  One QR of the sketch
     [m0 Omega, m1 Omega], with Omega a fixed-seed Gaussian of 2^rank_qubits
@@ -138,27 +141,38 @@ def _support_basis(m0: np.ndarray, m1: np.ndarray, rank_qubits: int):
     when it has fewer columns than the matrices have rows and
     ||m_b - Q Q^dagger m_b||_F <= SUPPORT_RESIDUAL_TOL for both: the bound
     is an estimate, and that measured residual is what is trusted.
+
+    Every temporary but Q and Q^dagger m0 is carved from one work buffer
+    (``qcore._carve``), so a warm repeat faults no pages in for them.
     """
     rows, cols = m0.shape
     width = 2 ** min(rank_qubits, rows.bit_length()) + SKETCH_OVERSAMPLE
     if 2 * width >= rows:
         return None
-    omega = np.random.default_rng(SKETCH_SEED).standard_normal((cols, width))
-    basis = np.linalg.qr(np.hstack([m0 @ omega, m1 @ omega]))[0]
-    adjoint = basis.conj().T
-    reduced = (adjoint @ m0, adjoint @ m1)
+    # the residual's column blocks span at most a quarter of the matrix
+    span = max(1, min(RESIDUAL_BLOCK, m0.size // 4) // rows)
+    omega, sketch, adjoint, c1, conj, block = _carve(
+        (cols, width), (rows, 2 * width), (rows * 2 * width,), (2 * width * cols,),
+        (2 * width * cols,), (rows, min(span, cols)))
+    omega[...] = np.random.default_rng(SKETCH_SEED).standard_normal((cols, width))
+    np.matmul(m0, omega, out=sketch[:, :width])
+    np.matmul(m1, omega, out=sketch[:, width:])
+    basis = np.linalg.qr(sketch)[0]
+    k = basis.shape[1]
+    adjoint = np.conjugate(basis, out=adjoint[:rows * k].reshape(rows, k)).T
+    reduced = (adjoint @ m0, np.matmul(adjoint, m1, out=c1[:k * cols].reshape(k, cols)))
     # the squares of Q (Q^dagger m) - m summed over column blocks, so no
-    # temporary as large as m is formed
-    step = max(1, RESIDUAL_BLOCK // rows)
+    # temporary larger than a block is formed
     for m, c in zip((m0, m1), reduced):
         squares = 0.0
-        for j in range(0, cols, step):
-            block = basis @ c[:, j:j + step]
-            block -= m[:, j:j + step]
+        for j in range(0, cols, span):
+            np.matmul(basis, c[:, j:j + span], out=block)
+            block -= m[:, j:j + span]
             squares += np.vdot(block, block).real
         if not math.sqrt(squares) <= SUPPORT_RESIDUAL_TOL:
             return None
-    return (basis, *reduced)
+    conj = np.conjugate(reduced[0], out=conj[:k * cols].reshape(k, cols))
+    return basis, reduced[0], reduced[1] @ conj.T
 
 
 class _Factors(NamedTuple):
@@ -168,6 +182,7 @@ class _Factors(NamedTuple):
     cols: tuple
     basis: np.ndarray | None      # Q, or None on the full side
     reduced: np.ndarray | None    # Q^dagger M0 when there is a basis
+    state0: PureState | None      # the b = 0 state W rotates on the full side
     left: np.ndarray
     singular: np.ndarray
     right: np.ndarray
@@ -186,8 +201,10 @@ class UhlmannRotation:
     is Q W (Q^dagger M0); otherwise on the full cross-Gram, and it is W M0.
     ``rank_qubits`` bounds log2 of the Schmidt rank; None tries no basis.
 
-    The one SVD runs when ``fidelity`` or ``cheat_state`` is first read;
-    the polar factor is formed only by ``cheat_state``.
+    The one SVD runs when ``fidelity``, ``on_support`` or ``cheat_state``
+    is first read; the polar factor is formed only by ``cheat_state``.
+    Once factored, the rotation holds neither state on the support, and
+    only ``state0`` on the full side.
     """
 
     def __init__(self, state0: PureState, state1: PureState, a_side, rank_qubits=None):
@@ -205,31 +222,50 @@ class UhlmannRotation:
         support = None
         if self._rank_qubits is not None:
             support = _support_basis(m0, m1, self._rank_qubits)
-        basis, c0, c1 = support or (None, m0, m1)
-        left, singular, right = np.linalg.svd(c1 @ c0.conj().T)
-        return _Factors(rows, cols, basis, None if basis is None else c0, left, singular, right)
+        if support is None:
+            # M0's conjugate is register-sized: a work buffer from 13 qubits.
+            # The operands, and so the bytes, are those of m0.conj().
+            basis, c0 = None, None
+            cross = m1 @ np.conjugate(m0, out=_carve(m0.shape)[0]).T
+        else:
+            basis, c0, cross = support
+        left, singular, right = np.linalg.svd(cross)
+        self._states = None
+        return _Factors(rows, cols, basis, c0, state0 if basis is None else None,
+                        left, singular, right)
 
     @property
     def fidelity(self) -> float:
         return float(np.sum(self._factors.singular))
+
+    @property
+    def on_support(self) -> bool:
+        """Whether the rotation works on a basis of the Schmidt support, so
+        that ``cheat_state`` reads neither commit state."""
+        return self._factors.basis is not None
 
     def polar_factor(self) -> np.ndarray:
         """W = left @ right from the SVD: 2^|A| wide, or as wide as the basis."""
         return self._factors.left @ self._factors.right
 
     def cheat_state(self) -> PureState:
-        """``state0`` rotated by the polar factor on ``a_side``."""
+        """``state0`` rotated by the polar factor on ``a_side``.  On the
+        support its coefficient matrix is formed in a work buffer, from
+        13 qubits up."""
         factors = self._factors
         rotation = self.polar_factor()
         if not is_unitary(rotation):
             raise InvariantViolation(f"polar factor is not unitary within {UNITARY_TOL}")
-        if factors.basis is None:
+        state0 = factors.state0
+        if state0 is not None:
             # apply_unitary's contraction: the state U on the register gives, bit for bit
-            state0 = self._states[0]
             return PureState._of(_apply_matrix(state0.amplitudes, rotation, factors.rows,
                                                state0.num_qubits))
-        coeffs = (factors.basis @ rotation) @ factors.reduced
-        return PureState._of(_merge(factors.rows, factors.cols, coeffs))
+        rows, cols = factors.rows, factors.cols
+        work = _work_pair(len(rows) + len(cols))
+        out = None if work is None else work[0].reshape(2 ** len(rows), -1)
+        coeffs = np.matmul(factors.basis @ rotation, factors.reduced, out=out)
+        return PureState._of(_merge(rows, cols, coeffs, work))
 
 
 def uhlmann_unitary(state0: PureState, state1: PureState, a_side):

@@ -613,9 +613,9 @@ print(json.dumps(figures))
 """
 
 
-def test_ladder_delta_does_not_depend_on_blas_threads(tmp_path):
-    # delta and F only: the acceptance figures and the overlap still come
-    # from whole-register vdot reductions, which OpenBLAS splits by thread
+def at_one_and_two_blas_threads(script, tmp_path) -> dict:
+    """{threads: what ``script`` prints as JSON}, run in a child process at
+    one and at two BLAS threads."""
     root = Path(__file__).resolve().parent.parent
     runs = {}
     for threads in ("1", "2"):
@@ -623,9 +623,106 @@ def test_ladder_delta_does_not_depend_on_blas_threads(tmp_path):
             str(root / d) for d in ("src", "perfbench")),
             OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         done = subprocess.run(
-            [sys.executable, "-c", _LADDER_FIGURES, str(tmp_path / f"report-{threads}")],
+            [sys.executable, "-c", script, str(tmp_path / f"report-{threads}")],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         runs[threads] = json.loads(done.stdout)
+    return runs
+
+
+def test_ladder_delta_does_not_depend_on_blas_threads(tmp_path):
+    # delta and F up to 16 qubits; whole reports are compared below
+    runs = at_one_and_two_blas_threads(_LADDER_FIGURES, tmp_path)
     assert len(runs["1"]) == 16
     assert runs["1"] == runs["2"]
+
+
+_LADDER_DIGESTS = """
+import hashlib, json, sys, gen
+from qcheat import cli
+out = sys.argv[1]
+digests = {}
+for name, doc in gen.ladder_documents(1, sizes=(13, 14)).items():
+    with open(out + ".yaml", "w", encoding="utf-8") as fh:
+        fh.write(gen.to_yaml(doc))
+    for command in ("attack", "simulate"):
+        assert cli.main([command, "--protocol", out + ".yaml", "--out", out]) == 0
+        with open(out, "rb") as fh:
+            digests[f"{command}:{name}"] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_ladder_reports_do_not_depend_on_blas_threads(tmp_path):
+    # every figure of attack and simulate: the acceptance figures and the
+    # overlap are summed over blocks of 2^13 amplitudes in a fixed order,
+    # which OpenBLAS does not split by thread.  fidelity is left out: its
+    # 128-wide eigh gives other bytes at two threads.
+    runs = at_one_and_two_blas_threads(_LADDER_DIGESTS, tmp_path)
+    assert len(runs["1"]) == 8
+    assert runs["1"] == runs["2"]
+
+
+def test_the_24_qubit_cap_runs_in_1_gib(perfbench_gen, tmp_path, cli_under_1_gib,
+                                        cli_in_child):
+    # three 256 MiB registers and the process fit under the limit; the five
+    # and six registers live before did not
+    docs = perfbench_gen.ladder_documents(1, sizes=(24,))
+    argvs = []
+    for command, name in (("attack", "ladder-n24-alice-big"),
+                          ("simulate", "ladder-n24-bob-big")):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(perfbench_gen.to_yaml(docs[name]), encoding="utf-8")
+        argvs.append([command, "--protocol", str(path), "--output", "json"])
+    limited = cli_under_1_gib(argvs)
+    assert [code for code, _ in limited] == [0, 0], limited
+    assert limited == cli_in_child(argvs)
+
+
+
+def command_peak(registers_above_start, tmp_path, command, doc, n) -> float:
+    """The traced peak of a warm repeat of one CLI command on ``doc``, in
+    registers of ``n`` qubits: the first run makes what a process keeps
+    (caches, the thread's block pair for ``qcore._expectation``)."""
+    path, out = tmp_path / "doc.yaml", tmp_path / "report.json"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    argv = [command, "--protocol", str(path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    code, peak = registers_above_start(lambda: cli.main(argv), n)
+    assert code == 0
+    return peak
+
+
+def law(registers, p, n) -> float:
+    """``registers`` whole registers, the rotation's factors Q and Q^dagger M0
+    when there is a basis, and 512 KiB for parsing, reports and small
+    temporaries, in registers of ``n`` qubits."""
+    rows = 2 ** len(alice_side(p, commit_custody(p)))
+    factors = sketch_width(p) * (rows + 2 ** n // rows) if rows > sketch_width(p) else 0
+    return registers + (16 * factors + 2 ** 19) / (16 * 2 ** n)
+
+
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_attack_and_simulate_peak_at_three_registers_on_the_support(
+        perfbench_gen, registers_above_start, tmp_path, n):
+    # counted, not timed: each commit state is opened by donation right
+    # after its last other use, and the reads make no register-sized
+    # temporary, so with kept buffers three registers are live (six for
+    # attack and five for simulate before)
+    for name, doc in perfbench_gen.ladder_documents(1, sizes=(n,)).items():
+        p = purify_protocol(parse_protocol(doc))
+        for command in ("attack", "simulate"):
+            peak = command_peak(registers_above_start, tmp_path, command, doc, n)
+            assert 3 <= peak <= law(3, p, n), (name, command, peak)
+
+
+def test_attack_peaks_at_four_registers_on_the_full_side(
+        perfbench_gen, registers_above_start, tmp_path):
+    # a 4-qubit Alice side is narrower than the sketch, so the rotation
+    # takes the full side: W M0 reads the b = 0 state, which stays live
+    # while the cheat state is formed
+    doc = perfbench_gen.ladder_document(np.random.default_rng(17), "full-side", 4, 12, True)
+    p = purify_protocol(parse_protocol(doc))
+    assert 2 ** len(alice_side(p, commit_custody(p))) <= sketch_width(p)
+    assert 4 <= command_peak(registers_above_start, tmp_path, "attack", doc, 17) <= law(4, p, 17)
+    assert command_peak(registers_above_start, tmp_path, "simulate", doc, 17) <= law(3, p, 17)

@@ -494,14 +494,6 @@ def test_apply_circuit_equals_the_fresh_array_chain_and_owns_its_result(n):
     assert apply_circuit(n, ops).amplitudes.tobytes() == got.amplitudes.tobytes()
 
 
-@pytest.fixture
-def empty_pool():
-    """The work-buffer free list, empty before the test and after it."""
-    qcore._free_buffers.clear()
-    yield qcore._free_buffers
-    qcore._free_buffers.clear()
-
-
 def kept_bytes():
     return sum(raw.nbytes for raw in qcore._free_buffers)
 
@@ -595,6 +587,72 @@ def test_threads_running_apply_circuit_at_once_equal_serial_runs(empty_pool):
     held = [s.amplitudes for states in results for s in states]
     assert not any(np.may_share_memory(a, b) for a, b in itertools.combinations(held, 2))
     assert kept_bytes() <= qcore.WORK_POOL_BYTES
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_a_donated_state_is_spent_and_the_result_keeps_its_bytes(empty_pool, n):
+    # the donor's vector is one of the call's work buffers from 13 qubits;
+    # a state that is not donated keeps its bytes
+    rng = np.random.default_rng([317, n])
+    ops = random_circuit(rng, n, 12)
+    start = random_state(rng, n)
+    want = apply_circuit(start, ops).amplitudes.tobytes()
+    donor = PureState(start.amplitudes)
+    got = apply_circuit(qcore._donate(donor), ops)
+    assert got.amplitudes.tobytes() == want
+    assert start.amplitudes.tobytes() == PureState(start.amplitudes).amplitudes.tobytes()
+    for read in (lambda: donor.amplitudes, donor.tensor, lambda: qcore._split(donor, [0])):
+        with pytest.raises(InvariantViolation, match="donated"):
+            read()
+    # with no gates the donor is spent too, and its vector adopted
+    again = apply_circuit(qcore._donate(got), [])
+    assert again.amplitudes.tobytes() == want
+    with pytest.raises(InvariantViolation, match="donated"):
+        got.amplitudes
+
+
+def blocks_in_order(amps, matrix, qubits, n):
+    """The blocked read's oracle: each block of 2^13 amplitudes, indexed by
+    the leading qubits off ``qubits`` and with ``qubits`` leading its axes,
+    read as one 13-qubit register by the whole-register form."""
+    rest = [q for q in range(n) if q not in qubits]
+    tensor = amps.reshape((2,) * n).transpose(*rest[:n - 13], *qubits, *rest[n - 13:])
+    total = 0.0
+    for index in np.ndindex((2,) * (n - 13)):
+        block = tensor[index].reshape(-1)
+        total += np.vdot(block, qcore._apply_matrix(block, matrix, range(len(qubits)), 13)).real
+    return total
+
+
+@pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+def test_the_blocked_read_is_the_whole_register_form_up_to_one_block(n):
+    # byte-equal up to 2^13 amplitudes, and within 1e-14 above, wherever
+    # the projector's qubits sit; the accept-all rule of a document without
+    # verify is the identity on Bob's first qubit
+    rng = np.random.default_rng([318, n])
+    amps = random_state(rng, n).amplitudes
+    rank2 = random_unitary(rng, 4)[:, :2]
+    placements = [((0, 1), rank2), ((n - 2, n - 1), rank2), ((1, n // 2), rank2),
+                  ((2, 5, n - 3), random_unitary(rng, 8)[:, :3]), ((0,), np.eye(2)),
+                  ((n // 2,), np.eye(2))]
+    for qubits, v in placements:
+        matrix = v @ v.conj().T
+        whole = np.vdot(amps, qcore._apply_matrix(amps, matrix, qubits, n)).real
+        got = qcore._expectation(amps, matrix, qubits, n)
+        if n <= 13:
+            assert got.tobytes() == whole.tobytes(), qubits
+        else:
+            assert abs(got - whole) <= 1e-14, (qubits, got - whole)
+            assert got == blocks_in_order(amps, matrix, qubits, n), qubits
+    other = random_state(rng, n).amplitudes
+    whole = np.vdot(amps, other)
+    got = qcore._vdot(amps, other)
+    if n <= 13:
+        assert got.tobytes() == whole.tobytes()
+    else:
+        assert abs(got - whole) <= 1e-14
+        assert got == sum(np.vdot(amps[i:i + 2 ** 13], other[i:i + 2 ** 13])
+                          for i in range(0, 2 ** n, 2 ** 13))
 
 
 def test_adopted_state_runs_every_check():
